@@ -1,69 +1,72 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals: one kernel.
 
-Plain Gaussian elimination on ``fractions.Fraction`` entries.  Rank,
-determinant and linear solves are exact, so every vanishing or rank
-statement made elsewhere in the package is decided with zero tolerance.
+Every elimination in the package runs through `_eliminate`, forward
+Gaussian elimination on ``fractions.Fraction`` entries that returns the
+echelon rows, the pivot columns and the sign of the row swaps.  Rank is
+the pivot count, the determinant is the signed product of the pivots, and
+a square solve eliminates the augmented matrix and back-substitutes, so
+every vanishing or rank statement made elsewhere in the package is
+decided with zero tolerance by the same code.
+
+Products go through `dot`, from which `mat_vec`, `bilinear` (u^T G v)
+and `congruence` (P^T G P) are built.  They keep the exact type of their
+inputs (ints stay ints, rationals stay rationals) and reject floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 
 class SingularMatrixError(ValueError):
     """A square system with no unique solution."""
 
 
-def _copy_rows(mat):
-    return [[Fraction(x) for x in row] for row in mat]
+def _eliminate(mat):
+    """Row echelon form of `mat` by forward elimination.
+
+    Returns (rows, pivots, sign): the echelon rows as Fractions, the pivot
+    column of each leading row, and (-1) ** (number of row swaps).
+    """
+    rows = [[Fraction(x) for x in row] for row in mat]
+    pivots = []
+    sign = 1
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        if top == len(rows):
+            break
+        pivot = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != top:
+            rows[top], rows[pivot] = rows[pivot], rows[top]
+            sign = -sign
+        head = rows[top][col:]
+        inv = 1 / head[0]
+        for r in range(top + 1, len(rows)):
+            row = rows[r]
+            if row[col]:
+                f = row[col] * inv
+                row[col:] = [a - f * b for a, b in zip(row[col:], head)]
+        pivots.append(col)
+    return rows, pivots, sign
 
 
 def mat_rank(mat) -> int:
     """Rank of a rectangular matrix of rationals."""
-    rows = _copy_rows(mat)
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return len(_eliminate(mat)[1])
 
 
 def mat_det(mat) -> Fraction:
     """Determinant of a square matrix of rationals."""
-    rows = _copy_rows(mat)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    n = len(mat)
+    if any(len(r) != n for r in mat):
         raise ValueError("determinant needs a square matrix")
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                f = rows[r][col] * inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return det
+    rows, pivots, sign = _eliminate(mat)
+    if len(pivots) < n:
+        return Fraction(0)
+    return prod((rows[i][i] for i in range(n)), start=Fraction(sign))
 
 
 def solve(mat, rhs) -> list[Fraction]:
@@ -74,28 +77,36 @@ def solve(mat, rhs) -> list[Fraction]:
     n = len(mat)
     if any(len(r) != n for r in mat) or len(rhs) != n:
         raise SingularMatrixError("system is not square")
-    rows = [[Fraction(x) for x in row] + [Fraction(b)]
-            for row, b in zip(mat, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return [rows[r][n] for r in range(n)]
+    rows, pivots, _ = _eliminate(
+        [list(row) + [b] for row, b in zip(mat, rhs)])
+    if pivots != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        x[i] = (rows[i][n] - dot(rows[i][i + 1:n], x[i + 1:])) / rows[i][i]
+    return x
 
 
-def mat_mul(a, b):
-    """Product of two rational matrices."""
-    return [[sum((Fraction(a[i][k]) * Fraction(b[k][j])
-                  for k in range(len(b))), Fraction(0))
-             for j in range(len(b[0]))] for i in range(len(a))]
+def dot(u, v):
+    """Exact dot product of two equally long vectors."""
+    total = sum(a * b for a, b in zip(u, v, strict=True))
+    if isinstance(total, float):
+        raise TypeError("float entries are not exact; use int or Fraction")
+    return total
 
 
-def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+def mat_vec(mat, vec) -> list:
+    """The column vector mat * vec."""
+    return [dot(row, vec) for row in mat]
+
+
+def bilinear(gram, u, v):
+    """The bilinear value u^T G v of the Gram matrix G."""
+    return dot(u, mat_vec(gram, v))
+
+
+def congruence(p, gram) -> list:
+    """The congruent Gram matrix P^T G P."""
+    cols = list(zip(*p))
+    gp = [mat_vec(gram, c) for c in cols]
+    return [[dot(ci, gpj) for gpj in gp] for ci in cols]

@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .picard import (ALPHA0, BETA0, D0P, D0PP, D0RAM, DELTA0, LAMBDA, MBAR,
-                     RBAR, SPIN, DivisorClass, ModuliSpace, SpaceMismatchError,
-                     UnknownSymbolError, alpha, basis_symbols, beta, delta,
-                     mbar, pi_delta, rbar, spin_plus)
+from .picard import (ALPHA0, BETA0, D0P, D0RAM, DELTA0, LAMBDA, MBAR, SPIN,
+                     DivisorClass, ModuliSpace, SpaceMismatchError,
+                     UnknownSymbolError, basis_symbols, covering_images,
+                     delta, mbar, rbar, spin_plus)
 
 
 class OpaquePairingError(ValueError):
@@ -259,26 +259,16 @@ def btilde_curve(base: CurveClass) -> LiftedSpinCurve:
 
 
 def pushforward_to_mbar(c: CurveClass) -> CurveClass:
-    """Push a curve class down to the stable-curve space.
-
-    delta_0 receives delta_0' + delta_0'' + 2*delta_0^ram (Prym source)
-    or alpha_0 + 2*beta_0 (spin source); higher boundary by matching index.
+    """Push a curve class down to the stable-curve space: the transpose
+    of the covering pullback, so each stable-curve symbol receives the
+    pairings of its images (`picard.covering_images`) with multiplicity.
     """
-    g = c.space.genus
     if c.space.kind == MBAR:
         return c
-    if c.space.kind == RBAR:
-        entries = [(LAMBDA, c.pairing(LAMBDA)),
-                   (DELTA0, c.pairing(D0P) + c.pairing(D0PP)
-                    + 2 * c.pairing(D0RAM))]
-        entries += [(delta(i), c.pairing(pi_delta(i)))
-                    for i in range(1, g // 2 + 1)]
-    else:
-        entries = [(LAMBDA, c.pairing(LAMBDA)),
-                   (DELTA0, c.pairing(ALPHA0) + 2 * c.pairing(BETA0))]
-        entries += [(delta(i), c.pairing(alpha(i)) + c.pairing(beta(i)))
-                    for i in range(1, g // 2 + 1)]
-    return curve_class(mbar(g), entries, label=f"pushforward of {c.label}")
+    entries = [(sym, sum(mult * c.pairing(img) for img, mult in images))
+               for sym, images in covering_images(c.space)]
+    return curve_class(mbar(c.space.genus), entries,
+                       label=f"pushforward of {c.label}")
 
 
 def _pair_lift(c: LiftedSpinCurve, d: DivisorClass) -> Fraction:

@@ -136,13 +136,19 @@ def rigidity_report_g8(theta: DivisorClass | None = None,
     return RigidityReport(rows=(row_theta, row_bn), notes=notes)
 
 
+def theta_null_pencil_pairing(g: int) -> Fraction:
+    """Pairing of the theta-null covering pencil with the theta-null
+    class: -1 at genus 4, -2 for genus 5..9."""
+    return Fraction(-1 if g == 4 else -2)
+
+
 def theta_rigidity_report(g: int,
                           theta: DivisorClass | None = None
                           ) -> RigidityReport:
     """Covering-curve certificate for the theta-null divisor, genus 4..9.
 
-    The pencil pairs -2 with the theta-null class for genus >= 5 and -1
-    at genus 4, pairs zero with every higher boundary class, and its
+    The pencil pairs `theta_null_pencil_pairing(g)` with the theta-null
+    class, pairs zero with every higher boundary class, and its
     alpha_0/beta_0 pairings exhaust the Noether budget.
     """
     theta = theta if theta is not None else theta_null(g)
@@ -152,7 +158,7 @@ def theta_rigidity_report(g: int,
         crosses.append((alpha(i), c.pairing(alpha(i))))
         crosses.append((beta(i), c.pairing(beta(i))))
     row = RigidityRow("theta_null", c.label, pair(c, theta), tuple(crosses))
-    expected = Fraction(-1 if g == 4 else -2)
+    expected = theta_null_pencil_pairing(g)
     budget = c.pairing(ALPHA0) + 2 * c.pairing(BETA0)
     notes = (
         f"lambda={c.pairing(LAMBDA)}, alpha_0={c.pairing(ALPHA0)}, "

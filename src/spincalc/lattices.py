@@ -14,10 +14,9 @@ exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
-from ._linalg import mat_det
+from ._linalg import bilinear, mat_det
 
 
 class DimensionMismatchError(ValueError):
@@ -55,8 +54,7 @@ class IntegerLattice:
         """Bilinear product v . w = v^T G w."""
         self._check(v)
         self._check(w)
-        return sum(v[i] * self.gram[i][j] * w[j]
-                   for i in range(self.rank) for j in range(self.rank))
+        return bilinear(self.gram, v, w)
 
     def norm(self, v) -> int:
         """Self-intersection v . v."""

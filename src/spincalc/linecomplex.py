@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
-from ._linalg import SingularMatrixError, mat_det, mat_rank, solve
+from ._linalg import (SingularMatrixError, bilinear, congruence, dot,
+                      mat_det, mat_rank, mat_vec, solve)
 
 
 class BasePointNotOnQuadricError(ValueError):
@@ -69,9 +69,7 @@ class SymmetricForm:
         """Bilinear value u^T G v."""
         if len(u) != self.dim or len(v) != self.dim:
             raise ValueError("vector length must match the form dimension")
-        return sum((Fraction(u[i]) * self.gram[i][j] * Fraction(v[j])
-                    for i in range(self.dim) for j in range(self.dim)),
-                   Fraction(0))
+        return bilinear(self.gram, u, v)
 
     def quadratic(self, u) -> Fraction:
         return self.evaluate(u, u)
@@ -110,11 +108,14 @@ def second_compound(q: SymmetricForm) -> SymmetricForm:
     return SymmetricForm(tuple(rows))
 
 
-def _require_line(u, v):
-    pairs = wedge_pairs(len(u))
-    if all(Fraction(u[i]) * Fraction(v[j]) == Fraction(u[j]) * Fraction(v[i])
-           for i, j in pairs):
+def _require_line(u, v) -> list:
+    """Wedge coordinates of u ^ v, which must be a line."""
+    if len(u) != len(v):
+        raise ValueError("the two vectors must have the same length")
+    w = wedge_coordinates(u, v)
+    if not any(w):
         raise DependentVectorsError("vectors do not span a line")
+    return w
 
 
 def tangency(q: SymmetricForm, u, v) -> bool:
@@ -125,8 +126,7 @@ def tangency(q: SymmetricForm, u, v) -> bool:
     """
     if q.quadratic(u) != 0:
         raise BasePointNotOnQuadricError("base point is not on the quadric")
-    _require_line(u, v)
-    w = wedge_coordinates(u, v)
+    w = _require_line(u, v)
     return second_compound(q).evaluate(w, w) == 0
 
 
@@ -144,24 +144,23 @@ def is_singular_point(q: SymmetricForm, u, v) -> bool:
     """Is [u ^ v] a singular point of the tangent-line complex of q?
 
     The gradient of the complex at u ^ v is the linear form
-    nu2(Qt)(u ^ v, -); it is tested against every tangent direction
-    u ^ e_i and v ^ e_i.  For a line in the complex this vanishing is
-    equivalent to the second vector being isotropic as well, i.e. to the
-    line lying inside the quadric.
+    nu2(Qt)(u ^ v, -), computed once as the vector G2 w; it is tested
+    against every tangent direction u ^ e_i and v ^ e_i.  For a line in
+    the complex this vanishing is equivalent to the second vector being
+    isotropic as well, i.e. to the line lying inside the quadric.
     """
     if q.quadratic(u) != 0:
         raise NotInComplexError("base point is not on the quadric")
-    _require_line(u, v)
-    n2 = second_compound(q)
-    w = wedge_coordinates(u, v)
-    if n2.evaluate(w, w) != 0:
+    w = _require_line(u, v)
+    grad = mat_vec(second_compound(q).gram, w)
+    if dot(grad, w) != 0:
         raise NotInComplexError("line is not in the tangent complex")
     dim = q.dim
     basis = [[int(i == k) for i in range(dim)] for k in range(dim)]
     for e in basis:
-        if n2.evaluate(w, wedge_coordinates(u, e)) != 0:
+        if dot(grad, wedge_coordinates(u, e)) != 0:
             return False
-        if n2.evaluate(w, wedge_coordinates(v, e)) != 0:
+        if dot(grad, wedge_coordinates(v, e)) != 0:
             return False
     return True
 
@@ -274,16 +273,6 @@ def random_unimodular_pair(rng, dim: int, steps: int = 10):
     return m, inv
 
 
-def _conjugate_by(p, diag_or_gram):
-    """P^T G P for an integer matrix P and symmetric integer G."""
-    dim = len(p)
-    g = diag_or_gram
-    gp = [[sum(g[i][k] * p[k][j] for k in range(dim)) for j in range(dim)]
-          for i in range(dim)]
-    return [[sum(p[k][i] * gp[k][j] for k in range(dim))
-             for j in range(dim)] for i in range(dim)]
-
-
 def random_symmetric_form_of_rank(rng, dim: int, rank: int) -> SymmetricForm:
     """Random symmetric form of exact rank: a nonzero diagonal of the
     requested length conjugated by a random change of basis."""
@@ -293,7 +282,7 @@ def random_symmetric_form_of_rank(rng, dim: int, rank: int) -> SymmetricForm:
     for i in range(rank):
         g0[i][i] = _nonzero(rng)
     p, _ = random_unimodular_pair(rng, dim)
-    return symmetric_form(_conjugate_by(p, g0))
+    return symmetric_form(congruence(p, g0))
 
 
 def _nonzero(rng):
@@ -312,7 +301,7 @@ def _conjugated_split_sample(rng, diag_tail):
     for i, d in enumerate(diag_tail):
         g0[2 + i][2 + i] = d
     p, pinv = random_unimodular_pair(rng, dim)
-    gram = _conjugate_by(p, g0)
+    gram = congruence(p, g0)
     # in the new coordinates the old basis vector e_k is P^{-1} e_k
     images = [[pinv[r][k] for r in range(dim)] for k in range(dim)]
     return symmetric_form(gram), images

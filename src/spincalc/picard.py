@@ -21,7 +21,7 @@ All values are immutable and every operation is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -246,54 +246,55 @@ def zero_class(space: ModuliSpace) -> DivisorClass:
     return DivisorClass(space, {}, frozenset())
 
 
-def _push_symbol(sym: str, images: dict, coeffs: dict, opaque: set, value):
-    """Accumulate `value * images[sym]`; opaque value marks all images."""
-    for img, mult in images[sym]:
-        if value is None:
-            opaque.add(img)
-        else:
-            coeffs[img] = coeffs.get(img, Fraction(0)) + mult * value
+def covering_images(target: ModuliSpace) -> tuple:
+    """Image of each stable-curve basis symbol under pullback along the
+    covering of the stable-curve space by `target`, as
+    (symbol, ((image, multiplicity), ...)) in basis order.
+
+    Prym covering:  delta_0 -> delta_0' + delta_0'' + 2*delta_0^ram,
+                    delta_i -> pi_delta_i.
+    Spin covering:  delta_0 -> alpha_0 + 2*beta_0,
+                    delta_i -> alpha_i + beta_i.
+    Both send lambda -> lambda.
+    """
+    h = target.genus // 2
+    if target.kind == RBAR:
+        d0 = ((D0P, 1), (D0PP, 1), (D0RAM, 2))
+        higher = [((pi_delta(i), 1),) for i in range(1, h + 1)]
+    elif target.kind == SPIN:
+        d0 = ((ALPHA0, 1), (BETA0, 2))
+        higher = [((alpha(i), 1), (beta(i), 1)) for i in range(1, h + 1)]
+    else:
+        raise SpaceMismatchError("coverings go to the Prym and spin spaces")
+    images = [((LAMBDA, 1),), d0] + higher
+    return tuple(zip(basis_symbols(mbar(target.genus)), images))
 
 
-def _pullback(d: DivisorClass, target: ModuliSpace, images: dict) -> DivisorClass:
+def _pullback(d: DivisorClass, target: ModuliSpace) -> DivisorClass:
     if d.space.kind != MBAR:
         raise SpaceMismatchError("pullbacks start from the stable-curve space")
+    images = dict(covering_images(target))
     coeffs: dict = {}
     opaque: set = set()
     for sym, value in d.coeffs.items():
-        _push_symbol(sym, images, coeffs, opaque, value)
+        for img, mult in images[sym]:
+            coeffs[img] = coeffs.get(img, Fraction(0)) + mult * value
     for sym in d.opaque:
-        _push_symbol(sym, images, coeffs, opaque, None)
+        opaque.update(img for img, _ in images[sym])
     coeffs = {s: v for s, v in coeffs.items() if v and s not in opaque}
     return DivisorClass(target, coeffs, frozenset(opaque))
 
 
 def pullback_to_prym(d: DivisorClass) -> DivisorClass:
-    """Pullback along the Prym covering of the stable-curve space.
-
-    lambda -> lambda,  delta_0 -> delta_0' + delta_0'' + 2*delta_0^ram,
-    delta_i -> pi_delta_i.
-    """
-    g = d.space.genus
-    images = {LAMBDA: [(LAMBDA, 1)],
-              DELTA0: [(D0P, 1), (D0PP, 1), (D0RAM, 2)]}
-    for i in range(1, g // 2 + 1):
-        images[delta(i)] = [(pi_delta(i), 1)]
-    return _pullback(d, rbar(g), images)
+    """Pullback along the Prym covering of the stable-curve space
+    (see `covering_images`)."""
+    return _pullback(d, rbar(d.space.genus))
 
 
 def pullback_to_spin(d: DivisorClass) -> DivisorClass:
-    """Pullback along the even-spin covering of the stable-curve space.
-
-    lambda -> lambda,  delta_0 -> alpha_0 + 2*beta_0,
-    delta_i -> alpha_i + beta_i.
-    """
-    g = d.space.genus
-    images = {LAMBDA: [(LAMBDA, 1)],
-              DELTA0: [(ALPHA0, 1), (BETA0, 2)]}
-    for i in range(1, g // 2 + 1):
-        images[delta(i)] = [(alpha(i), 1), (beta(i), 1)]
-    return _pullback(d, spin_plus(g), images)
+    """Pullback along the even-spin covering of the stable-curve space
+    (see `covering_images`)."""
+    return _pullback(d, spin_plus(d.space.genus))
 
 
 def canonical_class(space: ModuliSpace) -> DivisorClass:

@@ -5,6 +5,7 @@ under `pytest -s` or in the failure report).  All arithmetic is exact;
 "tolerance" everywhere is equality of rationals.
 """
 
+import hashlib
 from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
@@ -36,6 +37,12 @@ def criterion(num, name):
         print(f"ACCEPTANCE {num:02d} {name}: FAIL")
         raise
     print(f"ACCEPTANCE {num:02d} {name}: PASS")
+
+
+#: sha256 of `spincalc verify-all --json --seed 1729`: the behaviour
+#: contract that every refactor must reproduce byte for byte
+CONTRACT_SHA256 = \
+    "bee80b2b0d7ecfebdb6134d293ed31fe598f76b9f747352e0412c21504b58e29"
 
 
 @pytest.fixture(scope="module")
@@ -196,3 +203,9 @@ def test_full_registry_all_green(full_report):
     assert full_report.all_passed
     assert full_report.failed == 0
     assert len(full_report.checks) >= 25
+
+
+def test_full_report_matches_behaviour_contract(full_report):
+    assert full_report.seed == 1729
+    doc = checks.render_json(full_report) + "\n"
+    assert hashlib.sha256(doc.encode()).hexdigest() == CONTRACT_SHA256

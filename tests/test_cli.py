@@ -195,6 +195,18 @@ def test_complex_singular(tmp_path, capsys):
     assert out.strip() == "true"
 
 
+@pytest.mark.parametrize("v", ["0 1 7", "0"])
+def test_complex_vector_length_mismatch(tmp_path, capsys, v):
+    path = tmp_path / "short.txt"
+    path.write_text(f"2\n1 0\n0 -1\n1 1\n{v}\n")
+    code, out, err = run(capsys, "complex", "--op", "tangency",
+                         "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 def test_complex_plucker_rank(tmp_path, capsys):
     path = tmp_path / "psi.txt"
     path.write_text("6\n1 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n")

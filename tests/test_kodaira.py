@@ -130,6 +130,38 @@ def test_perturbing_bn8_breaks_slope_and_septic():
     assert "xi-battery-g8" not in failing
 
 
+def test_check_raising_any_exception_is_recorded_as_fail(monkeypatch):
+    build = checks._build_registry
+
+    def boom(ctx):
+        raise ZeroDivisionError("division by zero")
+
+    def with_failing_check():
+        reg = build()
+        reg[0] = (reg[0][0], reg[0][1], boom)
+        return reg
+
+    expected_ids = [c.id for c in checks.verify_all(quick=True).checks]
+    monkeypatch.setattr(checks, "_build_registry", with_failing_check)
+    report = checks.verify_all(quick=True)
+    assert report.failed == 1
+    assert [c.id for c in report.checks] == expected_ids
+    first = report.checks[0]
+    assert first.status == "fail"
+    assert first.computed == "error: ZeroDivisionError: division by zero"
+
+
+def test_value_error_keeps_plain_message(monkeypatch):
+    def bad(ctx):
+        raise ValueError("bad input")
+
+    monkeypatch.setattr(checks, "_build_registry",
+                        lambda: [("only", "c", bad)])
+    report = checks.verify_all(quick=True)
+    assert report.failed == 1
+    assert report.checks[0].computed == "error: bad input"
+
+
 def test_report_counts():
     report = checks.verify_all(quick=True)
     assert report.passed + report.failed + report.cited \

@@ -1,0 +1,180 @@
+"""The exact kernel against independent oracles: Leibniz determinants,
+ranks fixed by construction, round trips and explicit double sums."""
+
+import random
+from fractions import Fraction
+from itertools import permutations
+from math import prod
+
+import pytest
+
+from spincalc._linalg import (SingularMatrixError, bilinear, congruence, dot,
+                              mat_det, mat_rank, mat_vec, solve)
+
+
+def leibniz_det(m):
+    n = len(m)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        sign = -1 if inversions % 2 else 1
+        total += sign * prod((Fraction(m[i][perm[i]]) for i in range(n)),
+                             start=Fraction(1))
+    return total
+
+
+def product(a, b):
+    return [[sum((Fraction(a[i][k]) * b[k][j] for k in range(len(b))),
+                 Fraction(0)) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def transpose(m):
+    return [list(col) for col in zip(*m)]
+
+
+def entry(rng, rational):
+    if rational:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+    return rng.randint(-5, 5)
+
+
+def random_matrix(rng, rows, cols, rational=False):
+    return [[entry(rng, rational) for _ in range(cols)] for _ in range(rows)]
+
+
+def rank_r_matrix(rng, rows, cols, r, rational=False):
+    """B C with an identity block on top of B (rows x r) and on the left
+    of C (r x cols), so both factors, and hence B C, have rank r; rows
+    and columns are then shuffled."""
+    if r == 0:
+        return [[0] * cols for _ in range(rows)]
+    b = [[int(i == j) for j in range(r)] for i in range(r)]
+    b += random_matrix(rng, rows - r, r, rational)
+    c = [[int(i == j) for j in range(r)]
+         + [entry(rng, rational) for _ in range(cols - r)] for i in range(r)]
+    m = product(b, c)
+    rng.shuffle(m)
+    order = list(range(cols))
+    rng.shuffle(order)
+    return [[row[j] for j in order] for row in m]
+
+
+# --- determinant ------------------------------------------------------------
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_det_matches_leibniz(rational):
+    rng = random.Random(101 + rational)
+    for n in range(1, 6):
+        for _ in range(20):
+            m = random_matrix(rng, n, n, rational)
+            assert mat_det(m) == leibniz_det(m)
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_det_of_singular_matrices(rational):
+    rng = random.Random(202 + rational)
+    for n in range(2, 6):
+        for r in range(n):
+            m = rank_r_matrix(rng, n, n, r, rational)
+            assert leibniz_det(m) == 0
+            assert mat_det(m) == 0
+        m = random_matrix(rng, n, n, rational)
+        m[-1] = list(m[0])
+        assert mat_det(m) == leibniz_det(m) == 0
+
+
+def test_det_sign_of_row_swaps():
+    assert mat_det([[0, 1], [1, 0]]) == -1
+    assert mat_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert mat_det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+    assert mat_det([]) == 1
+
+
+def test_det_needs_square_matrix():
+    with pytest.raises(ValueError):
+        mat_det([[1, 2, 3], [4, 5, 6]])
+
+
+# --- rank -------------------------------------------------------------------
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_rank_of_products_with_known_rank(rational):
+    rng = random.Random(303 + rational)
+    for rows, cols in ((3, 5), (5, 3), (4, 4), (6, 6), (7, 4)):
+        for r in range(min(rows, cols) + 1):
+            m = rank_r_matrix(rng, rows, cols, r, rational)
+            assert mat_rank(m) == r
+            assert mat_rank(transpose(m)) == r
+
+
+def test_rank_of_empty_inputs():
+    assert mat_rank([]) == 0
+    assert mat_rank([[]]) == 0
+    assert mat_rank([[], []]) == 0
+    assert mat_rank([[0, 0, 0]]) == 0
+    assert mat_rank([[0], [0], [5]]) == 1
+
+
+# --- solve ------------------------------------------------------------------
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_solve_round_trip(rational):
+    rng = random.Random(404 + rational)
+    for n in range(1, 6):
+        for _ in range(10):
+            a = random_matrix(rng, n, n, rational)
+            if leibniz_det(a) == 0:
+                continue
+            b = [entry(rng, rational) for _ in range(n)]
+            x = solve(a, b)
+            assert all(isinstance(xi, Fraction) for xi in x)
+            assert [row[0] for row in product(a, [[xi] for xi in x])] == b
+
+
+def test_solve_singular_systems():
+    rng = random.Random(505)
+    for n in range(1, 6):
+        a = rank_r_matrix(rng, n, n, n - 1)
+        with pytest.raises(SingularMatrixError):
+            solve(a, [1] * n)
+    with pytest.raises(SingularMatrixError):
+        solve([[1, 2, 3], [4, 5, 6]], [1, 2])
+    with pytest.raises(SingularMatrixError):
+        solve([[1, 0], [0, 1]], [1, 2, 3])
+
+
+# --- products ---------------------------------------------------------------
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_bilinear_and_congruence_match_double_sums(rational):
+    rng = random.Random(606 + rational)
+    for n in range(1, 6):
+        g = random_matrix(rng, n, n, rational)
+        p = random_matrix(rng, n, n, rational)
+        u = [entry(rng, rational) for _ in range(n)]
+        v = [entry(rng, rational) for _ in range(n)]
+        assert bilinear(g, u, v) == sum(u[i] * g[i][j] * v[j]
+                                        for i in range(n) for j in range(n))
+        assert mat_vec(g, v) == [sum(g[i][j] * v[j] for j in range(n))
+                                 for i in range(n)]
+        want = [[sum(p[k][i] * g[k][l] * p[l][j]
+                     for k in range(n) for l in range(n))
+                 for j in range(n)] for i in range(n)]
+        assert congruence(p, g) == want
+
+
+def test_integer_inputs_stay_integers():
+    assert type(bilinear([[1, 2], [2, 3]], [1, 1], [1, -1])) is int
+    assert congruence([[1, 1], [0, 1]], [[1, 0], [0, -1]]) == [[1, 1],
+                                                               [1, 0]]
+
+
+def test_dot_rejects_floats_and_ragged_vectors():
+    with pytest.raises(TypeError):
+        dot([0.5, 1], [1, 1])
+    with pytest.raises(TypeError):
+        bilinear([[1, 0], [0, 1]], [1, 0], [0.0, 1])
+    with pytest.raises(ValueError):
+        dot([1, 2, 3], [1, 2])

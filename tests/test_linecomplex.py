@@ -89,6 +89,15 @@ def test_tangency_preconditions():
         tangency(q, [1, 0, 1, 0, 0], [2, 0, 2, 0, 0])
 
 
+@pytest.mark.parametrize("v", [[0, 1, 7], [0]])
+def test_vector_lengths_must_match(v):
+    q = diag(1, -1)
+    u = [1, 1]
+    for fn in (tangency, discriminant_tangency, is_singular_point):
+        with pytest.raises(ValueError, match="same length"):
+            fn(q, u, v)
+
+
 def test_tangency_agrees_with_discriminant_oracle():
     rng = random.Random(42)
     seen = {True: 0, False: 0}
