@@ -6,8 +6,9 @@ quadratic-line-complex linear algebra behind the birational geometry of
 the even-spin and Prym moduli spaces, up to the genus-8 canonical-class
 decomposition and its rigidity certificate.
 
-Everything is pure-Python ``fractions.Fraction`` arithmetic: a check
-either holds exactly or fails; there are no tolerances.
+Everything is pure-Python exact arithmetic, in ints and, where a value
+has a denominator, ``fractions.Fraction``: a check either holds exactly
+or fails; there are no tolerances.
 """
 
 from .checks import DEFAULT_SEED, CheckRecord, Report, verify_all

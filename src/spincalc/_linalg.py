@@ -1,37 +1,67 @@
-"""Exact linear algebra over the rationals: one kernel.
+"""Exact linear algebra over the rationals: one integer kernel.
 
-Every elimination in the package runs through `_eliminate`, forward
-Gaussian elimination on ``fractions.Fraction`` entries that returns the
-echelon rows, the pivot columns and the sign of the row swaps.  Rank is
-the pivot count, the determinant is the signed product of the pivots, and
-a square solve eliminates the augmented matrix and back-substitutes, so
-every vanishing or rank statement made elsewhere in the package is
-decided with zero tolerance by the same code.
+Every elimination in the package runs through `_eliminate`, a single
+fraction-free Bareiss elimination over Python ints (Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math.
+Comp. 22, 1968).  Each row is first multiplied by the lcm of its
+denominators, which changes neither the rank nor singularity; after that
+every entry is an integer minor of the cleared matrix and every division
+is exact.  Rank is the pivot count, the determinant is the signed last
+pivot divided by the product of the row multipliers, and a square solve
+eliminates the augmented matrix and back-substitutes, so every vanishing
+or rank statement made elsewhere in the package is decided with zero
+tolerance by the same code.  Only the answers of `mat_det` and `solve`
+are built as ``fractions.Fraction``.
 
 Products go through `dot`, from which `mat_vec`, `bilinear` (u^T G v)
 and `congruence` (P^T G P) are built.  They keep the exact type of their
-inputs (ints stay ints, rationals stay rationals) and reject floats.
+inputs (ints stay ints, rationals stay rationals) and reject floats, as
+the kernel does.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm
+from operator import mul
 
 
 class SingularMatrixError(ValueError):
     """A square system with no unique solution."""
 
 
-def _eliminate(mat):
-    """Row echelon form of `mat` by forward elimination.
+def _integer_row(row) -> tuple[list, int]:
+    """The row times the lcm of its denominators, as ints, and that lcm."""
+    try:
+        m = lcm(*{x.denominator for x in row})
+    except AttributeError:
+        raise TypeError("matrix entries must be int or Fraction; "
+                        "floats are not exact") from None
+    if m == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (m // x.denominator) for x in row], m
 
-    Returns (rows, pivots, sign): the echelon rows as Fractions, the pivot
-    column of each leading row, and (-1) ** (number of row swaps).
+
+def _eliminate(mat):
+    """Row echelon form of `mat` by Bareiss elimination over the ints.
+
+    Returns (rows, pivots, sign, scale): the echelon rows as ints, the
+    pivot column of each leading row, (-1) ** (number of row swaps), and
+    the product of the row multipliers that cleared the denominators.
+    Entry (i, j) of row i below the k-th step is the minor of the cleared
+    matrix on the first k pivot rows and columns plus row i and column j;
+    in particular the last pivot of a square nonsingular input is its
+    determinant up to `sign`.
     """
-    rows = [[Fraction(x) for x in row] for row in mat]
+    rows = []
+    scale = 1
+    for row in mat:
+        ints, m = _integer_row(row)
+        rows.append(ints)
+        scale *= m
     pivots = []
     sign = 1
+    prev = 1
     for col in range(len(rows[0]) if rows else 0):
         top = len(pivots)
         if top == len(rows):
@@ -43,14 +73,20 @@ def _eliminate(mat):
             rows[top], rows[pivot] = rows[pivot], rows[top]
             sign = -sign
         head = rows[top][col:]
-        inv = 1 / head[0]
+        p = head[0]
         for r in range(top + 1, len(rows)):
             row = rows[r]
-            if row[col]:
-                f = row[col] * inv
-                row[col:] = [a - f * b for a, b in zip(row[col:], head)]
+            f = row[col]
+            if f:
+                row[col:] = [(p * a - f * b) // prev
+                             for a, b in zip(row[col:], head)]
+            else:
+                # the row still takes the factor p / prev, or later
+                # divisions by the pivot would not be exact
+                row[col:] = [p * a // prev for a in row[col:]]
+        prev = p
         pivots.append(col)
-    return rows, pivots, sign
+    return rows, pivots, sign, scale
 
 
 def mat_rank(mat) -> int:
@@ -63,10 +99,12 @@ def mat_det(mat) -> Fraction:
     n = len(mat)
     if any(len(r) != n for r in mat):
         raise ValueError("determinant needs a square matrix")
-    rows, pivots, sign = _eliminate(mat)
+    if n == 0:
+        return Fraction(1)
+    rows, pivots, sign, scale = _eliminate(mat)
     if len(pivots) < n:
         return Fraction(0)
-    return prod((rows[i][i] for i in range(n)), start=Fraction(sign))
+    return Fraction(sign * rows[-1][-1], scale)
 
 
 def solve(mat, rhs) -> list[Fraction]:
@@ -77,19 +115,27 @@ def solve(mat, rhs) -> list[Fraction]:
     n = len(mat)
     if any(len(r) != n for r in mat) or len(rhs) != n:
         raise SingularMatrixError("system is not square")
-    rows, pivots, _ = _eliminate(
+    rows, pivots, _, _ = _eliminate(
         [list(row) + [b] for row, b in zip(mat, rhs)])
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    x = [Fraction(0)] * n
+    if n == 0:
+        return []
+    # with d the last pivot, d * x is integral (Cramer's rule), so the
+    # back-substitution for y = d * x divides exactly
+    d = rows[-1][n - 1]
+    y = [0] * n
     for i in reversed(range(n)):
-        x[i] = (rows[i][n] - dot(rows[i][i + 1:n], x[i + 1:])) / rows[i][i]
-    return x
+        row = rows[i]
+        y[i] = (d * row[n] - dot(row[i + 1:n], y[i + 1:])) // row[i]
+    return [Fraction(yi, d) for yi in y]
 
 
 def dot(u, v):
     """Exact dot product of two equally long vectors."""
-    total = sum(a * b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError("dot product of vectors of unequal length")
+    total = sum(map(mul, u, v))
     if isinstance(total, float):
         raise TypeError("float entries are not exact; use int or Fraction")
     return total

@@ -81,8 +81,37 @@ def _print_gram(lat) -> None:
         print(" ".join(str(x) for x in row))
 
 
+#: the checks that belong to one lattice, by the lattice they belong to
+_LATTICE_OF_CHECK = {"identities": "lambda_g", "cs": "lambda_g"}
+
+
+def _lattice_check(check: str, genus: int) -> tuple[bool, list]:
+    """Run a lattice check battery; returns (ok, report lines)."""
+    if check == "identities":
+        rows = lattices.lambda_identities(genus)
+        return all(got == want for _, got, want in rows), [
+            f"{name}: {got} (expected {want})"
+            + ("" if got == want else "  <- FAIL")
+            for name, got, want in rows]
+    if check == "cs":
+        cert = lattices.cs_obstruction(genus, a_bound=5)
+        return cert.holds, [
+            f"a={e.a}: sum={e.target_sum} norm={e.target_norm} "
+            f"gap={e.cs_gap} solutions="
+            f"{'found' if e.solution_found else 'none'}"
+            for e in cert.entries]
+    r = lattices.doubly_elliptic_identities()
+    return r.holds, [f"(2E+sum G_i)^2 = {r.section_square}",
+                     f"(C1+C2)^2 = {r.pencil_sum_square}",
+                     f"C.G_i = {list(r.section_dot_exceptional)}"]
+
+
 def _cmd_lattice(args) -> int:
     genus = args.genus if args.genus is not None else 7
+    owner = _LATTICE_OF_CHECK.get(args.check)
+    if owner not in (None, args.name):
+        raise picard.BadParamError(
+            f"--check {args.check} applies to --name {owner} only")
     if args.name == "nikulin":
         lat = lattices.nikulin_lattice()
     elif args.name == "lambda_g":
@@ -93,29 +122,15 @@ def _cmd_lattice(args) -> int:
         lat = lattices.e8(args.scale if args.scale is not None else 1)
     else:
         raise picard.BadParamError(f"unknown lattice {args.name!r}")
-    _print_gram(lat)
     if not args.check:
+        _print_gram(lat)
         return 0
-    ok = True
-    if args.check == "identities":
-        for name, got, want in lattices.lambda_identities(genus):
-            good = got == want
-            ok = ok and good
-            print(f"{name}: {got} (expected {want})"
-                  + ("" if good else "  <- FAIL"))
-    elif args.check == "cs":
-        cert = lattices.cs_obstruction(genus, a_bound=5)
-        for e in cert.entries:
-            print(f"a={e.a}: sum={e.target_sum} norm={e.target_norm} "
-                  f"gap={e.cs_gap} solutions="
-                  f"{'found' if e.solution_found else 'none'}")
-        ok = cert.holds
-    elif args.check == "doubly-elliptic":
-        r = lattices.doubly_elliptic_identities()
-        print(f"(2E+sum G_i)^2 = {r.section_square}")
-        print(f"(C1+C2)^2 = {r.pencil_sum_square}")
-        print(f"C.G_i = {list(r.section_dot_exceptional)}")
-        ok = r.holds
+    # the check runs before anything is printed, so an argument it
+    # rejects leaves stdout empty
+    ok, lines = _lattice_check(args.check, genus)
+    _print_gram(lat)
+    for line in lines:
+        print(line)
     print("ok" if ok else "FAILED")
     return 0 if ok else 1
 
@@ -166,7 +181,10 @@ def _read_complex_file(path: str):
     if not lines:
         raise picard.BadParamError("empty input file")
     dim = int(lines[0])
-    rows = [[Fraction(tok) for tok in ln.split()] for ln in lines[1:]]
+    try:
+        rows = [[Fraction(tok) for tok in ln.split()] for ln in lines[1:]]
+    except ZeroDivisionError:
+        raise picard.BadParamError("zero denominator in input") from None
     return dim, rows
 
 

@@ -16,14 +16,19 @@ through G(2, 6): a bivector psi defines the symmetric form
 B(x, y) = vol(x ^ y ^ psi) on the wedge square of a 6-space, and the
 rank of B is 6, 10 or 15 according to the wedge-rank of psi.
 
-Everything is exact rational arithmetic; the random samplers draw integer
-entries in [-9, 9] from a caller-supplied seeded generator.
+Everything is exact rational arithmetic, and integers stay Python ints
+throughout: a form stores an integral entry as an int, so compounds,
+wedge coordinates and bivector transforms of integer input are integer,
+and `Fraction` appears only where a value has a denominator.  Floats are
+refused.  The random samplers draw integer entries in [-9, 9] from a
+caller-supplied seeded generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from ._linalg import (SingularMatrixError, bilinear, congruence, dot,
                       mat_det, mat_rank, mat_vec, solve)
@@ -65,22 +70,32 @@ class SymmetricForm:
     def dim(self) -> int:
         return len(self.gram)
 
-    def evaluate(self, u, v) -> Fraction:
+    def evaluate(self, u, v):
         """Bilinear value u^T G v."""
         if len(u) != self.dim or len(v) != self.dim:
             raise ValueError("vector length must match the form dimension")
         return bilinear(self.gram, u, v)
 
-    def quadratic(self, u) -> Fraction:
+    def quadratic(self, u):
         return self.evaluate(u, u)
 
     def rank(self) -> int:
         return mat_rank(self.gram)
 
 
+def _exact(x):
+    """`x` as an int when integral, else as a Fraction; floats raise."""
+    if type(x) is int:
+        return x
+    if isinstance(x, float):
+        raise TypeError("float entries are not exact; use int or Fraction")
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def symmetric_form(rows) -> SymmetricForm:
     """Build a form from any square symmetric array of rationals."""
-    return SymmetricForm(tuple(tuple(Fraction(x) for x in row)
+    return SymmetricForm(tuple(tuple(_exact(x) for x in row)
                                for row in rows))
 
 
@@ -91,8 +106,7 @@ def wedge_pairs(n: int) -> tuple:
 
 def wedge_coordinates(u, v) -> list:
     """Pluecker coordinates of u ^ v in the lexicographic pair basis."""
-    return [Fraction(u[i]) * Fraction(v[j]) - Fraction(u[j]) * Fraction(v[i])
-            for i, j in wedge_pairs(len(u))]
+    return [u[i] * v[j] - u[j] * v[i] for i, j in wedge_pairs(len(u))]
 
 
 def second_compound(q: SymmetricForm) -> SymmetricForm:
@@ -181,6 +195,25 @@ def _perm_sign(seq) -> int:
     return -1 if inversions % 2 else 1
 
 
+@cache
+def _volume_signs() -> tuple:
+    """The nonzero entries of vol(e_a ^ e_b ^ e_c ^ e_d ^ e_i ^ e_j) in
+    dimension 6, as (row of (a, b), column of (c, d), (i, j), sign).
+
+    The volume is nonzero only when {a, b} and {c, d} are disjoint and
+    (i, j) is the complement of their union, so there are 15 * 6 = 90
+    entries, each the sign of the permutation (a, b, c, d, i, j).
+    """
+    pairs = wedge_pairs(6)
+    table = []
+    for row, (a, b) in enumerate(pairs):
+        for col, (c, d) in enumerate(pairs):
+            rest = tuple(k for k in range(6) if k not in (a, b, c, d))
+            if len(rest) == 2:
+                table.append((row, col, rest, _perm_sign((a, b, c, d) + rest)))
+    return tuple(table)
+
+
 def plucker_quadric_rank(psi, dim_v: int = 6) -> int:
     """Rank of the quadric B(x, y) = vol(x ^ y ^ psi) on the wedge square.
 
@@ -193,25 +226,19 @@ def plucker_quadric_rank(psi, dim_v: int = 6) -> int:
     """
     if dim_v != 6:
         raise ValueError("the volume pairing needs a 6-dimensional space")
-    psi = {p: Fraction(v) for p, v in psi.items() if Fraction(v)}
+    psi = {p: c for p, v in psi.items() if (c := _exact(v))}
     if not psi:
         raise ZeroInputError("zero bivector")
     for (i, j) in psi:
         if not 0 <= i < j < dim_v:
             raise ValueError(f"bad index pair {(i, j)}")
-    pairs = wedge_pairs(dim_v)
-    rows = []
-    for (a, b) in pairs:
-        row = []
-        for (c, d) in pairs:
-            val = Fraction(0)
-            for (i, j), p in psi.items():
-                support = (a, b, c, d, i, j)
-                if len(set(support)) == len(support) == dim_v:
-                    val += p * _perm_sign(support)
-            row.append(val)
-        rows.append(tuple(row))
-    return SymmetricForm(tuple(rows)).rank()
+    size = len(wedge_pairs(dim_v))
+    rows = [[0] * size for _ in range(size)]
+    for row, col, rest, sign in _volume_signs():
+        coef = psi.get(rest)
+        if coef:
+            rows[row][col] = sign * coef
+    return mat_rank(rows)
 
 
 def transform_bivector(matrix, psi) -> dict:
@@ -220,12 +247,10 @@ def transform_bivector(matrix, psi) -> dict:
     n = len(matrix)
     out: dict = {}
     for (i, j), p in psi.items():
-        p = Fraction(p)
         for k, l in wedge_pairs(n):
-            c = (Fraction(matrix[k][i]) * Fraction(matrix[l][j])
-                 - Fraction(matrix[k][j]) * Fraction(matrix[l][i]))
+            c = matrix[k][i] * matrix[l][j] - matrix[k][j] * matrix[l][i]
             if c:
-                out[(k, l)] = out.get((k, l), Fraction(0)) + p * c
+                out[(k, l)] = out.get((k, l), 0) + p * c
     return {p: v for p, v in out.items() if v}
 
 

@@ -129,7 +129,9 @@ class DivisorClass:
     """Sparse exact-rational divisor class with an opaque tail.
 
     `coeffs` maps basis symbols to nonzero rationals; symbols in `opaque`
-    have unknown coefficients; everything else is exactly zero.
+    have unknown coefficients; everything else is exactly zero.  Given
+    coefficients are stored as Fractions with the zeros dropped, so `==`
+    and `is_zero` compare values; floats and bools raise ``TypeError``.
     """
 
     space: ModuliSpace
@@ -147,6 +149,8 @@ class DivisorClass:
         clash = set(self.coeffs) & set(self.opaque)
         if clash:
             raise DuplicateSymbolError(f"pinned and opaque: {sorted(clash)}")
+        object.__setattr__(self, "coeffs", {
+            sym: c for sym, v in self.coeffs.items() if (c := _rational(v))})
 
     def coeff(self, sym: str) -> Fraction:
         """Pinned coefficient of `sym` (exact zero when absent)."""
@@ -168,13 +172,9 @@ class DivisorClass:
         if other.space != self.space:
             raise SpaceMismatchError(f"{self.space} vs {other.space}")
         opaque = self.opaque | other.opaque
-        coeffs = {}
-        for sym in set(self.coeffs) | set(other.coeffs):
-            if sym in opaque:
-                continue
-            c = self.coeffs.get(sym, 0) + other.coeffs.get(sym, 0)
-            if c:
-                coeffs[sym] = c
+        coeffs = {sym: self.coeffs.get(sym, 0) + other.coeffs.get(sym, 0)
+                  for sym in set(self.coeffs) | set(other.coeffs)
+                  if sym not in opaque}
         return DivisorClass(self.space, coeffs, opaque)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
@@ -184,7 +184,7 @@ class DivisorClass:
         return (-1) * self
 
     def __mul__(self, c) -> "DivisorClass":
-        c = Fraction(c)
+        c = _rational(c)
         if c == 0:
             return DivisorClass(self.space, {}, frozenset())
         return DivisorClass(self.space,
@@ -195,6 +195,14 @@ class DivisorClass:
 
     def __str__(self):
         return format_class(self)
+
+
+def _rational(value) -> Fraction:
+    """`value` as a Fraction; floats and bools are not exact rationals."""
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"coefficients must be int or Fraction, "
+                        f"not {type(value).__name__}")
+    return Fraction(value)
 
 
 def format_class(d: DivisorClass) -> str:
@@ -237,8 +245,7 @@ def divisor_class(space: ModuliSpace, entries=(), opaque=()) -> DivisorClass:
             raise UnknownSymbolError(f"{sym!r} not in basis of {space}")
         if sym in coeffs:
             raise DuplicateSymbolError(f"{sym!r} listed twice")
-        coeffs[sym] = Fraction(value)
-    coeffs = {s: v for s, v in coeffs.items() if v}
+        coeffs[sym] = value
     return DivisorClass(space, coeffs, frozenset(opaque))
 
 
@@ -278,10 +285,10 @@ def _pullback(d: DivisorClass, target: ModuliSpace) -> DivisorClass:
     opaque: set = set()
     for sym, value in d.coeffs.items():
         for img, mult in images[sym]:
-            coeffs[img] = coeffs.get(img, Fraction(0)) + mult * value
+            coeffs[img] = coeffs.get(img, 0) + mult * value
     for sym in d.opaque:
         opaque.update(img for img, _ in images[sym])
-    coeffs = {s: v for s, v in coeffs.items() if v and s not in opaque}
+    coeffs = {s: v for s, v in coeffs.items() if s not in opaque}
     return DivisorClass(target, coeffs, frozenset(opaque))
 
 

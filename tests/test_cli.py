@@ -120,6 +120,20 @@ def test_lattice_cs_check(capsys):
     assert "solutions=none" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--name", "lambda_g", "--genus", "3", "--check", "cs"],
+    ["--name", "nikulin", "--check", "identities"],
+    ["--name", "e8", "--check", "identities"],
+    ["--name", "nikulin", "--check", "cs"],
+    ["--name", "u", "--check", "cs"],
+])
+def test_lattice_rejects_bad_check_before_printing(capsys, argv):
+    code, out, err = run(capsys, "lattice", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_lattice_doubly_elliptic(capsys):
     code, out, _ = run(capsys, "lattice", "--name", "nikulin",
                        "--check", "doubly-elliptic")
@@ -223,6 +237,17 @@ def test_complex_rational_entries(tmp_path, capsys):
                        "--input", str(path))
     assert code == 0
     assert out.splitlines()[0] == "1/4"
+
+
+def test_complex_zero_denominator_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "zero.txt"
+    path.write_text("2\n1/0 0\n0 1\n")
+    code, out, err = run(capsys, "complex", "--op", "compound",
+                         "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+    assert "Traceback" not in err
 
 
 def test_complex_missing_file(capsys):

@@ -178,3 +178,140 @@ def test_dot_rejects_floats_and_ragged_vectors():
         bilinear([[1, 0], [0, 1]], [1, 0], [0.0, 1])
     with pytest.raises(ValueError):
         dot([1, 2, 3], [1, 2])
+
+
+def test_kernel_rejects_floats():
+    with pytest.raises(TypeError):
+        mat_rank([[0.1]])
+    with pytest.raises(TypeError):
+        mat_det([[1, 0], [0, 0.5]])
+    with pytest.raises(TypeError):
+        solve([[0.1]], [1])
+    with pytest.raises(TypeError):
+        solve([[1]], [0.1])
+
+
+# --- the Bareiss kernel against a plain Fraction elimination ---------------
+
+def gauss(m):
+    """Rank and determinant by textbook Gaussian elimination in Fractions,
+    independent of the kernel (the determinant is None for non-square
+    input)."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    n_cols = len(rows[0]) if rows else 0
+    rank, det = 0, Fraction(1)
+    for col in range(n_cols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]),
+                     None)
+        if pivot is None:
+            det = Fraction(0)
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            det = -det
+        det *= rows[rank][col]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank, (det if len(rows) == n_cols else None)
+
+
+def gauss_jordan_solve(a, b):
+    """The solution of a x = b by Gauss-Jordan elimination in Fractions."""
+    n = len(a)
+    rows = [[Fraction(x) for x in row] + [Fraction(y)]
+            for row, y in zip(a, b)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [row[n] for row in rows]
+
+
+def rational(rng, den_bound=100, zero_share=0.0):
+    if rng.random() < zero_share:
+        return 0
+    return Fraction(rng.randint(-9, 9), rng.randint(1, den_bound))
+
+
+def assert_kernel_matches_gauss(m):
+    rank, det = gauss(m)
+    assert mat_rank(m) == rank
+    if det is not None:
+        assert mat_det(m) == det
+
+
+def test_kernel_matches_gauss_on_rationals_up_to_denominator_100():
+    rng = random.Random(707)
+    for rows, cols in ((1, 1), (3, 3), (4, 6), (6, 4), (7, 7), (9, 9)):
+        for zero_share in (0.0, 0.5, 0.8):
+            for _ in range(4):
+                m = [[rational(rng, zero_share=zero_share)
+                      for _ in range(cols)] for _ in range(rows)]
+                assert_kernel_matches_gauss(m)
+
+
+def compound(g):
+    """The 2x2-minor matrix of g, built here rather than in linecomplex."""
+    n = len(g)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return [[g[i][k] * g[j][l] - g[j][k] * g[i][l] for k, l in pairs]
+            for i, j in pairs]
+
+
+@pytest.mark.parametrize("dim", [6, 7])
+def test_kernel_matches_gauss_on_second_compounds_of_rational_forms(dim):
+    rng = random.Random(808 + dim)
+    for rank in (dim, dim - 1, dim - 3):
+        b = [[rational(rng) for _ in range(dim)] for _ in range(dim)]
+        d = [rational(rng) or 1 if i < rank else 0 for i in range(dim)]
+        g = [[sum(b[k][i] * d[k] * b[k][j] for k in range(dim))
+              for j in range(dim)] for i in range(dim)]
+        c = compound(g)
+        assert len(c) == dim * (dim - 1) // 2
+        assert_kernel_matches_gauss(c)
+
+
+def test_kernel_matches_gauss_when_pivot_columns_are_skipped():
+    rng = random.Random(909)
+    for _ in range(20):
+        m = rank_r_matrix(rng, 6, 5, rng.randint(1, 4), rational=True)
+        for row in m:
+            # a zero column, and a column that vanishes below the first
+            # pivot row once the first column has been eliminated
+            row.insert(rng.randint(0, len(row)), 0)
+            row.insert(1, 3 * row[0])
+        assert_kernel_matches_gauss(m)
+        assert_kernel_matches_gauss(transpose(m))
+    m = [[0, 2, 4, 1], [0, 1, 2, 5], [0, 3, 6, 0]]
+    assert mat_rank(m) == gauss(m)[0] == 2
+
+
+def test_rows_with_zero_in_pivot_column_are_rescaled():
+    # after the first step the middle row has a 0 under the pivot 2; unless
+    # it is multiplied by 2 / 1, the next exact division by 2 truncates
+    m = [[2, 1, 0], [0, 3, 1], [1, 0, 5]]
+    assert mat_det(m) == gauss(m)[1] == 31
+    assert solve(m, [1, 2, 3]) == gauss_jordan_solve(m, [1, 2, 3])
+    m = [[Fraction(2, 3), 1, 0, 0], [0, 0, 3, 1], [0, 5, 0, 0],
+         [1, 0, 5, Fraction(1, 7)]]
+    assert mat_det(m) == gauss(m)[1]
+
+
+def test_solve_matches_gauss_jordan():
+    rng = random.Random(1010)
+    for n in range(1, 9):
+        for zero_share in (0.0, 0.6):
+            a = [[rational(rng, zero_share=zero_share) for _ in range(n)]
+                 for _ in range(n)]
+            if gauss(a)[1] == 0:
+                continue
+            b = [rational(rng) for _ in range(n)]
+            x = solve(a, b)
+            assert all(type(xi) is Fraction for xi in x)
+            assert x == gauss_jordan_solve(a, b)

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from spincalc._linalg import SingularMatrixError
+from spincalc._linalg import SingularMatrixError, mat_rank
 from spincalc.linecomplex import (BasePointNotOnQuadricError,
                                   DependentVectorsError, NotInComplexError,
                                   ZeroInputError, complex_point_samples,
@@ -18,7 +18,8 @@ from spincalc.linecomplex import (BasePointNotOnQuadricError,
                                   random_unimodular_pair, second_compound,
                                   solve_in_basis, symmetric_form, tangency,
                                   tangency_samples, transform_bivector,
-                                  wedge_coordinates, wedge_pairs)
+                                  wedge_coordinates, wedge_pairs,
+                                  _volume_signs)
 from spincalc.schubert import grassmannian_degree
 
 
@@ -182,6 +183,61 @@ def test_plucker_rank_basis_invariant():
             assert plucker_quadric_rank(transform_bivector(m, psi)) == want
 
 
+def inversion_sign(seq):
+    inversions = sum(seq[i] > seq[j] for i in range(len(seq))
+                     for j in range(i + 1, len(seq)))
+    return -1 if inversions % 2 else 1
+
+
+def brute_force_plucker_matrix(psi):
+    """vol(x ^ y ^ psi) on the wedge-square basis, summed term by term."""
+    pairs = wedge_pairs(6)
+    return [[sum((p * inversion_sign((a, b, c, d, i, j))
+                  for (i, j), p in psi.items()
+                  if len({a, b, c, d, i, j}) == 6), Fraction(0))
+             for c, d in pairs] for a, b in pairs]
+
+
+def random_bivector(rng, terms, rational):
+    pairs = wedge_pairs(6)
+    psi = {}
+    for pair in rng.sample(pairs, terms):
+        c = rng.randint(-9, 9)
+        psi[pair] = Fraction(c, rng.randint(1, 50)) if rational else c
+    return psi
+
+
+def test_plucker_rank_matches_brute_force_volume_matrix():
+    rng = random.Random(41)
+    for rational in (False, True):
+        for terms in (1, 2, 3, 4, 8, 15):
+            for _ in range(3):
+                psi = random_bivector(rng, terms, rational)
+                if not any(psi.values()):
+                    continue
+                want = mat_rank(brute_force_plucker_matrix(psi))
+                assert plucker_quadric_rank(psi) == want
+                m = random_invertible_matrix(rng, 6)
+                image = transform_bivector(m, psi)
+                want = mat_rank(brute_force_plucker_matrix(image))
+                assert plucker_quadric_rank(image) == want
+
+
+def test_volume_sign_table_matches_permutation_signs():
+    pairs = wedge_pairs(6)
+    table = {(row, col): (rest, sign)
+             for row, col, rest, sign in _volume_signs()}
+    assert len(table) == 90
+    for row, (a, b) in enumerate(pairs):
+        for col, (c, d) in enumerate(pairs):
+            for i, j in pairs:
+                support = (a, b, c, d, i, j)
+                want = inversion_sign(support) if len(set(support)) == 6 \
+                    else 0
+                rest, sign = table.get((row, col), (None, 0))
+                assert (sign if rest == (i, j) else 0) == want
+
+
 def test_plucker_rank_errors():
     with pytest.raises(ZeroInputError):
         plucker_quadric_rank({})
@@ -191,6 +247,39 @@ def test_plucker_rank_errors():
         plucker_quadric_rank({(1, 0): 1})
     with pytest.raises(ValueError):
         plucker_quadric_rank({(0, 1): 1}, dim_v=5)
+
+
+# --- exact types ------------------------------------------------------------
+
+def test_symmetric_form_stores_integral_entries_as_ints():
+    q = symmetric_form([[Fraction(3, 1)]])
+    assert q.gram == ((3,),) and type(q.gram[0][0]) is int
+    q = symmetric_form([[Fraction(1, 2), 2], [2, "4/2"]])
+    assert [[type(x) for x in row] for row in q.gram] == [[Fraction, int],
+                                                          [int, int]]
+
+
+def test_symmetric_form_rejects_floats():
+    with pytest.raises(TypeError):
+        symmetric_form([[0.1]])
+    with pytest.raises(TypeError):
+        symmetric_form([[1, 0], [0, 2.0]])
+
+
+def test_integer_input_stays_integer():
+    rng = random.Random(77)
+    for rank in range(6):
+        q = random_symmetric_form_of_rank(rng, 5, rank)
+        assert all(type(x) is int for row in q.gram for x in row)
+        c = second_compound(q)
+        assert all(type(x) is int for row in c.gram for x in row)
+    for q, u, v in tangency_samples(rng, 5):
+        w = wedge_coordinates(u, v)
+        assert all(type(x) is int for x in w)
+        assert type(second_compound(q).evaluate(w, w)) is int
+    m = random_invertible_matrix(rng, 6)
+    image = transform_bivector(m, {(0, 1): 1, (2, 3): -2})
+    assert all(type(x) is int for x in image.values())
 
 
 # --- wedge bookkeeping ------------------------------------------------------

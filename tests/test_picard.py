@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spincalc.picard import (ALPHA0, BETA0, D0P, D0PP, D0RAM, DELTA0, LAMBDA,
-                             BadParamError, DuplicateSymbolError,
+                             BadParamError, DivisorClass, DuplicateSymbolError,
                              OpaqueCoefficientError, SpaceMismatchError,
                              UnknownSymbolError, ZeroDenominatorError, alpha,
                              basis_symbols, beta, brill_noether_g8,
@@ -51,6 +51,37 @@ def test_constructor_echo_with_opaque():
 def test_zero_coefficients_dropped():
     d = divisor_class(mbar(8), [(LAMBDA, 0), (DELTA0, 1)])
     assert LAMBDA not in d.coeffs
+
+
+def test_explicit_zero_is_not_stored():
+    d = DivisorClass(mbar(4), {LAMBDA: 0})
+    assert d.coeffs == {}
+    assert d.is_zero()
+    assert d == zero_class(mbar(4))
+    assert DivisorClass(mbar(4), {LAMBDA: 2, DELTA0: fr(0, 3)}) == \
+        divisor_class(mbar(4), [(LAMBDA, 2)])
+
+
+def test_coefficients_are_stored_as_fractions():
+    d = DivisorClass(mbar(4), {LAMBDA: 3})
+    assert type(d.coeffs[LAMBDA]) is Fraction
+    assert type((2 * d).coeffs[LAMBDA]) is Fraction
+
+
+@pytest.mark.parametrize("value", [0.5, 0.0, True, False])
+def test_float_and_bool_coefficients_raise(value):
+    with pytest.raises(TypeError):
+        DivisorClass(mbar(4), {LAMBDA: value})
+    with pytest.raises(TypeError):
+        divisor_class(mbar(4), [(LAMBDA, value)])
+
+
+@pytest.mark.parametrize("scalar", [0.1, 2.0, True])
+def test_float_and_bool_scalars_raise(scalar):
+    with pytest.raises(TypeError):
+        scalar * theta_null(8)
+    with pytest.raises(TypeError):
+        theta_null(8) * scalar
 
 
 def test_unknown_and_duplicate_symbols():
