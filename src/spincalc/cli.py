@@ -12,6 +12,9 @@ Subcommands:
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage
 errors.  All rationals print as lowest-terms `p/q` (the denominator is
 omitted when it is 1); there is no decimal output.
+
+Each handler imports the modules it runs, so a query loads only those:
+`schubert` loads `spincalc.schubert` alone, `verify-all` the whole package.
 """
 
 from __future__ import annotations
@@ -19,36 +22,40 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from fractions import Fraction
 
-from . import checks, curves, lattices, linecomplex, picard, schubert
+#: `class --space` choices, spelled as `picard.MBAR`, `RBAR` and `SPIN`
+_KINDS = ("mbar", "rbar", "spin")
 
-_KINDS = {"mbar": picard.MBAR, "rbar": picard.RBAR, "spin": picard.SPIN}
+
+class UsageError(ValueError):
+    """Arguments the command line accepts but the query cannot use."""
 
 
 def _build_curve(name: str, genus: int | None):
+    from . import curves
     if name == "xi":
         if genus is None:
-            raise picard.BadParamError("--genus is required for the xi curve")
+            raise UsageError("--genus is required for the xi curve")
         return curves.xi_curve(genus)
     if name == "gamma":
         if genus is None:
-            raise picard.BadParamError("--genus is required for gamma")
+            raise UsageError("--genus is required for gamma")
         return curves.gamma_curve(genus)
     if genus not in (None, 8):
-        raise picard.BadParamError(f"the {name} curve lives in genus 8")
+        raise UsageError(f"the {name} curve lives in genus 8")
     if name == "r":
         return curves.r_curve_g8()
     if name == "septic":
         return curves.septic_pencil_curve()
     if name == "btilde":
         return curves.btilde_curve(curves.septic_pencil_curve())
-    raise picard.BadParamError(f"unknown curve {name!r}")
+    raise UsageError(f"unknown curve {name!r}")
 
 
 def _divisor_for_curve(curve, name: str, param):
     """Resolve a divisor on the curve's space, pulling back a
     stable-curve class along the covering when that is the only fit."""
+    from . import picard
     g = curve.space.genus
     try:
         return picard.named_divisor(name, space=curve.space, param=param)
@@ -62,6 +69,7 @@ def _divisor_for_curve(curve, name: str, param):
 
 
 def _cmd_pair(args) -> int:
+    from . import curves
     curve = _build_curve(args.curve, args.genus)
     divisor = _divisor_for_curve(curve, args.divisor, args.param)
     print(curves.pair(curve, divisor))
@@ -69,7 +77,8 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_class(args) -> int:
-    space = picard.ModuliSpace(_KINDS[args.space], args.genus)
+    from . import picard
+    space = picard.ModuliSpace(args.space, args.genus)
     d = picard.named_divisor(args.name, space=space, param=args.param)
     print(picard.format_class(d))
     return 0
@@ -81,12 +90,15 @@ def _print_gram(lat) -> None:
         print(" ".join(str(x) for x in row))
 
 
-#: the checks that belong to one lattice, by the lattice they belong to
-_LATTICE_OF_CHECK = {"identities": "lambda_g", "cs": "lambda_g"}
+#: the one lattice each check battery, and each sizing option, applies to
+_LATTICE_OF_CHECK = {"identities": "lambda_g", "cs": "lambda_g",
+                     "doubly-elliptic": "nikulin"}
+_LATTICE_OF_OPTION = {"genus": "lambda_g", "scale": "e8"}
 
 
 def _lattice_check(check: str, genus: int) -> tuple[bool, list]:
     """Run a lattice check battery; returns (ok, report lines)."""
+    from . import lattices
     if check == "identities":
         rows = lattices.lambda_identities(genus)
         return all(got == want for _, got, want in rows), [
@@ -107,11 +119,15 @@ def _lattice_check(check: str, genus: int) -> tuple[bool, list]:
 
 
 def _cmd_lattice(args) -> int:
-    genus = args.genus if args.genus is not None else 7
+    from . import lattices
     owner = _LATTICE_OF_CHECK.get(args.check)
     if owner not in (None, args.name):
-        raise picard.BadParamError(
+        raise UsageError(
             f"--check {args.check} applies to --name {owner} only")
+    for option, lattice in _LATTICE_OF_OPTION.items():
+        if getattr(args, option) is not None and args.name != lattice:
+            raise UsageError(f"--{option} applies to --name {lattice} only")
+    genus = args.genus if args.genus is not None else 7
     if args.name == "nikulin":
         lat = lattices.nikulin_lattice()
     elif args.name == "lambda_g":
@@ -121,7 +137,7 @@ def _cmd_lattice(args) -> int:
     elif args.name == "e8":
         lat = lattices.e8(args.scale if args.scale is not None else 1)
     else:
-        raise picard.BadParamError(f"unknown lattice {args.name!r}")
+        raise UsageError(f"unknown lattice {args.name!r}")
     if not args.check:
         _print_gram(lat)
         return 0
@@ -140,13 +156,15 @@ _TWOROW_FACTOR = re.compile(r"^s\((\d+)(?:,(\d+))?\)(?:\^(\d+))?$")
 _SPECIAL_FACTOR = re.compile(r"^s(\d+)(?:\^(\d+))?$")
 
 
-def parse_schubert_expr(n: int, expr: str) -> schubert.SchubertCycle:
-    """Parse products like "4*s(2,1)*s1^3" into a cycle in G(2, n)."""
+def parse_schubert_expr(n: int, expr: str):
+    """Parse products like "4*s(2,1)*s1^3" into a `SchubertCycle` in
+    G(2, n)."""
+    from . import schubert
     result = schubert.sigma(n, 0, 0)
     for raw in expr.split("*"):
         token = raw.strip()
         if not token:
-            raise picard.BadParamError("empty factor in expression")
+            raise UsageError("empty factor in expression")
         if _INT_FACTOR.match(token):
             result = result * int(token)
             continue
@@ -157,7 +175,7 @@ def parse_schubert_expr(n: int, expr: str) -> schubert.SchubertCycle:
         else:
             m = _SPECIAL_FACTOR.match(token)
             if not m:
-                raise picard.BadParamError(f"cannot parse factor {token!r}")
+                raise UsageError(f"cannot parse factor {token!r}")
             a, b = int(m.group(1)), 0
             power = int(m.group(2) or 1)
         for _ in range(power):
@@ -166,6 +184,7 @@ def parse_schubert_expr(n: int, expr: str) -> schubert.SchubertCycle:
 
 
 def _cmd_schubert(args) -> int:
+    from . import schubert
     cycle = parse_schubert_expr(args.n, args.expr)
     if args.degree:
         print(schubert.degree(cycle))
@@ -175,24 +194,26 @@ def _cmd_schubert(args) -> int:
 
 
 def _read_complex_file(path: str):
+    from fractions import Fraction
     with open(path, encoding="utf-8") as handle:
         lines = [ln.strip() for ln in handle
                  if ln.strip() and not ln.strip().startswith("#")]
     if not lines:
-        raise picard.BadParamError("empty input file")
+        raise UsageError("empty input file")
     dim = int(lines[0])
     try:
         rows = [[Fraction(tok) for tok in ln.split()] for ln in lines[1:]]
     except ZeroDivisionError:
-        raise picard.BadParamError("zero denominator in input") from None
+        raise UsageError("zero denominator in input") from None
     return dim, rows
 
 
 def _cmd_complex(args) -> int:
+    from . import linecomplex
     dim, rows = _read_complex_file(args.input)
     if args.op == "plucker-rank":
         if len(rows) < 1 or len(rows[0]) != len(linecomplex.wedge_pairs(dim)):
-            raise picard.BadParamError(
+            raise UsageError(
                 "plucker-rank input: dimension line, then one line of "
                 "C(dim,2) wedge coefficients in lexicographic order")
         psi = {p: c for p, c in zip(linecomplex.wedge_pairs(dim), rows[0])
@@ -200,7 +221,7 @@ def _cmd_complex(args) -> int:
         print(linecomplex.plucker_quadric_rank(psi, dim_v=dim))
         return 0
     if len(rows) < dim:
-        raise picard.BadParamError(f"expected {dim} matrix rows")
+        raise UsageError(f"expected {dim} matrix rows")
     q = linecomplex.symmetric_form(rows[:dim])
     vectors = rows[dim:]
     if args.op == "compound":
@@ -210,8 +231,8 @@ def _cmd_complex(args) -> int:
         print(f"rank: {c.rank()}")
         return 0
     if len(vectors) < 2:
-        raise picard.BadParamError("tangency/singular input needs two "
-                                   "vector lines after the matrix")
+        raise UsageError("tangency/singular input needs two "
+                         "vector lines after the matrix")
     u, v = vectors[0], vectors[1]
     if args.op == "tangency":
         print("true" if linecomplex.tangency(q, u, v) else "false")
@@ -221,7 +242,9 @@ def _cmd_complex(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    report = checks.verify_all(seed=args.seed)
+    from . import checks
+    seed = checks.DEFAULT_SEED if args.seed is None else args.seed
+    report = checks.verify_all(seed=seed)
     if args.json:
         print(checks.render_json(report))
     else:
@@ -245,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_pair)
 
     p = sub.add_parser("class", help="print a named divisor class")
-    p.add_argument("--space", required=True, choices=sorted(_KINDS))
+    p.add_argument("--space", required=True, choices=_KINDS)
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--name", required=True)
     p.add_argument("--param", type=int)
@@ -275,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run the full check registry")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=checks.DEFAULT_SEED)
+    p.add_argument("--seed", type=int)
     p.set_defaults(fn=_cmd_verify_all)
     return parser
 

@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from .picard import (ALPHA0, BETA0, D0P, D0RAM, DELTA0, LAMBDA, MBAR, SPIN,
                      DivisorClass, ModuliSpace, SpaceMismatchError,
-                     UnknownSymbolError, basis_symbols, covering_images,
-                     delta, mbar, rbar, spin_plus)
+                     UnknownSymbolError, _rational, basis_symbols,
+                     covering_images, delta, mbar, rbar, spin_plus)
 
 
 class OpaquePairingError(ValueError):
@@ -54,8 +54,9 @@ class CurveClass:
 
     Symbols absent from `pairings` pair to exactly zero.  Pairings may be
     half-integral (reducible admissible-covering fibres contribute nodes/2
-    to beta_0).  The label records provenance only and is ignored by
-    equality.
+    to beta_0).  Given pairings are stored as Fractions with the zeros
+    dropped, so `==` compares values; floats and bools raise ``TypeError``.
+    The label records provenance only and is ignored by equality.
     """
 
     space: ModuliSpace
@@ -67,6 +68,8 @@ class CurveClass:
         for sym in self.pairings:
             if sym not in basis:
                 raise UnknownSymbolError(f"{sym!r} not in basis of {self.space}")
+        object.__setattr__(self, "pairings", {
+            sym: c for sym, v in self.pairings.items() if (c := _rational(v))})
 
     def pairing(self, sym: str) -> Fraction:
         if sym not in basis_symbols(self.space):
@@ -81,8 +84,7 @@ class CurveClass:
 
 
 def curve_class(space, entries=(), label="") -> CurveClass:
-    pairings = {s: Fraction(v) for s, v in entries if Fraction(v)}
-    return CurveClass(space, pairings, label)
+    return CurveClass(space, dict(entries), label)
 
 
 @dataclass(frozen=True)

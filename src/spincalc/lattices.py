@@ -149,29 +149,35 @@ def sum_square_solution_exists(slots: int, target_sum: int,
 
     Exhaustive bitset dynamic program over (slots used, norm spent,
     running sum); the only pruning is the cap |b_i| <= sqrt(target_norm)
-    forced by the norm equation itself.
+    forced by the norm equation itself.  Each step tries |b_i| = v up to
+    the square root of the norm still unspent and adds both signs at once;
+    the last slot must spend exactly the norm that is left, so it has one
+    candidate |b_i|.
     """
     if target_norm < 0:
         return False
+    if slots == 0:
+        return target_sum == 0 and target_norm == 0
     bound = isqrt(target_norm)
     offset = slots * bound
     if abs(target_sum) > offset:
         return False
     # reachable[m] = bitmask over sums s (bit index s + offset)
     reachable = {0: 1 << offset}
-    values = range(-bound, bound + 1)
-    for _ in range(slots):
+    for _ in range(slots - 1):
         nxt: dict = {}
         for m, mask in reachable.items():
-            for v in values:
+            for v in range(isqrt(target_norm - m) + 1):
                 m2 = m + v * v
-                if m2 > target_norm:
-                    continue
-                shifted = mask << v if v >= 0 else mask >> -v
-                nxt[m2] = nxt.get(m2, 0) | shifted
+                nxt[m2] = nxt.get(m2, 0) | (mask << v) | (mask >> v)
         reachable = nxt
-    mask = reachable.get(target_norm, 0)
-    return bool(mask & (1 << (target_sum + offset)))
+    target_bit = 1 << (target_sum + offset)
+    for m, mask in reachable.items():
+        room = target_norm - m
+        v = isqrt(room)
+        if v * v == room and ((mask << v) | (mask >> v)) & target_bit:
+            return True
+    return False
 
 
 @dataclass(frozen=True)

@@ -63,12 +63,16 @@ class SchubertCycle:
         return SchubertCycle(self.n, {p: c for p, c in terms.items() if c})
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return SchubertCycle(self.n, {})
-            return SchubertCycle(self.n,
-                                 {p: other * c for p, c in self.terms.items()})
-        return multiply(self, other)
+        """Cup product with a cycle, or scaling by an int; any other
+        scalar (a bool, a float, a Fraction) raises ``TypeError``."""
+        if isinstance(other, SchubertCycle):
+            return multiply(self, other)
+        if not isinstance(other, int) or isinstance(other, bool):
+            return NotImplemented
+        if other == 0:
+            return SchubertCycle(self.n, {})
+        return SchubertCycle(self.n,
+                             {p: other * c for p, c in self.terms.items()})
 
     __rmul__ = __mul__
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from spincalc import checks
+from spincalc import checks, cli, picard
 from spincalc.cli import main, parse_schubert_expr
 from spincalc.schubert import degree, sigma
 
@@ -66,6 +66,10 @@ def test_pair_usage_error_wrong_space(capsys):
 
 # --- class ------------------------------------------------------------------
 
+def test_space_choices_are_the_picard_kinds():
+    assert cli._KINDS == (picard.MBAR, picard.RBAR, picard.SPIN)
+
+
 def test_class_theta_null(capsys):
     code, out, _ = run(capsys, "class", "--space", "spin", "--genus", "8",
                        "--name", "theta_null")
@@ -126,6 +130,16 @@ def test_lattice_cs_check(capsys):
     ["--name", "e8", "--check", "identities"],
     ["--name", "nikulin", "--check", "cs"],
     ["--name", "u", "--check", "cs"],
+    ["--name", "u", "--check", "doubly-elliptic"],
+    ["--name", "lambda_g", "--genus", "8", "--check", "doubly-elliptic"],
+    ["--name", "e8", "--check", "doubly-elliptic"],
+    ["--name", "nikulin", "--genus", "8"],
+    ["--name", "nikulin", "--genus", "8", "--check", "doubly-elliptic"],
+    ["--name", "u", "--genus", "8"],
+    ["--name", "e8", "--genus", "8"],
+    ["--name", "nikulin", "--scale", "2"],
+    ["--name", "u", "--scale", "-1"],
+    ["--name", "lambda_g", "--genus", "7", "--scale", "2"],
 ])
 def test_lattice_rejects_bad_check_before_printing(capsys, argv):
     code, out, err = run(capsys, "lattice", *argv)
@@ -276,6 +290,18 @@ def test_verify_all_json_round_trip(small_samples, capsys):
     doc = json.loads(out)
     assert doc["failed"] == 0
     assert json.dumps(doc, indent=2) == out.strip()
+
+
+def test_verify_all_seed_defaults_to_checks_default(monkeypatch, capsys):
+    seeds = []
+
+    def fake(seed):
+        seeds.append(seed)
+        raise ValueError("stop")
+    monkeypatch.setattr(checks, "verify_all", fake)
+    assert run(capsys, "verify-all")[0] == 2
+    assert run(capsys, "verify-all", "--seed", "5")[0] == 2
+    assert seeds == [checks.DEFAULT_SEED, 5]
 
 
 def test_verify_all_exit_one_on_failure(monkeypatch, capsys):

@@ -217,6 +217,30 @@ def test_opaque_pairing_raises_never_zero():
     assert pair(xi_curve(7), k) == -8
 
 
+# --- normalization ----------------------------------------------------------
+
+def test_curve_class_drops_explicit_zeros():
+    c = CurveClass(mbar(4), {LAMBDA: 0}, "")
+    assert c.pairings == {}
+    assert c == curve_class(mbar(4))
+    assert CurveClass(mbar(4), {LAMBDA: 2, DELTA0: fr(0, 3)}) == \
+        curve_class(mbar(4), [(LAMBDA, 2)])
+
+
+def test_curve_pairings_are_stored_as_fractions():
+    c = CurveClass(mbar(4), {LAMBDA: 3, DELTA0: fr(1, 2)})
+    assert all(type(v) is Fraction for v in c.pairings.values())
+    assert c.pairings == {LAMBDA: 3, DELTA0: fr(1, 2)}
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, 0.0, True, False])
+def test_float_and_bool_pairings_raise(value):
+    with pytest.raises(TypeError):
+        CurveClass(mbar(4), {LAMBDA: value})
+    with pytest.raises(TypeError):
+        curve_class(mbar(4), [(LAMBDA, value)])
+
+
 # --- projection formula -----------------------------------------------------
 
 @st.composite
@@ -236,7 +260,7 @@ def curves_on(draw, space):
         st.sampled_from(syms),
         st.fractions(min_value=-9, max_value=9, max_denominator=2),
         max_size=len(syms)))
-    return CurveClass(space, {s: v for s, v in entries.items() if v})
+    return CurveClass(space, entries)
 
 
 @given(curves_on(rbar(8)), mbar_classes())

@@ -128,13 +128,16 @@ def test_evenness_preserved_by_sum_and_scaling():
 # --- the exhaustive search --------------------------------------------------
 
 def test_search_against_literal_enumeration():
-    reachable = set()
-    for tup in product(range(-3, 4), repeat=4):
-        reachable.add((sum(tup), sum(x * x for x in tup)))
-    for m in range(10):  # |b_i| <= 3 covers every norm below 10
-        for s in range(-12, 13):
-            assert sum_square_solution_exists(4, s, m) == \
-                ((s, m) in reachable), (s, m)
+    for slots in range(6):
+        reachable = set()
+        for tup in product(range(-4, 5), repeat=slots):
+            reachable.add((sum(tup), sum(x * x for x in tup)))
+        # |b_i| <= 4 covers every norm up to 16, the perfect squares
+        # 0, 1, 4, 9 and 16 included
+        for m in range(-1, 17):
+            for s in range(-4 * slots - 2, 4 * slots + 3):
+                assert sum_square_solution_exists(slots, s, m) == \
+                    ((s, m) in reachable), (slots, s, m)
 
 
 def test_search_finds_known_solutions():

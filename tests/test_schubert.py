@@ -150,3 +150,17 @@ def test_cycle_validation():
         SchubertCycle(5, {(4, 0): 1})  # outside the box
     with pytest.raises(ValueError):
         SchubertCycle(5, {(1, 2): 1})  # not a partition
+
+
+@pytest.mark.parametrize("scalar", [0.5, 2.0, True, False])
+def test_non_int_scalars_raise(scalar):
+    with pytest.raises(TypeError):
+        scalar * sigma(5, 1, 0)
+    with pytest.raises(TypeError):
+        sigma(5, 1, 0) * scalar
+
+
+def test_int_scalars_scale():
+    assert 3 * sigma(5, 2, 1) == sigma(5, 2, 1, coefficient=3)
+    assert sigma(5, 2, 1) * -2 == sigma(5, 2, 1, coefficient=-2)
+    assert (0 * sigma(5, 2, 1)).is_zero()
