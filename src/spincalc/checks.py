@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from . import curves, kodaira, lattices, linecomplex, picard, schubert
+from ._record import Record
 from .curves import pair
 
 DEFAULT_SEED = 1729
@@ -32,20 +32,22 @@ FULL_SAMPLES = (100, 1000, 1000, 100)
 QUICK_SAMPLES = (5, 25, 25, 5)
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    id: str
-    citation: str
-    computed: str
-    expected: str
-    status: str  # "pass" | "fail" | "cited-not-replayed"
-    note: str | None = None
+class CheckRecord(Record):
+    """One check of the registry; `status` is "pass", "fail" or
+    "cited-not-replayed"."""
+
+    __slots__ = ("id", "citation", "computed", "expected", "status", "note")
+
+    def __init__(self, id: str, citation: str, computed: str, expected: str,
+                 status: str, note: str | None = None):
+        Record.__init__(self, id, citation, computed, expected, status, note)
 
 
-@dataclass(frozen=True)
-class Report:
-    checks: tuple
-    seed: int
+class Report(Record):
+    __slots__ = ("checks", "seed")
+
+    def __init__(self, checks: tuple, seed: int):
+        Record.__init__(self, checks, seed)
 
     @property
     def passed(self) -> int:

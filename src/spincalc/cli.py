@@ -201,6 +201,8 @@ def _read_complex_file(path: str):
     if not lines:
         raise UsageError("empty input file")
     dim = int(lines[0])
+    if dim < 1:
+        raise UsageError(f"dimension must be at least 1, not {dim}")
     try:
         rows = [[Fraction(tok) for tok in ln.split()] for ln in lines[1:]]
     except ZeroDivisionError:
@@ -212,7 +214,7 @@ def _cmd_complex(args) -> int:
     from . import linecomplex
     dim, rows = _read_complex_file(args.input)
     if args.op == "plucker-rank":
-        if len(rows) < 1 or len(rows[0]) != len(linecomplex.wedge_pairs(dim)):
+        if len(rows) < 1 or len(rows[0]) != dim * (dim - 1) // 2:
             raise UsageError(
                 "plucker-rank input: dimension line, then one line of "
                 "C(dim,2) wedge coefficients in lexicographic order")

@@ -19,12 +19,12 @@ All values are immutable and every operation is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import Record, _set
 from .picard import (ALPHA0, BETA0, D0P, D0RAM, DELTA0, LAMBDA, MBAR, SPIN,
                      DivisorClass, ModuliSpace, SpaceMismatchError,
-                     UnknownSymbolError, _rational, basis_symbols,
+                     UnknownSymbolError, _coefficients, basis_symbols,
                      covering_images, delta, mbar, rbar, spin_plus)
 
 
@@ -48,28 +48,26 @@ class UndefinedSplitError(ValueError):
     """Spin lift pairs only with pullback-shaped classes."""
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(Record):
     """A curve class given by its pairings against the Picard basis.
 
     Symbols absent from `pairings` pair to exactly zero.  Pairings may be
     half-integral (reducible admissible-covering fibres contribute nodes/2
-    to beta_0).  Given pairings are stored as Fractions with the zeros
-    dropped, so `==` compares values; floats and bools raise ``TypeError``.
-    The label records provenance only and is ignored by equality.
+    to beta_0).  Given pairings are stored as Fractions in a read-only
+    mapping with the zeros dropped, so `==` and `hash` compare values;
+    floats and bools raise ``TypeError``.  The label records provenance
+    only and is ignored by equality.
     """
 
-    space: ModuliSpace
-    pairings: dict
-    label: str = field(default="", compare=False)
+    __slots__ = ("space", "pairings", "label")
 
-    def __post_init__(self):
-        basis = set(basis_symbols(self.space))
-        for sym in self.pairings:
-            if sym not in basis:
-                raise UnknownSymbolError(f"{sym!r} not in basis of {self.space}")
-        object.__setattr__(self, "pairings", {
-            sym: c for sym, v in self.pairings.items() if (c := _rational(v))})
+    def __init__(self, space: ModuliSpace, pairings, label: str = ""):
+        _set(self, "space", space)
+        _set(self, "pairings", _coefficients(space, pairings))
+        _set(self, "label", label)
+
+    def _key(self) -> tuple:
+        return (self.space, frozenset(self.pairings.items()))
 
     def pairing(self, sym: str) -> Fraction:
         if sym not in basis_symbols(self.space):
@@ -87,8 +85,7 @@ def curve_class(space, entries=(), label="") -> CurveClass:
     return CurveClass(space, dict(entries), label)
 
 
-@dataclass(frozen=True)
-class SurfacePencilSpec:
+class SurfacePencilSpec(Record):
     """Invariants of a pencil of genus-g curves on a surface.
 
     chi and k_squared are chi(O) and K^2 of the resolved surface fibred
@@ -99,18 +96,18 @@ class SurfacePencilSpec:
     half-integrally.
     """
 
-    chi: int
-    k_squared: int
-    target: ModuliSpace
-    nodes_resolved: int = 0
-    base_points: int = 0
-    reducible_fibres: tuple = ()
+    __slots__ = ("chi", "k_squared", "target", "nodes_resolved",
+                 "base_points", "reducible_fibres")
 
-    def __post_init__(self):
-        if noether_c2(self.chi, self.k_squared) < 0:
+    def __init__(self, chi: int, k_squared: int, target: ModuliSpace,
+                 nodes_resolved: int = 0, base_points: int = 0,
+                 reducible_fibres: tuple = ()):
+        if noether_c2(chi, k_squared) < 0:
             raise ValueError("negative c_2: inconsistent surface invariants")
-        if self.nodes_resolved < 0 or self.base_points < 0:
+        if nodes_resolved < 0 or base_points < 0:
             raise ValueError("counts must be nonnegative")
+        Record.__init__(self, chi, k_squared, target, nodes_resolved,
+                        base_points, reducible_fibres)
 
     @property
     def genus(self) -> int:
@@ -221,8 +218,7 @@ def covering_degree(g: int) -> int:
     return 2 ** (g - 1) * (2 ** g + 1)
 
 
-@dataclass(frozen=True)
-class LiftedSpinCurve:
+class LiftedSpinCurve(Record):
     """Fibre-product lift of a stable-curve pencil to the even-spin space.
 
     The lift pairs with any pullback class as degree * (base pairing);
@@ -231,8 +227,13 @@ class LiftedSpinCurve:
     is only legal against classes with coeff(beta_0) = 2*coeff(alpha_0).
     """
 
-    base: CurveClass
-    label: str = field(default="", compare=False)
+    __slots__ = ("base", "label")
+
+    def __init__(self, base: CurveClass, label: str = ""):
+        Record.__init__(self, base, label)
+
+    def _key(self) -> tuple:
+        return (self.base,)
 
     @property
     def space(self) -> ModuliSpace:

@@ -16,9 +16,10 @@ steps are quoted, not recomputed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
+from ._record import Record
 from .curves import (btilde_curve, covering_degree, gamma_curve, pair,
                      r_curve_g8, septic_pencil_curve)
 from .picard import (ALPHA0, BETA0, LAMBDA, DivisorClass, alpha, beta,
@@ -34,15 +35,20 @@ class NonPositiveCoefficientError(ValueError):
     """A boundary coefficient of the decomposition fails positivity."""
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
-    """Boundary coefficients of the canonical decomposition; `residual`
-    is what is left after removing all three pinned pieces and must be
-    the zero class."""
+class DecompositionResult(Record):
+    """Boundary coefficients of the canonical decomposition, as read-only
+    mappings i -> a_i and i -> b_i; `residual` is what is left after
+    removing all three pinned pieces and must be the zero class."""
 
-    a: dict
-    b: dict
-    residual: DivisorClass
+    __slots__ = ("a", "b", "residual")
+
+    def __init__(self, a: dict, b: dict, residual: DivisorClass):
+        Record.__init__(self, MappingProxyType(dict(a)),
+                        MappingProxyType(dict(b)), residual)
+
+    def _key(self) -> tuple:
+        return (frozenset(self.a.items()), frozenset(self.b.items()),
+                self.residual)
 
 
 def canonical_decomposition_g8(theta: DivisorClass | None = None,
@@ -72,24 +78,27 @@ def canonical_decomposition_g8(theta: DivisorClass | None = None,
     return DecompositionResult(a=a, b=b, residual=residual)
 
 
-@dataclass(frozen=True)
-class RigidityRow:
+class RigidityRow(Record):
     """One component of an effective decomposition, its covering curve,
     the (negative) self-pairing and the (zero) cross-pairings."""
 
-    component: str
-    curve: str
-    self_pairing: Fraction
-    cross_pairings: tuple
+    __slots__ = ("component", "curve", "self_pairing", "cross_pairings")
+
+    def __init__(self, component: str, curve: str, self_pairing: Fraction,
+                 cross_pairings: tuple):
+        Record.__init__(self, component, curve, self_pairing, cross_pairings)
 
 
-@dataclass(frozen=True)
-class RigidityReport:
-    rows: tuple
-    notes: tuple = ()
-    #: exact-value conditions imposed by the constructing operation, on
-    #: top of the sign pattern (negative self, vanishing cross) below
-    extra_conditions: bool = True
+class RigidityReport(Record):
+    """Rows of a rigidity certificate.  `extra_conditions` holds the
+    exact-value conditions imposed by the constructing operation, on top
+    of the sign pattern (negative self, vanishing cross) in `verdict`."""
+
+    __slots__ = ("rows", "notes", "extra_conditions")
+
+    def __init__(self, rows: tuple, notes: tuple = (),
+                 extra_conditions: bool = True):
+        Record.__init__(self, rows, notes, extra_conditions)
 
     @property
     def verdict(self) -> bool:

@@ -13,33 +13,32 @@ exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 from ._linalg import bilinear, mat_det
+from ._record import Record
 
 
 class DimensionMismatchError(ValueError):
     """Vector length does not match the lattice rank."""
 
 
-@dataclass(frozen=True)
-class IntegerLattice:
+class IntegerLattice(Record):
     """Integral symmetric bilinear form with a named basis."""
 
-    gram: tuple
-    basis_names: tuple
+    __slots__ = ("gram", "basis_names")
 
-    def __post_init__(self):
-        n = len(self.gram)
-        if len(self.basis_names) != n:
+    def __init__(self, gram: tuple, basis_names: tuple):
+        n = len(gram)
+        if len(basis_names) != n:
             raise ValueError("one basis name per Gram row")
-        for i, row in enumerate(self.gram):
+        for i, row in enumerate(gram):
             if len(row) != n:
                 raise ValueError("Gram matrix must be square")
             for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
+                if gram[i][j] != gram[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
+        Record.__init__(self, gram, basis_names)
 
     @property
     def rank(self) -> int:
@@ -180,19 +179,22 @@ def sum_square_solution_exists(slots: int, target_sum: int,
     return False
 
 
-@dataclass(frozen=True)
-class CsEntry:
-    """One row of the obstruction certificate, at polarization multiple a."""
+class CsEntry(Record):
+    """One row of the obstruction certificate, at polarization multiple a:
+    target_sum = sum b_i = 2ag - 2a - 3, target_norm = sum b_i^2 =
+    a^2 (g - 1), and cs_gap = (sum b_i)^2 - 8 * sum b_i^2, positive when
+    obstructed."""
 
-    a: int
-    target_sum: int      # sum b_i  = 2ag - 2a - 3
-    target_norm: int     # sum b_i^2 = a^2 (g - 1)
-    cs_gap: int          # (sum b_i)^2 - 8 * sum b_i^2, positive = obstructed
-    solution_found: bool
+    __slots__ = ("a", "target_sum", "target_norm", "cs_gap",
+                 "solution_found")
+
+    def __init__(self, a: int, target_sum: int, target_norm: int,
+                 cs_gap: int, solution_found: bool):
+        Record.__init__(self, a, target_sum, target_norm, cs_gap,
+                        solution_found)
 
 
-@dataclass(frozen=True)
-class CsCertificate:
+class CsCertificate(Record):
     """Certificate that no elliptic class of polarization degree 3 exists.
 
     A class a*c - sum b_i n_i with square 0 and degree 3 against the
@@ -203,8 +205,10 @@ class CsCertificate:
     integer 8-tuple satisfies both equations.
     """
 
-    genus: int
-    entries: tuple
+    __slots__ = ("genus", "entries")
+
+    def __init__(self, genus: int, entries: tuple):
+        Record.__init__(self, genus, entries)
 
     @property
     def holds(self) -> bool:
@@ -256,8 +260,7 @@ def lambda_identities(g: int):
     return rows
 
 
-@dataclass(frozen=True)
-class DoublyEllipticReport:
+class DoublyEllipticReport(Record):
     """Lattice identities behind the doubly-elliptic K3 construction.
 
     On the resolution of a 7-nodal quadric section, the hyperplane class
@@ -267,9 +270,13 @@ class DoublyEllipticReport:
     of the two elliptic pencils C_1, C_2 with C_1.C_2 = 7.
     """
 
-    section_square: int
-    section_dot_exceptional: tuple
-    pencil_sum_square: int
+    __slots__ = ("section_square", "section_dot_exceptional",
+                 "pencil_sum_square")
+
+    def __init__(self, section_square: int, section_dot_exceptional: tuple,
+                 pencil_sum_square: int):
+        Record.__init__(self, section_square, section_dot_exceptional,
+                        pencil_sum_square)
 
     @property
     def holds(self) -> bool:

@@ -26,12 +26,12 @@ caller-supplied seeded generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from ._linalg import (SingularMatrixError, bilinear, congruence, dot,
                       mat_det, mat_rank, mat_vec, solve)
+from ._record import Record, _set
 
 
 class BasePointNotOnQuadricError(ValueError):
@@ -50,21 +50,21 @@ class ZeroInputError(ValueError):
     """The zero bivector defines no quadric."""
 
 
-@dataclass(frozen=True)
-class SymmetricForm:
+class SymmetricForm(Record):
     """Dense exact-rational symmetric bilinear form."""
 
-    gram: tuple
+    __slots__ = ("gram",)
 
-    def __post_init__(self):
-        n = len(self.gram)
-        for row in self.gram:
+    def __init__(self, gram: tuple):
+        n = len(gram)
+        for row in gram:
             if len(row) != n:
                 raise ValueError("Gram matrix must be square")
         for i in range(n):
             for j in range(i):
-                if self.gram[i][j] != self.gram[j][i]:
+                if gram[i][j] != gram[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
+        _set(self, "gram", gram)
 
     @property
     def dim(self) -> int:

@@ -21,10 +21,12 @@ All values are immutable and every operation is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from types import MappingProxyType
+
+from ._record import Record, _set
 
 MBAR = "mbar"
 RBAR = "rbar"
@@ -79,18 +81,21 @@ class BadParamError(ValueError):
     """Named divisor requested with inconsistent parameters."""
 
 
-@dataclass(frozen=True)
-class ModuliSpace:
+class ModuliSpace(Record):
     """One of the three moduli spaces, at a fixed genus >= 2."""
 
-    kind: str
-    genus: int
+    __slots__ = ("kind", "genus")
 
-    def __post_init__(self):
-        if self.kind not in (MBAR, RBAR, SPIN):
-            raise ValueError(f"unknown moduli-space kind {self.kind!r}")
-        if self.genus < 2:
+    def __init__(self, kind: str, genus: int):
+        if kind not in (MBAR, RBAR, SPIN):
+            raise ValueError(f"unknown moduli-space kind {kind!r}")
+        if genus < 2:
             raise ValueError("genus must be at least 2")
+        _set(self, "kind", kind)
+        _set(self, "genus", genus)
+
+    def _key(self) -> tuple:
+        return (self.kind, self.genus)
 
     def __str__(self):
         base = {MBAR: "Mbar", RBAR: "Rbar", SPIN: "Sbar+"}[self.kind]
@@ -124,33 +129,30 @@ def basis_symbols(space: ModuliSpace) -> tuple[str, ...]:
     return tuple(parts)
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Record):
     """Sparse exact-rational divisor class with an opaque tail.
 
     `coeffs` maps basis symbols to nonzero rationals; symbols in `opaque`
     have unknown coefficients; everything else is exactly zero.  Given
-    coefficients are stored as Fractions with the zeros dropped, so `==`
-    and `is_zero` compare values; floats and bools raise ``TypeError``.
+    coefficients are stored as Fractions in a read-only mapping with the
+    zeros dropped, so `==`, `hash` and `is_zero` compare values; floats
+    and bools raise ``TypeError``.
     """
 
-    space: ModuliSpace
-    coeffs: dict
-    opaque: frozenset = frozenset()
+    __slots__ = ("space", "coeffs", "opaque")
 
-    def __post_init__(self):
-        basis = set(basis_symbols(self.space))
-        for sym in self.coeffs:
-            if sym not in basis:
-                raise UnknownSymbolError(f"{sym!r} not in basis of {self.space}")
-        for sym in self.opaque:
-            if sym not in basis:
-                raise UnknownSymbolError(f"{sym!r} not in basis of {self.space}")
-        clash = set(self.coeffs) & set(self.opaque)
+    def __init__(self, space: ModuliSpace, coeffs, opaque=frozenset()):
+        opaque = frozenset(opaque)
+        pinned = _coefficients(space, coeffs, opaque)
+        clash = opaque.intersection(coeffs)
         if clash:
             raise DuplicateSymbolError(f"pinned and opaque: {sorted(clash)}")
-        object.__setattr__(self, "coeffs", {
-            sym: c for sym, v in self.coeffs.items() if (c := _rational(v))})
+        _set(self, "space", space)
+        _set(self, "coeffs", pinned)
+        _set(self, "opaque", opaque)
+
+    def _key(self) -> tuple:
+        return (self.space, frozenset(self.coeffs.items()), self.opaque)
 
     def coeff(self, sym: str) -> Fraction:
         """Pinned coefficient of `sym` (exact zero when absent)."""
@@ -203,6 +205,19 @@ def _rational(value) -> Fraction:
         raise TypeError(f"coefficients must be int or Fraction, "
                         f"not {type(value).__name__}")
     return Fraction(value)
+
+
+def _coefficients(space: ModuliSpace, values,
+                  opaque=frozenset()) -> MappingProxyType:
+    """`values` (symbol -> rational) as a read-only mapping of nonzero
+    Fractions on the basis of `space`; a symbol of `values` or `opaque`
+    outside that basis raises."""
+    basis = set(basis_symbols(space))
+    for sym in (*values, *opaque):
+        if sym not in basis:
+            raise UnknownSymbolError(f"{sym!r} not in basis of {space}")
+    return MappingProxyType(
+        {sym: c for sym, v in values.items() if (c := _rational(v))})
 
 
 def format_class(d: DivisorClass) -> str:
@@ -435,11 +450,6 @@ def slope(d: DivisorClass) -> Fraction:
     if b == 0:
         raise ZeroDenominatorError("delta_0 coefficient vanishes")
     return d.coeff(LAMBDA) / (-b)
-
-
-#: Names accepted by the command line and the check harness.
-NAMED_DIVISORS = ("theta_null", "prym_green", "nikulin_N6", "bn8",
-                  "d2_nonveryample", "hodge_c1", "canonical")
 
 
 def named_divisor(name: str, space: ModuliSpace | None = None,

@@ -14,8 +14,10 @@ the coefficient of the top class after repeated Pieri steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from types import MappingProxyType
+
+from ._record import Record, _set
 
 
 class AmbientMismatchError(ValueError):
@@ -26,22 +28,35 @@ class MixedCodimensionError(ValueError):
     """Degree of a cycle with terms in several codimensions."""
 
 
-@dataclass(frozen=True)
-class SchubertCycle:
-    """Integer combination of two-row Schubert classes in G(2, n)."""
+class SchubertCycle(Record):
+    """Integer combination of two-row Schubert classes in G(2, n).
 
-    n: int
-    terms: dict
+    `terms` maps partitions (a, b) to coefficients.  It is stored as a
+    read-only mapping of nonzero ints, so `==`, `hash` and `is_zero`
+    compare values; any other coefficient type (a bool, a float, a
+    Fraction) raises ``TypeError``.
+    """
 
-    def __post_init__(self):
-        if self.n < 3:
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n: int, terms):
+        if n < 3:
             raise ValueError("G(2, n) needs n >= 3")
-        for (a, b), c in self.terms.items():
-            if not (self.n - 2 >= a >= b >= 0):
+        kept = {}
+        for (a, b), c in terms.items():
+            if not (n - 2 >= a >= b >= 0):
                 raise ValueError(f"partition {(a, b)} outside the "
-                                 f"2 x {self.n - 2} box")
-            if not isinstance(c, int):
-                raise ValueError("coefficients are integers")
+                                 f"2 x {n - 2} box")
+            if type(c) is not int:
+                raise TypeError(f"coefficients must be int, "
+                                f"not {type(c).__name__}")
+            if c:
+                kept[(a, b)] = c
+        _set(self, "n", n)
+        _set(self, "terms", MappingProxyType(kept))
+
+    def _key(self) -> tuple:
+        return (self.n, frozenset(self.terms.items()))
 
     def coefficient(self, a: int, b: int = 0) -> int:
         return self.terms.get((a, b), 0)
@@ -60,7 +75,7 @@ class SchubertCycle:
         terms = dict(self.terms)
         for p, c in other.terms.items():
             terms[p] = terms.get(p, 0) + c
-        return SchubertCycle(self.n, {p: c for p, c in terms.items() if c})
+        return SchubertCycle(self.n, terms)
 
     def __mul__(self, other):
         """Cup product with a cycle, or scaling by an int; any other
@@ -69,8 +84,6 @@ class SchubertCycle:
             return multiply(self, other)
         if not isinstance(other, int) or isinstance(other, bool):
             return NotImplemented
-        if other == 0:
-            return SchubertCycle(self.n, {})
         return SchubertCycle(self.n,
                              {p: other * c for p, c in self.terms.items()})
 
@@ -92,8 +105,6 @@ class SchubertCycle:
 
 def sigma(n: int, a: int, b: int = 0, coefficient: int = 1) -> SchubertCycle:
     """The class coefficient * sigma_{a,b} in G(2, n)."""
-    if coefficient == 0:
-        return SchubertCycle(n, {})
     return SchubertCycle(n, {(a, b): coefficient})
 
 
@@ -107,7 +118,7 @@ def pieri(c: SchubertCycle) -> SchubertCycle:
             terms[(a + 1, b)] = terms.get((a + 1, b), 0) + v
         if b + 1 <= a:
             terms[(a, b + 1)] = terms.get((a, b + 1), 0) + v
-    return SchubertCycle(c.n, {p: v for p, v in terms.items() if v})
+    return SchubertCycle(c.n, terms)
 
 
 def multiply(c1: SchubertCycle, c2: SchubertCycle) -> SchubertCycle:
@@ -126,7 +137,7 @@ def multiply(c1: SchubertCycle, c2: SchubertCycle) -> SchubertCycle:
                 p = (a + c - k, b + d + k)
                 if p[0] <= box:
                     terms[p] = terms.get(p, 0) + u * v
-    return SchubertCycle(c1.n, {p: v for p, v in terms.items() if v})
+    return SchubertCycle(c1.n, terms)
 
 
 def degree(c: SchubertCycle) -> int:

@@ -264,6 +264,42 @@ def test_complex_zero_denominator_is_a_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+TANGENT_LINE = ("1 0 0 0 0\n0 1 0 0 0\n0 0 -1 0 0\n0 0 0 0 0\n0 0 0 0 0\n"
+                "1 0 1 0 0\n0 1 0 0 0\n")
+
+
+@pytest.mark.parametrize("op,text", [
+    ("tangency", "-2\n" + TANGENT_LINE),
+    ("singular", "-2\n" + TANGENT_LINE),
+    ("compound", "0\n"),
+    ("compound", "-3\n"),
+], ids=["tangency-2", "singular-2", "compound0", "compound-3"])
+def test_complex_dimension_below_one_is_a_usage_error(tmp_path, capsys, op,
+                                                      text):
+    path = tmp_path / "form.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "complex", "--op", op, "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_plucker_rank_length_check_lists_no_wedge_pairs(tmp_path, capsys,
+                                                        monkeypatch):
+    # the coefficient count C(dim, 2) is checked arithmetically, so a huge
+    # dimension line costs nothing
+    from spincalc import linecomplex
+    monkeypatch.setattr(linecomplex, "wedge_pairs",
+                        lambda n: pytest.fail(f"wedge_pairs({n}) built"))
+    path = tmp_path / "psi.txt"
+    path.write_text("100000\n1 0 0\n")
+    code, out, err = run(capsys, "complex", "--op", "plucker-rank",
+                         "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "C(dim,2)" in err
+
+
 def test_complex_missing_file(capsys):
     code, _, err = run(capsys, "complex", "--op", "compound",
                        "--input", "/no/such/file")

@@ -35,40 +35,45 @@ TANGENCY_INPUT = ("5\n1 0 0 0 0\n0 1 0 0 0\n0 0 -1 0 0\n"
                   "0 0 0 0 0\n0 0 0 0 0\n1 0 1 0 0\n0 1 0 0 0\n")
 
 #: every module of the package but the CLI
-LIBRARY = {"_linalg", "checks", "curves", "kodaira", "lattices",
+LIBRARY = {"_linalg", "_record", "checks", "curves", "kodaira", "lattices",
            "linecomplex", "picard", "schubert"}
 
 #: the README's argument vectors, with the modules each one may load
 README_QUERIES = [
     (["pair", "--curve", "xi", "--genus", "6", "--divisor", "nikulin_N6"],
-     {"picard", "curves"}),
+     {"picard", "curves", "_record"}),
     (["pair", "--curve", "btilde", "--genus", "8", "--divisor", "bn8"],
-     {"picard", "curves"}),
+     {"picard", "curves", "_record"}),
     (["class", "--space", "rbar", "--genus", "6", "--name", "nikulin_N6"],
-     {"picard"}),
+     {"picard", "_record"}),
     (["class", "--space", "spin", "--genus", "8", "--name", "canonical"],
-     {"picard"}),
+     {"picard", "_record"}),
     (["lattice", "--name", "lambda_g", "--genus", "7", "--check",
-      "identities"], {"lattices", "_linalg"}),
+      "identities"], {"lattices", "_linalg", "_record"}),
     (["lattice", "--name", "nikulin", "--check", "doubly-elliptic"],
-     {"lattices", "_linalg"}),
+     {"lattices", "_linalg", "_record"}),
     (["schubert", "--n", "5", "--expr", "4*s(2,1)*s1^3", "--degree"],
-     {"schubert"}),
+     {"schubert", "_record"}),
     (["complex", "--op", "tangency", "--input", "line.txt"],
-     {"linecomplex", "_linalg"}),
+     {"linecomplex", "_linalg", "_record"}),
     (["verify-all", "--json", "--seed", "1729"], LIBRARY),
 ]
 
 
-def loaded(code, *argv, cwd=None):
+def run_probe(script, *args, cwd=None):
+    """Run `script` in a fresh interpreter; returns its last line, as JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"]
                                if env.get("PYTHONPATH") else "")
-    done = subprocess.run([sys.executable, "-c", PROBE, code, *argv],
+    done = subprocess.run([sys.executable, "-c", script, *args],
                           env=env, cwd=cwd, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    return set(json.loads(done.stdout.splitlines()[-1]))
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def loaded(code, *argv, cwd=None):
+    return set(run_probe(PROBE, code, *argv, cwd=cwd))
 
 
 def test_import_package_loads_no_submodule():
@@ -91,6 +96,26 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, modules):
     (tmp_path / "line.txt").write_text(TANGENCY_INPUT)
     want = {"spincalc", "spincalc.cli"} | {f"spincalc.{m}" for m in modules}
     assert loaded("pass", *argv, cwd=tmp_path) == want
+
+
+#: runs every README query except `verify-all` (whose modules `import
+#: spincalc.checks` has already loaded) and prints the loaded stdlib
+#: modules that the value types once pulled in
+NO_DATACLASSES = """
+import contextlib, io, json, sys
+import spincalc.checks
+from spincalc.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(json.dumps(sorted({"dataclasses", "inspect"} & set(sys.modules))))
+"""
+
+
+def test_no_query_imports_dataclasses_or_inspect(tmp_path):
+    (tmp_path / "line.txt").write_text(TANGENCY_INPUT)
+    queries = [argv for argv, _ in README_QUERIES if argv[0] != "verify-all"]
+    assert run_probe(NO_DATACLASSES, json.dumps(queries), cwd=tmp_path) == []
 
 
 def test_library_is_every_module_but_the_cli():

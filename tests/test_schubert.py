@@ -1,5 +1,7 @@
 """Two-row Schubert calculus on G(2, n)."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -150,6 +152,23 @@ def test_cycle_validation():
         SchubertCycle(5, {(4, 0): 1})  # outside the box
     with pytest.raises(ValueError):
         SchubertCycle(5, {(1, 2): 1})  # not a partition
+
+
+def test_explicit_zero_coefficient_is_not_stored():
+    zero = SchubertCycle(5, {(1, 0): 0})
+    assert zero.is_zero()
+    assert zero.terms == {}
+    assert zero == sigma(5, 1, 0, coefficient=0) == SchubertCycle(5, {})
+    assert hash(zero) == hash(SchubertCycle(5, {}))
+    assert SchubertCycle(5, {(1, 0): 2, (2, 0): 0}) == sigma(5, 1, 0, 2)
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, 0.5, Fraction(1)])
+def test_non_int_coefficients_raise(value):
+    with pytest.raises(TypeError):
+        SchubertCycle(5, {(1, 0): value})
+    with pytest.raises(TypeError):
+        sigma(5, 1, 0, coefficient=value)
 
 
 @pytest.mark.parametrize("scalar", [0.5, 2.0, True, False])
