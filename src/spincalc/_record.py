@@ -2,9 +2,10 @@
 
 A `Record` subclass names its fields in `__slots__`, checks its arguments
 in its own `__init__` and stores them with `Record.__init__`, in slot
-order; a class built or hashed in an inner loop sets each field with `_set`
-and spells out `_key` instead, which is several times faster.  From then
-on the instance is read-only: assigning or deleting an attribute raises
+order.  A class built in an inner loop sets each field with `_set`
+instead, and one hashed there spells out `_key`; each is two to four
+times faster than the generic version.  From then on the instance is
+read-only: assigning or deleting an attribute raises
 ``AttributeError``.  Equality (with instances of the same class only),
 hashing and `repr` all read one key tuple, `_key()`: every field in slot
 order, unless the subclass narrows it.  Copying and pickling rebuild an
