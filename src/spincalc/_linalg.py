@@ -89,6 +89,20 @@ def _eliminate(mat):
     return rows, pivots, sign, scale
 
 
+def require_symmetric(gram) -> None:
+    """Raise ``ValueError`` unless `gram` is square and symmetric.  The
+    loops stay plain: a certificate builds thousands of forms, and plain
+    loops beat a generator expression there."""
+    n = len(gram)
+    for row in gram:
+        if len(row) != n:
+            raise ValueError("Gram matrix must be square")
+    for i in range(n):
+        for j in range(i):
+            if gram[i][j] != gram[j][i]:
+                raise ValueError("Gram matrix must be symmetric")
+
+
 def mat_rank(mat) -> int:
     """Rank of a rectangular matrix of rationals."""
     return len(_eliminate(mat)[1])

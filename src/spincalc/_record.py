@@ -1,16 +1,19 @@
 """The one base of the package's immutable value types.
 
-A `Record` subclass names its fields in `__slots__`, checks its arguments
-in its own `__init__` and stores them with `Record.__init__`, in slot
-order.  A class built in an inner loop sets each field with `_set`
-instead, and one hashed there spells out `_key`; each is two to four
-times faster than the generic version.  From then on the instance is
-read-only: assigning or deleting an attribute raises
-``AttributeError``.  Equality (with instances of the same class only),
-hashing and `repr` all read one key tuple, `_key()`: every field in slot
-order, unless the subclass narrows it.  Copying and pickling rebuild an
-instance through its `__init__` from its fields in slot order, so the
-slot order is also the order of the constructor's parameters.
+A `Record` subclass names its fields in `__slots__`, in the order of
+the constructor's parameters.  `Record.__init__` binds positional
+arguments to the slots in that order and keyword arguments by name; the
+last ``len(_defaults)`` slots default to the values in the class
+attribute `_defaults`.  A missing, unknown or repeated argument raises
+``TypeError``.  A class that checks its arguments spells out an
+`__init__` that also calls `Record.__init__`; a class built in an inner
+loop sets each field with `_set` instead, and one hashed there spells out
+`_key`, each two to four times faster than the generic version.  From
+then on the instance is read-only: assigning or deleting an attribute
+raises ``AttributeError``.  Equality (with instances of the same class
+only), hashing and `repr` all read one key tuple, `_key()`: every field
+in slot order, unless the subclass narrows it.  Copying and pickling
+rebuild an instance through its `__init__` from its fields.
 
 Building a class costs no more than any class statement, and importing
 this module loads nothing that interpreter start-up has not loaded.
@@ -23,10 +26,20 @@ _set = object.__setattr__
 
 class Record:
     __slots__ = ()
+    #: values of the last len(_defaults) slots when the caller omits them
+    _defaults = ()
 
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            _set(self, name, value)
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = dict(zip(names[len(names) - len(self._defaults):],
+                          self._defaults))
+        values.update(zip(names, args), **kwargs)
+        if (len(args) > len(names) or len(values) < len(names)
+                or not kwargs.keys() <= set(names[len(args):])):
+            raise TypeError(f"{type(self).__name__}({', '.join(names)}): "
+                            f"missing, unknown or repeated arguments")
+        for name in names:
+            _set(self, name, values[name])
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -37,17 +37,11 @@ class CheckRecord(Record):
     "cited-not-replayed"."""
 
     __slots__ = ("id", "citation", "computed", "expected", "status", "note")
-
-    def __init__(self, id: str, citation: str, computed: str, expected: str,
-                 status: str, note: str | None = None):
-        Record.__init__(self, id, citation, computed, expected, status, note)
+    _defaults = (None,)
 
 
 class Report(Record):
     __slots__ = ("checks", "seed")
-
-    def __init__(self, checks: tuple, seed: int):
-        Record.__init__(self, checks, seed)
 
     @property
     def passed(self) -> int:
@@ -147,6 +141,14 @@ def _theta_rigidity_check(g):
             f"covering pencil of the theta-null divisor at genus {g}: "
             f"pairing {theta_expected}, disjoint from higher boundary",
             run, note)
+
+
+def _grassmannian_check(n, degree, citation):
+    def run(ctx):
+        return (f"pieri={schubert.grassmannian_degree(n)} "
+                f"closed-form={schubert.catalan_degree(n)}",
+                f"pieri={degree} closed-form={degree}")
+    return f"schubert-g2{n}-degree", citation, run
 
 
 def _fmt(value) -> str:
@@ -318,21 +320,12 @@ def _build_registry():
                 "degree of the lines-on-a-quadric threefold in G(2,5): "
                 "4*s(2,1)*s1^3 = 8", schubert_vq))
 
-    def schubert_g25(ctx):
-        return (f"pieri={schubert.grassmannian_degree(5)} "
-                f"closed-form={schubert.catalan_degree(5)}",
-                "pieri=5 closed-form=5")
-    reg.append(("schubert-g25-degree",
-                "degree of G(2,5): repeated Pieri against the Catalan "
-                "closed form", schubert_g25))
-
-    def schubert_g26(ctx):
-        return (f"pieri={schubert.grassmannian_degree(6)} "
-                f"closed-form={schubert.catalan_degree(6)}",
-                "pieri=14 closed-form=14")
-    reg.append(("schubert-g26-degree",
-                "degree of G(2,6): codimension-7 linear sections are "
-                "canonical curves of degree 14", schubert_g26))
+    reg.append(_grassmannian_check(
+        5, 5, "degree of G(2,5): repeated Pieri against the Catalan "
+              "closed form"))
+    reg.append(_grassmannian_check(
+        6, 14, "degree of G(2,6): codimension-7 linear sections are "
+               "canonical curves of degree 14"))
 
     def wq_degree(ctx):
         return str(2 * schubert.grassmannian_degree(5)), "10"
@@ -444,8 +437,7 @@ def verify_all(seed: int = DEFAULT_SEED, perturb=None,
     ctx = _Provider(rng, QUICK_SAMPLES if quick else FULL_SAMPLES, perturb)
     records = []
     for entry in _build_registry():
-        check_id, citation, fn = entry[:3]
-        note = entry[3] if len(entry) > 3 else None
+        check_id, citation, fn, *note = entry
         try:
             computed, expected = fn(ctx)
         except ValueError as exc:
@@ -455,7 +447,7 @@ def verify_all(seed: int = DEFAULT_SEED, perturb=None,
             expected = "(no error)"
         status = "pass" if computed == expected else "fail"
         records.append(CheckRecord(check_id, citation, computed, expected,
-                                   status, note))
+                                   status, *note))
     for check_id, citation in _CITED_ROWS:
         records.append(CheckRecord(check_id, citation, "", "",
                                    "cited-not-replayed"))

@@ -11,7 +11,9 @@ Subcommands:
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage
 errors.  All rationals print as lowest-terms `p/q` (the denominator is
-omitted when it is 1); there is no decimal output.
+omitted when it is 1); there is no decimal output.  Each handler returns
+its exit code and its whole output, which `main` prints once, so an
+error leaves stdout empty.
 
 Each handler imports the modules it runs, so a query loads only those:
 `schubert` loads `spincalc.schubert` alone, `verify-all` the whole package.
@@ -33,14 +35,10 @@ class UsageError(ValueError):
 
 def _build_curve(name: str, genus: int | None):
     from . import curves
-    if name == "xi":
+    if name in ("xi", "gamma"):
         if genus is None:
-            raise UsageError("--genus is required for the xi curve")
-        return curves.xi_curve(genus)
-    if name == "gamma":
-        if genus is None:
-            raise UsageError("--genus is required for gamma")
-        return curves.gamma_curve(genus)
+            raise UsageError(f"--genus is required for the {name} curve")
+        return (curves.xi_curve if name == "xi" else curves.gamma_curve)(genus)
     if genus not in (None, 8):
         raise UsageError(f"the {name} curve lives in genus 8")
     if name == "r":
@@ -56,40 +54,39 @@ def _divisor_for_curve(curve, name: str, param):
     """Resolve a divisor on the curve's space, pulling back a
     stable-curve class along the covering when that is the only fit."""
     from . import picard
-    g = curve.space.genus
     try:
         return picard.named_divisor(name, space=curve.space, param=param)
     except picard.BadParamError:
-        d = picard.named_divisor(name, space=picard.mbar(g), param=param)
-        if curve.space.kind == picard.SPIN:
-            return picard.pullback_to_spin(d)
-        if curve.space.kind == picard.RBAR:
-            return picard.pullback_to_prym(d)
-        raise
+        # on the stable-curve space itself this raises the same error again
+        d = picard.named_divisor(name, space=picard.mbar(curve.space.genus),
+                                 param=param)
+        return picard.pullback(d, curve.space)
 
 
-def _cmd_pair(args) -> int:
+def _cmd_pair(args) -> tuple[int, str]:
     from . import curves
     curve = _build_curve(args.curve, args.genus)
     divisor = _divisor_for_curve(curve, args.divisor, args.param)
-    print(curves.pair(curve, divisor))
-    return 0
+    return 0, str(curves.pair(curve, divisor))
 
 
-def _cmd_class(args) -> int:
+def _cmd_class(args) -> tuple[int, str]:
     from . import picard
     space = picard.ModuliSpace(args.space, args.genus)
     d = picard.named_divisor(args.name, space=space, param=args.param)
-    print(picard.format_class(d))
-    return 0
+    return 0, picard.format_class(d)
 
 
-def _print_gram(lat) -> None:
-    print(" ".join(lat.basis_names))
-    for row in lat.gram:
-        print(" ".join(str(x) for x in row))
+def _matrix_lines(rows) -> list:
+    return [" ".join(str(x) for x in row) for row in rows]
 
 
+#: `lattice --name` -> its builder, given `spincalc.lattices`, the genus
+#: and the scale
+_LATTICES = {"nikulin": lambda lattices, g, s: lattices.nikulin_lattice(),
+             "lambda_g": lambda lattices, g, s: lattices.lambda_lattice(g),
+             "u": lambda lattices, g, s: lattices.hyperbolic_u(),
+             "e8": lambda lattices, g, s: lattices.e8(s)}
 #: the one lattice each check battery, and each sizing option, applies to
 _LATTICE_OF_CHECK = {"identities": "lambda_g", "cs": "lambda_g",
                      "doubly-elliptic": "nikulin"}
@@ -118,7 +115,7 @@ def _lattice_check(check: str, genus: int) -> tuple[bool, list]:
                      f"C.G_i = {list(r.section_dot_exceptional)}"]
 
 
-def _cmd_lattice(args) -> int:
+def _cmd_lattice(args) -> tuple[int, str]:
     from . import lattices
     owner = _LATTICE_OF_CHECK.get(args.check)
     if owner not in (None, args.name):
@@ -128,32 +125,19 @@ def _cmd_lattice(args) -> int:
         if getattr(args, option) is not None and args.name != lattice:
             raise UsageError(f"--{option} applies to --name {lattice} only")
     genus = args.genus if args.genus is not None else 7
-    if args.name == "nikulin":
-        lat = lattices.nikulin_lattice()
-    elif args.name == "lambda_g":
-        lat = lattices.lambda_lattice(genus)
-    elif args.name == "u":
-        lat = lattices.hyperbolic_u()
-    elif args.name == "e8":
-        lat = lattices.e8(args.scale if args.scale is not None else 1)
-    else:
-        raise UsageError(f"unknown lattice {args.name!r}")
+    scale = args.scale if args.scale is not None else 1
+    lat = _LATTICES[args.name](lattices, genus, scale)
+    lines = [" ".join(lat.basis_names), *_matrix_lines(lat.gram)]
     if not args.check:
-        _print_gram(lat)
-        return 0
-    # the check runs before anything is printed, so an argument it
-    # rejects leaves stdout empty
-    ok, lines = _lattice_check(args.check, genus)
-    _print_gram(lat)
-    for line in lines:
-        print(line)
-    print("ok" if ok else "FAILED")
-    return 0 if ok else 1
+        return 0, "\n".join(lines)
+    ok, report = _lattice_check(args.check, genus)
+    lines += [*report, "ok" if ok else "FAILED"]
+    return 0 if ok else 1, "\n".join(lines)
 
 
 _INT_FACTOR = re.compile(r"^-?\d+$")
-_TWOROW_FACTOR = re.compile(r"^s\((\d+)(?:,(\d+))?\)(?:\^(\d+))?$")
-_SPECIAL_FACTOR = re.compile(r"^s(\d+)(?:\^(\d+))?$")
+#: s(a,b), s(a) or sa, each with an optional power ^k
+_FACTOR = re.compile(r"^s(?:\((\d+)(?:,(\d+))?\)|(\d+))(?:\^(\d+))?$")
 
 
 def parse_schubert_expr(n: int, expr: str):
@@ -168,49 +152,49 @@ def parse_schubert_expr(n: int, expr: str):
         if _INT_FACTOR.match(token):
             result = result * int(token)
             continue
-        m = _TWOROW_FACTOR.match(token)
-        if m:
-            a, b = int(m.group(1)), int(m.group(2) or 0)
-            power = int(m.group(3) or 1)
-        else:
-            m = _SPECIAL_FACTOR.match(token)
-            if not m:
-                raise UsageError(f"cannot parse factor {token!r}")
-            a, b = int(m.group(1)), 0
-            power = int(m.group(2) or 1)
-        for _ in range(power):
+        m = _FACTOR.match(token)
+        if not m:
+            raise UsageError(f"cannot parse factor {token!r}")
+        a, b = int(m.group(1) or m.group(3)), int(m.group(2) or 0)
+        for _ in range(int(m.group(4) or 1)):
             result = schubert.multiply(result, schubert.sigma(n, a, b))
     return result
 
 
-def _cmd_schubert(args) -> int:
+def _cmd_schubert(args) -> tuple[int, str]:
     from . import schubert
     cycle = parse_schubert_expr(args.n, args.expr)
-    if args.degree:
-        print(schubert.degree(cycle))
-    else:
-        print(cycle)
-    return 0
+    return 0, str(schubert.degree(cycle) if args.degree else cycle)
+
+
+#: one `complex` input entry: an integer or p/q, each part at most 2000
+#: digits, so that every 2x2 minor of integer entries prints within
+#: CPython's 4300-digit limit and no numeral costs more than its text
+_ENTRY = re.compile(r"[+-]?\d{1,2000}(?:/\d{1,2000})?", re.ASCII)
 
 
 def _read_complex_file(path: str):
     from fractions import Fraction
     with open(path, encoding="utf-8") as handle:
-        lines = [ln.strip() for ln in handle
+        lines = [(number, ln.strip()) for number, ln in enumerate(handle, 1)
                  if ln.strip() and not ln.strip().startswith("#")]
     if not lines:
         raise UsageError("empty input file")
-    dim = int(lines[0])
+    dim = int(lines[0][1])
     if dim < 1:
         raise UsageError(f"dimension must be at least 1, not {dim}")
+    for number, line in lines[1:]:
+        if not all(map(_ENTRY.fullmatch, line.split())):
+            raise UsageError(f"line {number}: entries must be integers or "
+                             f"p/q with at most 2000 digits in each part")
     try:
-        rows = [[Fraction(tok) for tok in ln.split()] for ln in lines[1:]]
+        rows = [[Fraction(tok) for tok in ln.split()] for _, ln in lines[1:]]
     except ZeroDivisionError:
         raise UsageError("zero denominator in input") from None
     return dim, rows
 
 
-def _cmd_complex(args) -> int:
+def _cmd_complex(args) -> tuple[int, str]:
     from . import linecomplex
     dim, rows = _read_complex_file(args.input)
     if args.op == "plucker-rank":
@@ -220,38 +204,28 @@ def _cmd_complex(args) -> int:
                 "C(dim,2) wedge coefficients in lexicographic order")
         psi = {p: c for p, c in zip(linecomplex.wedge_pairs(dim), rows[0])
                if c}
-        print(linecomplex.plucker_quadric_rank(psi, dim_v=dim))
-        return 0
+        return 0, str(linecomplex.plucker_quadric_rank(psi, dim_v=dim))
     if len(rows) < dim:
         raise UsageError(f"expected {dim} matrix rows")
     q = linecomplex.symmetric_form(rows[:dim])
     vectors = rows[dim:]
     if args.op == "compound":
         c = linecomplex.second_compound(q)
-        for row in c.gram:
-            print(" ".join(str(x) for x in row))
-        print(f"rank: {c.rank()}")
-        return 0
+        return 0, "\n".join([*_matrix_lines(c.gram), f"rank: {c.rank()}"])
     if len(vectors) < 2:
         raise UsageError("tangency/singular input needs two "
                          "vector lines after the matrix")
-    u, v = vectors[0], vectors[1]
-    if args.op == "tangency":
-        print("true" if linecomplex.tangency(q, u, v) else "false")
-    else:
-        print("true" if linecomplex.is_singular_point(q, u, v) else "false")
-    return 0
+    predicate = (linecomplex.tangency if args.op == "tangency"
+                 else linecomplex.is_singular_point)
+    return 0, "true" if predicate(q, vectors[0], vectors[1]) else "false"
 
 
-def _cmd_verify_all(args) -> int:
+def _cmd_verify_all(args) -> tuple[int, str]:
     from . import checks
     seed = checks.DEFAULT_SEED if args.seed is None else args.seed
     report = checks.verify_all(seed=seed)
-    if args.json:
-        print(checks.render_json(report))
-    else:
-        print(checks.render_text(report))
-    return 0 if report.all_passed else 1
+    render = checks.render_json if args.json else checks.render_text
+    return 0 if report.all_passed else 1, render(report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,10 +283,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code, text = args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from fractions import Fraction
 from ._record import Record, _set
 from .picard import (ALPHA0, BETA0, D0P, D0RAM, DELTA0, LAMBDA, MBAR, SPIN,
                      DivisorClass, ModuliSpace, SpaceMismatchError,
-                     UnknownSymbolError, _coefficients, basis_symbols,
+                     _coefficients, _require_basis, basis_symbols,
                      covering_images, delta, mbar, rbar, spin_plus)
 
 
@@ -70,8 +70,7 @@ class CurveClass(Record):
         return (self.space, frozenset(self.pairings.items()))
 
     def pairing(self, sym: str) -> Fraction:
-        if sym not in basis_symbols(self.space):
-            raise UnknownSymbolError(f"{sym!r} not in basis of {self.space}")
+        _require_basis(self.space, (sym,))
         return self.pairings.get(sym, Fraction(0))
 
     def __str__(self):
@@ -98,16 +97,14 @@ class SurfacePencilSpec(Record):
 
     __slots__ = ("chi", "k_squared", "target", "nodes_resolved",
                  "base_points", "reducible_fibres")
+    _defaults = (0, 0, ())
 
-    def __init__(self, chi: int, k_squared: int, target: ModuliSpace,
-                 nodes_resolved: int = 0, base_points: int = 0,
-                 reducible_fibres: tuple = ()):
-        if noether_c2(chi, k_squared) < 0:
+    def __init__(self, *args, **kwargs):
+        Record.__init__(self, *args, **kwargs)
+        if noether_c2(self.chi, self.k_squared) < 0:
             raise ValueError("negative c_2: inconsistent surface invariants")
-        if nodes_resolved < 0 or base_points < 0:
+        if self.nodes_resolved < 0 or self.base_points < 0:
             raise ValueError("counts must be nonnegative")
-        Record.__init__(self, chi, k_squared, target, nodes_resolved,
-                        base_points, reducible_fibres)
 
     @property
     def genus(self) -> int:
@@ -119,19 +116,20 @@ def noether_c2(chi: int, k_squared: int) -> int:
     return 12 * chi - k_squared
 
 
-def pencil_curve(spec: SurfacePencilSpec) -> CurveClass:
+def pencil_curve(spec: SurfacePencilSpec, label: str = "") -> CurveClass:
     """Curve class of the moduli image of a surface pencil.
 
     lambda = chi + g - 1; the boundary budget T = c_2 + base_points +
     4(g-1) lands entirely on delta_0 for a stable-curve target, and splits
     as alpha_0 + 2*beta_0 on the even-spin target with beta_0 read off the
-    fibre geometry.
+    fibre geometry.  The curve carries `label`.
     """
     g = spec.genus
     lam = spec.chi + g - 1
     total = noether_c2(spec.chi, spec.k_squared) + spec.base_points + 4 * (g - 1)
     if spec.target.kind == MBAR:
-        return curve_class(spec.target, [(LAMBDA, lam), (DELTA0, total)])
+        return curve_class(spec.target, [(LAMBDA, lam), (DELTA0, total)],
+                           label)
     if spec.target.kind != SPIN:
         raise SpaceMismatchError("pencil targets are the stable-curve and "
                                  "even-spin spaces")
@@ -140,7 +138,8 @@ def pencil_curve(spec: SurfacePencilSpec) -> CurveClass:
     a0 = total - 2 * b0
     if a0 < 0:
         raise NegativeBudgetError(f"budget {total} cannot carry beta_0={b0}")
-    return curve_class(spec.target, [(LAMBDA, lam), (ALPHA0, a0), (BETA0, b0)])
+    return curve_class(spec.target, [(LAMBDA, lam), (ALPHA0, a0), (BETA0, b0)],
+                       label)
 
 
 def xi_curve(g: int) -> CurveClass:
@@ -181,9 +180,7 @@ def gamma_curve(g: int) -> CurveClass:
     chi, k2, bp, nodes = GAMMA_SURFACE_DATA[g]
     spec = SurfacePencilSpec(chi=chi, k_squared=k2, target=spin_plus(g),
                              nodes_resolved=nodes, base_points=bp)
-    c = pencil_curve(spec)
-    return CurveClass(c.space, c.pairings,
-                      label=f"pencil on a nodal canonical surface, genus {g}")
+    return pencil_curve(spec, f"pencil on a nodal canonical surface, genus {g}")
 
 
 def r_curve_g8() -> CurveClass:
@@ -196,10 +193,8 @@ def r_curve_g8() -> CurveClass:
     """
     spec = SurfacePencilSpec(chi=2, k_squared=-14, target=spin_plus(8),
                              reducible_fibres=(7, 7))
-    c = pencil_curve(spec)
-    return CurveClass(c.space, c.pairings,
-                      label="pencil through two elliptic rulings on a "
-                            "doubly-elliptic K3 surface")
+    return pencil_curve(spec, "pencil through two elliptic rulings on a "
+                              "doubly-elliptic K3 surface")
 
 
 def septic_pencil_curve() -> CurveClass:
@@ -207,9 +202,7 @@ def septic_pencil_curve() -> CurveClass:
     7 assigned nodes and 21 base points gives chi = 1, K^2 = -19, hence
     lambda = 8 and delta_0 = 59."""
     spec = SurfacePencilSpec(chi=1, k_squared=-19, target=mbar(8))
-    c = pencil_curve(spec)
-    return CurveClass(c.space, c.pairings,
-                      label="Lefschetz pencil of 7-nodal plane septics")
+    return pencil_curve(spec, "Lefschetz pencil of 7-nodal plane septics")
 
 
 def covering_degree(g: int) -> int:
@@ -228,9 +221,7 @@ class LiftedSpinCurve(Record):
     """
 
     __slots__ = ("base", "label")
-
-    def __init__(self, base: CurveClass, label: str = ""):
-        Record.__init__(self, base, label)
+    _defaults = ("",)
 
     def _key(self) -> tuple:
         return (self.base,)

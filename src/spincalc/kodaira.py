@@ -84,10 +84,6 @@ class RigidityRow(Record):
 
     __slots__ = ("component", "curve", "self_pairing", "cross_pairings")
 
-    def __init__(self, component: str, curve: str, self_pairing: Fraction,
-                 cross_pairings: tuple):
-        Record.__init__(self, component, curve, self_pairing, cross_pairings)
-
 
 class RigidityReport(Record):
     """Rows of a rigidity certificate.  `extra_conditions` holds the
@@ -95,10 +91,7 @@ class RigidityReport(Record):
     of the sign pattern (negative self, vanishing cross) in `verdict`."""
 
     __slots__ = ("rows", "notes", "extra_conditions")
-
-    def __init__(self, rows: tuple, notes: tuple = (),
-                 extra_conditions: bool = True):
-        Record.__init__(self, rows, notes, extra_conditions)
+    _defaults = ((), True)
 
     @property
     def verdict(self) -> bool:
@@ -106,6 +99,13 @@ class RigidityReport(Record):
                     all(v == 0 for _, v in r.cross_pairings)
                     for r in self.rows)
         return signs and self.extra_conditions
+
+
+def _higher_crosses(c) -> list:
+    """(symbol, pairing) of the curve `c` with each higher boundary class,
+    alpha_1, beta_1, ..., alpha_{g//2}, beta_{g//2}."""
+    return [(sym, c.pairing(sym)) for i in range(1, c.space.genus // 2 + 1)
+            for sym in (alpha(i), beta(i))]
 
 
 def rigidity_report_g8(theta: DivisorClass | None = None,
@@ -124,10 +124,7 @@ def rigidity_report_g8(theta: DivisorClass | None = None,
     bn = bn if bn is not None else brill_noether_g8()
     bn_pull = pullback_to_spin(bn)
     r = r_curve_g8()
-    crosses = [("pullback of bn8", pair(r, bn_pull))]
-    for i in range(1, 5):
-        crosses.append((alpha(i), r.pairing(alpha(i))))
-        crosses.append((beta(i), r.pairing(beta(i))))
+    crosses = [("pullback of bn8", pair(r, bn_pull)), *_higher_crosses(r)]
     row_theta = RigidityRow("theta_null", r.label, pair(r, theta),
                             tuple(crosses))
     lift = btilde_curve(septic_pencil_curve())
@@ -162,11 +159,8 @@ def theta_rigidity_report(g: int,
     """
     theta = theta if theta is not None else theta_null(g)
     c = gamma_curve(g)
-    crosses = []
-    for i in range(1, g // 2 + 1):
-        crosses.append((alpha(i), c.pairing(alpha(i))))
-        crosses.append((beta(i), c.pairing(beta(i))))
-    row = RigidityRow("theta_null", c.label, pair(c, theta), tuple(crosses))
+    row = RigidityRow("theta_null", c.label, pair(c, theta),
+                      tuple(_higher_crosses(c)))
     expected = theta_null_pencil_pairing(g)
     budget = c.pairing(ALPHA0) + 2 * c.pairing(BETA0)
     notes = (

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from ._linalg import bilinear, mat_det
+from ._linalg import bilinear, mat_det, require_symmetric
 from ._record import Record
 
 
@@ -29,15 +29,9 @@ class IntegerLattice(Record):
     __slots__ = ("gram", "basis_names")
 
     def __init__(self, gram: tuple, basis_names: tuple):
-        n = len(gram)
-        if len(basis_names) != n:
+        if len(basis_names) != len(gram):
             raise ValueError("one basis name per Gram row")
-        for i, row in enumerate(gram):
-            if len(row) != n:
-                raise ValueError("Gram matrix must be square")
-            for j in range(n):
-                if gram[i][j] != gram[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
+        require_symmetric(gram)
         Record.__init__(self, gram, basis_names)
 
     @property
@@ -188,11 +182,6 @@ class CsEntry(Record):
     __slots__ = ("a", "target_sum", "target_norm", "cs_gap",
                  "solution_found")
 
-    def __init__(self, a: int, target_sum: int, target_norm: int,
-                 cs_gap: int, solution_found: bool):
-        Record.__init__(self, a, target_sum, target_norm, cs_gap,
-                        solution_found)
-
 
 class CsCertificate(Record):
     """Certificate that no elliptic class of polarization degree 3 exists.
@@ -206,9 +195,6 @@ class CsCertificate(Record):
     """
 
     __slots__ = ("genus", "entries")
-
-    def __init__(self, genus: int, entries: tuple):
-        Record.__init__(self, genus, entries)
 
     @property
     def holds(self) -> bool:
@@ -272,11 +258,6 @@ class DoublyEllipticReport(Record):
 
     __slots__ = ("section_square", "section_dot_exceptional",
                  "pencil_sum_square")
-
-    def __init__(self, section_square: int, section_dot_exceptional: tuple,
-                 pencil_sum_square: int):
-        Record.__init__(self, section_square, section_dot_exceptional,
-                        pencil_sum_square)
 
     @property
     def holds(self) -> bool:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cache
 
 from ._linalg import (SingularMatrixError, bilinear, congruence, dot,
-                      mat_det, mat_rank, mat_vec, solve)
+                      mat_det, mat_rank, mat_vec, require_symmetric, solve)
 from ._record import Record, _set
 
 
@@ -56,14 +56,7 @@ class SymmetricForm(Record):
     __slots__ = ("gram",)
 
     def __init__(self, gram: tuple):
-        n = len(gram)
-        for row in gram:
-            if len(row) != n:
-                raise ValueError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if gram[i][j] != gram[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
+        require_symmetric(gram)
         _set(self, "gram", gram)
 
     @property
@@ -340,11 +333,8 @@ def tangency_samples(rng, count: int, dim: int = 5):
         u = images[0]
         while True:
             v = [rng.randint(*_ENTRY_RANGE) for _ in range(dim)]
-            try:
-                _require_line(u, v)
-            except DependentVectorsError:
-                continue
-            break
+            if any(wedge_coordinates(u, v)):
+                break
         yield q, u, v
 
 
@@ -376,9 +366,7 @@ def complex_point_samples(rng, count: int, dim: int = 5):
         v = [sum(c * img[r] for c, img in zip(coeffs, images))
              for r in range(dim)]
         u = images[0]
-        try:
-            _require_line(u, v)
-        except DependentVectorsError:
+        if not any(wedge_coordinates(u, v)):
             continue
         if not inside and q.quadratic(v) == 0:
             continue

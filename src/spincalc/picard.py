@@ -129,6 +129,20 @@ def basis_symbols(space: ModuliSpace) -> tuple[str, ...]:
     return tuple(parts)
 
 
+@lru_cache(maxsize=None)
+def _basis_set(space: ModuliSpace) -> frozenset:
+    return frozenset(basis_symbols(space))
+
+
+def _require_basis(space: ModuliSpace, symbols) -> None:
+    """The one basis-membership test, on a cached set rather than a scan:
+    raise ``UnknownSymbolError`` for a symbol outside the basis."""
+    basis = _basis_set(space)
+    for sym in symbols:
+        if sym not in basis:
+            raise UnknownSymbolError(f"{sym!r} not in basis of {space}")
+
+
 class DivisorClass(Record):
     """Sparse exact-rational divisor class with an opaque tail.
 
@@ -156,8 +170,7 @@ class DivisorClass(Record):
 
     def coeff(self, sym: str) -> Fraction:
         """Pinned coefficient of `sym` (exact zero when absent)."""
-        if sym not in basis_symbols(self.space):
-            raise UnknownSymbolError(f"{sym!r} not in basis of {self.space}")
+        _require_basis(self.space, (sym,))
         if sym in self.opaque:
             raise OpaqueCoefficientError(f"coefficient of {sym!r} is opaque")
         return self.coeffs.get(sym, Fraction(0))
@@ -212,10 +225,7 @@ def _coefficients(space: ModuliSpace, values,
     """`values` (symbol -> rational) as a read-only mapping of nonzero
     Fractions on the basis of `space`; a symbol of `values` or `opaque`
     outside that basis raises."""
-    basis = set(basis_symbols(space))
-    for sym in (*values, *opaque):
-        if sym not in basis:
-            raise UnknownSymbolError(f"{sym!r} not in basis of {space}")
+    _require_basis(space, (*values, *opaque))
     return MappingProxyType(
         {sym: c for sym, v in values.items() if (c := _rational(v))})
 
@@ -253,11 +263,8 @@ def divisor_class(space: ModuliSpace, entries=(), opaque=()) -> DivisorClass:
     >>> str(divisor_class(mbar(8), [("lambda", 22), ("delta_0", -3)]))
     '22*lambda - 3*delta_0'
     """
-    basis = set(basis_symbols(space))
     coeffs = {}
     for sym, value in entries:
-        if sym not in basis:
-            raise UnknownSymbolError(f"{sym!r} not in basis of {space}")
         if sym in coeffs:
             raise DuplicateSymbolError(f"{sym!r} listed twice")
         coeffs[sym] = value
@@ -292,7 +299,9 @@ def covering_images(target: ModuliSpace) -> tuple:
     return tuple(zip(basis_symbols(mbar(target.genus)), images))
 
 
-def _pullback(d: DivisorClass, target: ModuliSpace) -> DivisorClass:
+def pullback(d: DivisorClass, target: ModuliSpace) -> DivisorClass:
+    """Pullback along the covering of the stable-curve space by `target`
+    (see `covering_images`)."""
     if d.space.kind != MBAR:
         raise SpaceMismatchError("pullbacks start from the stable-curve space")
     images = dict(covering_images(target))
@@ -310,13 +319,13 @@ def _pullback(d: DivisorClass, target: ModuliSpace) -> DivisorClass:
 def pullback_to_prym(d: DivisorClass) -> DivisorClass:
     """Pullback along the Prym covering of the stable-curve space
     (see `covering_images`)."""
-    return _pullback(d, rbar(d.space.genus))
+    return pullback(d, rbar(d.space.genus))
 
 
 def pullback_to_spin(d: DivisorClass) -> DivisorClass:
     """Pullback along the even-spin covering of the stable-curve space
     (see `covering_images`)."""
-    return _pullback(d, spin_plus(d.space.genus))
+    return pullback(d, spin_plus(d.space.genus))
 
 
 def canonical_class(space: ModuliSpace) -> DivisorClass:
@@ -452,6 +461,14 @@ def slope(d: DivisorClass) -> Fraction:
     return d.coeff(LAMBDA) / (-b)
 
 
+#: the named classes with one fixed home space: description, constructor
+_FIXED_HOME = {
+    "nikulin_N6": ("the Nikulin-section divisor", prym_nikulin_g6),
+    "bn8": ("the plane-septic divisor", brill_noether_g8),
+    "d2_nonveryample": ("the non-very-ample divisor", non_very_ample_g5),
+}
+
+
 def named_divisor(name: str, space: ModuliSpace | None = None,
                   genus: int | None = None, param: int | None = None
                   ) -> DivisorClass:
@@ -464,49 +481,33 @@ def named_divisor(name: str, space: ModuliSpace | None = None,
         raise BadParamError("genus does not match the requested space")
     if space is not None:
         genus = space.genus
-
-    def check(expected_space):
-        if space is not None and space != expected_space:
-            raise BadParamError(
-                f"{name} lives on {expected_space}, not {space}")
-
     if name == "canonical":
         if space is None:
             raise BadParamError("canonical class needs an ambient space")
         return canonical_class(space)
-    if name == "theta_null":
+    if name in _FIXED_HOME:
+        what, build = _FIXED_HOME[name]
+        d = build()
+        if genus not in (None, d.space.genus):
+            raise BadParamError(f"{what} lives in genus {d.space.genus}")
+    elif name == "theta_null":
         if genus is None:
             raise BadParamError("theta_null needs a genus")
-        check(spin_plus(genus))
-        return theta_null(genus)
-    if name == "prym_green":
+        d = theta_null(genus)
+    elif name == "prym_green":
         if param is None:
             if genus is None or genus < 6 or genus % 2:
                 raise BadParamError("prym_green needs genus 2i+6")
             param = (genus - 6) // 2
         if genus is not None and genus != 2 * param + 6:
             raise BadParamError("prym_green needs genus = 2i+6")
-        check(rbar(2 * param + 6))
-        return prym_green(param)
-    if name == "nikulin_N6":
-        if genus not in (None, 6):
-            raise BadParamError("the Nikulin-section divisor lives in genus 6")
-        check(rbar(6))
-        return prym_nikulin_g6()
-    if name == "bn8":
-        if genus not in (None, 8):
-            raise BadParamError("the plane-septic divisor lives in genus 8")
-        check(mbar(8))
-        return brill_noether_g8()
-    if name == "d2_nonveryample":
-        if genus not in (None, 5):
-            raise BadParamError("the non-very-ample divisor lives in genus 5")
-        check(rbar(5))
-        return non_very_ample_g5()
-    if name == "hodge_c1":
+        d = prym_green(param)
+    elif name == "hodge_c1":
         if param is None:
             raise BadParamError("hodge_c1 needs an index parameter")
-        g = genus if genus is not None else 5
-        check(rbar(g))
-        return twisted_hodge_c1(param, g)
-    raise BadParamError(f"unknown divisor name {name!r}")
+        d = twisted_hodge_c1(param, genus if genus is not None else 5)
+    else:
+        raise BadParamError(f"unknown divisor name {name!r}")
+    if space is not None and d.space != space:
+        raise BadParamError(f"{name} lives on {d.space}, not {space}")
+    return d

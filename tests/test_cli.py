@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, file formats."""
 
 import json
+import time
 
 import pytest
 
@@ -298,6 +299,51 @@ def test_plucker_rank_length_check_lists_no_wedge_pairs(tmp_path, capsys,
     assert code == 2
     assert out == ""
     assert "C(dim,2)" in err
+
+
+@pytest.mark.parametrize("token", [
+    "1e100000000", "0.5", "1" * 2001, "1/" + "7" * 2001, "--1",
+    "1_000", "1/-2",
+], ids=["huge-exponent", "decimal", "2001-digits", "2001-digit-denominator",
+        "double-sign", "underscore", "signed-denominator"])
+def test_complex_entry_outside_the_grammar_exits_two_at_once(
+        tmp_path, capsys, token):
+    path = tmp_path / "form.txt"
+    path.write_text(f"# a comment line\n2\n\n1 0\n0 {token}\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "complex", "--op", "compound",
+                         "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 5:")
+    assert token not in err
+
+
+def test_complex_2000_digit_entries_print_exactly(tmp_path, capsys):
+    big = 10 ** 2000 - 1
+    path = tmp_path / "form.txt"
+    path.write_text(f"2\n{big} -{big}\n-{big} 7\n")
+    code, out, _ = run(capsys, "complex", "--op", "compound",
+                       "--input", str(path))
+    assert code == 0
+    assert out.splitlines() == [str(7 * big - big * big), "rank: 1"]
+
+
+def test_complex_failure_after_compound_leaves_stdout_empty(
+        tmp_path, capsys, monkeypatch):
+    from spincalc import linecomplex
+
+    def fail(self):
+        raise ValueError("rank failed")
+    monkeypatch.setattr(linecomplex.SymmetricForm, "rank", fail)
+    path = tmp_path / "form.txt"
+    path.write_text("3\n1 0 0\n0 1 0\n0 0 1\n")
+    code, out, err = run(capsys, "complex", "--op", "compound",
+                         "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: rank failed\n"
 
 
 def test_complex_missing_file(capsys):

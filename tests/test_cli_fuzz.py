@@ -57,7 +57,8 @@ JUNK = st.lists(st.sampled_from(["pair", "class", "lattice", "schubert",
                                  ""]), max_size=6)
 
 ENTRIES = st.sampled_from(["0", "0", "0", "1", "-1", "2", "1/2", "-3/4"])
-BAD_TOKENS = st.sampled_from(["1/0", "0.5", "x", "#", "", "1 1"])
+BAD_TOKENS = st.sampled_from(["1/0", "0.5", "x", "#", "", "1 1",
+                              "1e100000000", "1" * 2001])
 
 
 @st.composite

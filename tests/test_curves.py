@@ -1,5 +1,6 @@
 """Test-curve constructions and intersection pairings."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -276,3 +277,20 @@ def test_projection_formula_spin(c, d):
 def test_projection_formula_xi_concrete():
     d0 = divisor_class(mbar(9), [(DELTA0, 1)])
     assert pair(xi_curve(9), pullback_to_prym(d0)) == 6 * 9 + 18
+
+
+def test_pair_is_linear_in_the_genus():
+    # basis membership is a set lookup, so a genus-100000 pairing with
+    # its 50000 opaque boundary symbols stays far below a second
+    start = time.perf_counter()
+    value = pair(xi_curve(100000), canonical_class(rbar(100000)))
+    assert time.perf_counter() - start < 1
+    assert value == 100000 - 15
+
+
+def test_pencil_curve_attaches_the_label():
+    spec = SurfacePencilSpec(chi=1, k_squared=-19, target=mbar(8))
+    c = pencil_curve(spec, "septics")
+    assert c.label == "septics" and c == pencil_curve(spec)
+    assert septic_pencil_curve().label == (
+        "Lefschetz pencil of 7-nodal plane septics")

@@ -16,7 +16,7 @@ from spincalc.picard import (ALPHA0, BETA0, D0P, D0PP, D0RAM, DELTA0, LAMBDA,
                              canonical_class, delta, divisor_class,
                              format_class, mbar, named_divisor,
                              non_very_ample_g5, pi_delta, prym_green,
-                             prym_nikulin_g6, pullback_to_prym,
+                             prym_nikulin_g6, pullback, pullback_to_prym,
                              pullback_to_spin, rbar, slope, spin_plus,
                              sym_power_c1, theta_null, twisted_hodge_c1,
                              zero_class)
@@ -181,6 +181,14 @@ def test_pullback_maps_opaque_to_opaque():
 def test_pullback_space_mismatch():
     with pytest.raises(SpaceMismatchError):
         pullback_to_prym(theta_null(8))
+
+
+def test_pullback_to_a_target_space_matches_the_named_pullbacks():
+    bn = brill_noether_g8()
+    assert pullback(bn, spin_plus(8)) == pullback_to_spin(bn)
+    assert pullback(bn, rbar(8)) == pullback_to_prym(bn)
+    with pytest.raises(SpaceMismatchError):
+        pullback(bn, mbar(8))
 
 
 @st.composite
