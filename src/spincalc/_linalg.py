@@ -1,17 +1,17 @@
 """Exact linear algebra over the rationals: one integer kernel.
 
-Every elimination in the package runs through `_eliminate`, a single
-fraction-free Bareiss elimination over Python ints (Bareiss, "Sylvester's
-identity and multistep integer-preserving Gaussian elimination", Math.
-Comp. 22, 1968).  Each row is first multiplied by the lcm of its
-denominators, which changes neither the rank nor singularity; after that
-every entry is an integer minor of the cleared matrix and every division
-is exact.  Rank is the pivot count, the determinant is the signed last
-pivot divided by the product of the row multipliers, and a square solve
-eliminates the augmented matrix and back-substitutes, so every vanishing
-or rank statement made elsewhere in the package is decided with zero
-tolerance by the same code.  Only the answers of `mat_det` and `solve`
-are built as ``fractions.Fraction``.
+Denominators are cleared in one place, `scaled`, which multiplies a
+matrix by the lcm d of all its denominators and returns Python int rows
+together with d.  Every elimination in the package runs through
+`_eliminate`, a single fraction-free Bareiss elimination of such int rows
+(Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968): every entry is an integer minor of
+the cleared matrix and every division is exact.  Rank is the pivot count,
+the determinant is the signed last pivot divided by d ** n, and a square
+solve eliminates the augmented matrix and back-substitutes, so every
+vanishing or rank statement made elsewhere in the package is decided
+with zero tolerance by the same code.  Only the answers of `mat_det` and
+`solve` are built as ``fractions.Fraction``.
 
 Products go through `dot`, from which `mat_vec`, `bilinear` (u^T G v)
 and `congruence` (P^T G P) are built.  They keep the exact type of their
@@ -30,35 +30,31 @@ class SingularMatrixError(ValueError):
     """A square system with no unique solution."""
 
 
-def _integer_row(row) -> tuple[list, int]:
-    """The row times the lcm of its denominators, as ints, and that lcm."""
+def scaled(mat) -> tuple[list, int]:
+    """The matrix times the lcm d of all its denominators, as lists of
+    ints, and d.  Raises ``TypeError`` on an entry without a denominator,
+    such as a float."""
     try:
-        m = lcm(*{x.denominator for x in row})
+        d = lcm(*{x.denominator for row in mat for x in row})
     except AttributeError:
         raise TypeError("matrix entries must be int or Fraction; "
                         "floats are not exact") from None
-    if m == 1:
-        return [x.numerator for x in row], 1
-    return [x.numerator * (m // x.denominator) for x in row], m
+    if d == 1:
+        return [[x.numerator for x in row] for row in mat], 1
+    return [[x.numerator * (d // x.denominator) for x in row]
+            for row in mat], d
 
 
-def _eliminate(mat):
-    """Row echelon form of `mat` by Bareiss elimination over the ints.
+def _eliminate(rows):
+    """Bring the int rows to row echelon form in place, by Bareiss
+    elimination.
 
-    Returns (rows, pivots, sign, scale): the echelon rows as ints, the
-    pivot column of each leading row, (-1) ** (number of row swaps), and
-    the product of the row multipliers that cleared the denominators.
-    Entry (i, j) of row i below the k-th step is the minor of the cleared
-    matrix on the first k pivot rows and columns plus row i and column j;
-    in particular the last pivot of a square nonsingular input is its
-    determinant up to `sign`.
+    Returns (pivots, sign): the pivot column of each leading row and
+    (-1) ** (number of row swaps).  Entry (i, j) of row i below the k-th
+    step is the minor of the input on the first k pivot rows and columns
+    plus row i and column j; in particular the last pivot of a square
+    nonsingular input is its determinant up to `sign`.
     """
-    rows = []
-    scale = 1
-    for row in mat:
-        ints, m = _integer_row(row)
-        rows.append(ints)
-        scale *= m
     pivots = []
     sign = 1
     prev = 1
@@ -86,7 +82,7 @@ def _eliminate(mat):
                 row[col:] = [p * a // prev for a in row[col:]]
         prev = p
         pivots.append(col)
-    return rows, pivots, sign, scale
+    return pivots, sign
 
 
 def require_symmetric(gram) -> None:
@@ -105,7 +101,7 @@ def require_symmetric(gram) -> None:
 
 def mat_rank(mat) -> int:
     """Rank of a rectangular matrix of rationals."""
-    return len(_eliminate(mat)[1])
+    return len(_eliminate(scaled(mat)[0])[0])
 
 
 def mat_det(mat) -> Fraction:
@@ -115,10 +111,11 @@ def mat_det(mat) -> Fraction:
         raise ValueError("determinant needs a square matrix")
     if n == 0:
         return Fraction(1)
-    rows, pivots, sign, scale = _eliminate(mat)
+    rows, d = scaled(mat)
+    pivots, sign = _eliminate(rows)
     if len(pivots) < n:
         return Fraction(0)
-    return Fraction(sign * rows[-1][-1], scale)
+    return Fraction(sign * rows[-1][-1], d ** n)
 
 
 def solve(mat, rhs) -> list[Fraction]:
@@ -129,8 +126,8 @@ def solve(mat, rhs) -> list[Fraction]:
     n = len(mat)
     if any(len(r) != n for r in mat) or len(rhs) != n:
         raise SingularMatrixError("system is not square")
-    rows, pivots, _, _ = _eliminate(
-        [list(row) + [b] for row, b in zip(mat, rhs)])
+    rows, _ = scaled([list(row) + [b] for row, b in zip(mat, rhs)])
+    pivots, _ = _eliminate(rows)
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     if n == 0:

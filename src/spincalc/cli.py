@@ -27,10 +27,19 @@ import sys
 
 #: `class --space` choices, spelled as `picard.MBAR`, `RBAR` and `SPIN`
 _KINDS = ("mbar", "rbar", "spin")
+#: the largest `--genus` that `pair` and `class` take: their time, memory
+#: and output grow linearly in the genus, and at the cap the slowest query
+#: (`class --space spin`) takes well under 0.1 s
+MAX_GENUS = 10_000
 
 
 class UsageError(ValueError):
     """Arguments the command line accepts but the query cannot use."""
+
+
+def _require_genus_cap(genus) -> None:
+    if genus is not None and genus > MAX_GENUS:
+        raise UsageError(f"--genus must be at most {MAX_GENUS}, not {genus}")
 
 
 def _build_curve(name: str, genus: int | None):
@@ -65,6 +74,7 @@ def _divisor_for_curve(curve, name: str, param):
 
 def _cmd_pair(args) -> tuple[int, str]:
     from . import curves
+    _require_genus_cap(args.genus)
     curve = _build_curve(args.curve, args.genus)
     divisor = _divisor_for_curve(curve, args.divisor, args.param)
     return 0, str(curves.pair(curve, divisor))
@@ -72,6 +82,7 @@ def _cmd_pair(args) -> tuple[int, str]:
 
 def _cmd_class(args) -> tuple[int, str]:
     from . import picard
+    _require_genus_cap(args.genus)
     space = picard.ModuliSpace(args.space, args.genus)
     d = picard.named_divisor(args.name, space=space, param=args.param)
     return 0, picard.format_class(d)
@@ -169,8 +180,11 @@ def _cmd_schubert(args) -> tuple[int, str]:
 
 #: one `complex` input entry: an integer or p/q, each part at most 2000
 #: digits, so that every 2x2 minor of integer entries prints within
-#: CPython's 4300-digit limit and no numeral costs more than its text
-_ENTRY = re.compile(r"[+-]?\d{1,2000}(?:/\d{1,2000})?", re.ASCII)
+#: CPython's 4300-digit limit and no numeral costs more than its text;
+#: the dimension line is an integer of the same grammar
+_INTEGER = r"[+-]?\d{1,2000}"
+_ENTRY = re.compile(rf"{_INTEGER}(?:/\d{{1,2000}})?", re.ASCII)
+_DIMENSION = re.compile(_INTEGER, re.ASCII)
 
 
 def _read_complex_file(path: str):
@@ -180,7 +194,11 @@ def _read_complex_file(path: str):
                  if ln.strip() and not ln.strip().startswith("#")]
     if not lines:
         raise UsageError("empty input file")
-    dim = int(lines[0][1])
+    number, head = lines[0]
+    if not _DIMENSION.fullmatch(head):
+        raise UsageError(f"line {number}: the dimension must be an integer "
+                         f"of at most 2000 ASCII digits")
+    dim = int(head)
     if dim < 1:
         raise UsageError(f"dimension must be at least 1, not {dim}")
     for number, line in lines[1:]:
@@ -211,7 +229,13 @@ def _cmd_complex(args) -> tuple[int, str]:
     vectors = rows[dim:]
     if args.op == "compound":
         c = linecomplex.second_compound(q)
-        return 0, "\n".join([*_matrix_lines(c.gram), f"rank: {c.rank()}"])
+        try:
+            lines = _matrix_lines(c.gram)
+        except ValueError:  # CPython prints no int of over 4300 digits
+            raise UsageError("a compound entry needs over 4300 digits: "
+                             "2000 digits a part bounds the compounds of "
+                             "integer entries, not of rationals") from None
+        return 0, "\n".join([*lines, f"rank: {c.rank()}"])
     if len(vectors) < 2:
         raise UsageError("tangency/singular input needs two "
                          "vector lines after the matrix")

@@ -16,11 +16,17 @@ through G(2, 6): a bivector psi defines the symmetric form
 B(x, y) = vol(x ^ y ^ psi) on the wedge square of a 6-space, and the
 rank of B is 6, 10 or 15 according to the wedge-rank of psi.
 
-Everything is exact rational arithmetic, and integers stay Python ints
-throughout: a form stores an integral entry as an int, so compounds,
-wedge coordinates and bivector transforms of integer input are integer,
-and `Fraction` appears only where a value has a denominator.  Floats are
-refused.  The random samplers draw integer entries in [-9, 9] from a
+Everything is exact rational arithmetic, done in Python ints.  A form
+clears its denominators once, when it is built: it keeps its Gram G as
+given and an integer view (d G, d) with d the lcm of the denominators of
+G.  Compounds, evaluations and gradients run on that view, and
+`Fraction` appears only in an answer that has a denominator: an entry of
+the compound of a rational form, or a value of `evaluate`.  Tangency and
+singularity ask only whether something vanishes, which scaling q, u or v
+by a positive number does not change, so they never build a `Fraction`.
+Integral entries are stored as ints, so compounds, wedge coordinates and
+bivector transforms of integer input are integer.  Floats are refused.
+The random samplers draw integer entries in [-9, 9] from a
 caller-supplied seeded generator.
 """
 
@@ -29,8 +35,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from ._linalg import (SingularMatrixError, bilinear, congruence, dot,
-                      mat_det, mat_rank, mat_vec, require_symmetric, solve)
+from ._linalg import (SingularMatrixError, _eliminate, bilinear, congruence,
+                      dot, mat_det, mat_rank, mat_vec, require_symmetric,
+                      scaled, solve)
 from ._record import Record, _set
 
 
@@ -51,13 +58,28 @@ class ZeroInputError(ValueError):
 
 
 class SymmetricForm(Record):
-    """Dense exact-rational symmetric bilinear form."""
+    """Dense exact-rational symmetric bilinear form.
 
-    __slots__ = ("gram",)
+    Besides `gram` it keeps the integer view `_ints` = d G, as int rows,
+    and `_den` = d, the lcm of the denominators of G.  The view is a
+    cache: equality, hashing and `repr` read `gram` alone, and copying
+    and pickling rebuild the form from `gram`.
+    """
+
+    __slots__ = ("gram", "_ints", "_den")
 
     def __init__(self, gram: tuple):
         require_symmetric(gram)
         _set(self, "gram", gram)
+        ints, den = scaled(gram)
+        _set(self, "_ints", ints)
+        _set(self, "_den", den)
+
+    def _key(self) -> tuple:
+        return (self.gram,)
+
+    def __reduce__(self):
+        return SymmetricForm, (self.gram,)
 
     @property
     def dim(self) -> int:
@@ -67,13 +89,22 @@ class SymmetricForm(Record):
         """Bilinear value u^T G v."""
         if len(u) != self.dim or len(v) != self.dim:
             raise ValueError("vector length must match the form dimension")
-        return bilinear(self.gram, u, v)
+        if self._den == 1:
+            return bilinear(self.gram, u, v)
+        (iu,), du = scaled((u,))
+        (iv,), dv = scaled((v,))
+        return _ratio(bilinear(self._ints, iu, iv), self._den * du * dv)
 
     def quadratic(self, u):
         return self.evaluate(u, u)
 
     def rank(self) -> int:
-        return mat_rank(self.gram)
+        return len(_eliminate([list(row) for row in self._ints])[0])
+
+
+def _ratio(n: int, d: int):
+    """n / d for ints n and d > 0, as an int when d divides n."""
+    return n // d if n % d == 0 else Fraction(n, d)
 
 
 def _exact(x):
@@ -92,6 +123,7 @@ def symmetric_form(rows) -> SymmetricForm:
                                for row in rows))
 
 
+@cache
 def wedge_pairs(n: int) -> tuple:
     """Lexicographic index pairs (i, j), i < j, of the wedge-square basis."""
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
@@ -102,17 +134,27 @@ def wedge_coordinates(u, v) -> list:
     return [u[i] * v[j] - u[j] * v[i] for i, j in wedge_pairs(len(u))]
 
 
+def _compound_rows(g) -> list:
+    """The 2x2 minors of the int matrix g, row by row in the wedge-pair
+    basis: the compound of the form with Gram g / d is this over d^2."""
+    pairs = wedge_pairs(len(g))
+    rows = []
+    for i, j in pairs:
+        gi, gj = g[i], g[j]
+        rows.append([gi[k] * gj[l] - gj[k] * gi[l] for k, l in pairs])
+    return rows
+
+
 def second_compound(q: SymmetricForm) -> SymmetricForm:
     """Second compound form on the wedge square: the 2x2-minor matrix of
     the Gram of q.  Its rank is C(rank q, 2).
     """
-    g = q.gram
-    pairs = wedge_pairs(q.dim)
-    rows = []
-    for (i, j) in pairs:
-        rows.append(tuple(g[i][k] * g[j][l] - g[j][k] * g[i][l]
-                          for (k, l) in pairs))
-    return SymmetricForm(tuple(rows))
+    rows = _compound_rows(q._ints)
+    if q._den == 1:
+        return SymmetricForm(tuple(map(tuple, rows)))
+    d2 = q._den ** 2
+    return SymmetricForm(tuple(tuple(_ratio(c, d2) for c in row)
+                               for row in rows))
 
 
 def _require_line(u, v) -> list:
@@ -125,16 +167,28 @@ def _require_line(u, v) -> list:
     return w
 
 
+def _integer_line(q: SymmetricForm, u, v, off_quadric) -> tuple:
+    """(c, iu, iv, w): the integer compound of q, u and v scaled to ints,
+    and the wedge coordinates of iu ^ iv.  Raises `off_quadric` unless
+    [u] lies on the quadric, and `DependentVectorsError` unless u and v
+    span a line."""
+    if len(u) != q.dim:
+        raise ValueError("vector length must match the form dimension")
+    (iu, iv), _ = scaled((u, v))
+    if bilinear(q._ints, iu, iu) != 0:
+        raise off_quadric("base point is not on the quadric")
+    w = _require_line(iu, iv)
+    return _compound_rows(q._ints), iu, iv, w
+
+
 def tangency(q: SymmetricForm, u, v) -> bool:
     """Is the line through [u] (on the quadric) and [v] tangent to it?
 
     Decided by the vanishing of the second compound form on u ^ v.  The
     independent route is `discriminant_tangency`.
     """
-    if q.quadratic(u) != 0:
-        raise BasePointNotOnQuadricError("base point is not on the quadric")
-    w = _require_line(u, v)
-    return second_compound(q).evaluate(w, w) == 0
+    c, _, _, w = _integer_line(q, u, v, BasePointNotOnQuadricError)
+    return bilinear(c, w, w) == 0
 
 
 def discriminant_tangency(q: SymmetricForm, u, v) -> bool:
@@ -152,24 +206,22 @@ def is_singular_point(q: SymmetricForm, u, v) -> bool:
 
     The gradient of the complex at u ^ v is the linear form
     nu2(Qt)(u ^ v, -), computed once as the vector G2 w; it is tested
-    against every tangent direction u ^ e_i and v ^ e_i.  For a line in
+    against every tangent direction u ^ e_k and v ^ e_k.  For a line in
     the complex this vanishing is equivalent to the second vector being
     isotropic as well, i.e. to the line lying inside the quadric.
+
+    The coordinate of x ^ e_k at the pair (i, j) is x_i [j = k] - x_j
+    [i = k], so with m the antisymmetric matrix m[j][i] = -m[i][j] = the
+    gradient at (i, j), m x lists grad . (x ^ e_k) for every k at once.
     """
-    if q.quadratic(u) != 0:
-        raise NotInComplexError("base point is not on the quadric")
-    w = _require_line(u, v)
-    grad = mat_vec(second_compound(q).gram, w)
+    c, iu, iv, w = _integer_line(q, u, v, NotInComplexError)
+    grad = mat_vec(c, w)
     if dot(grad, w) != 0:
         raise NotInComplexError("line is not in the tangent complex")
-    dim = q.dim
-    basis = [[int(i == k) for i in range(dim)] for k in range(dim)]
-    for e in basis:
-        if dot(grad, wedge_coordinates(u, e)) != 0:
-            return False
-        if dot(grad, wedge_coordinates(v, e)) != 0:
-            return False
-    return True
+    m = [[0] * q.dim for _ in range(q.dim)]
+    for g, (i, j) in zip(grad, wedge_pairs(q.dim)):
+        m[i][j], m[j][i] = -g, g
+    return not any(mat_vec(m, iu)) and not any(mat_vec(m, iv))
 
 
 def solve_in_basis(pairing_rows, targets) -> list:

@@ -65,6 +65,33 @@ def test_pair_usage_error_wrong_space(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("pair", "--curve", "xi", "--divisor", "canonical"),
+    ("pair", "--curve", "gamma", "--divisor", "theta_null"),
+    ("class", "--space", "spin", "--name", "canonical"),
+    ("class", "--space", "rbar", "--name", "hodge_c1", "--param", "1"),
+], ids=["pair-xi", "pair-gamma", "class-spin", "class-rbar"])
+def test_genus_above_the_cap_exits_two_naming_it(capsys, argv):
+    for genus in (cli.MAX_GENUS + 1, 10 ** 9):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--genus", str(genus))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: --genus must be at most {cli.MAX_GENUS}, "
+                       f"not {genus}\n")
+
+
+def test_genus_at_the_cap_is_answered(capsys):
+    genus = str(cli.MAX_GENUS)
+    code, out, _ = run(capsys, "pair", "--curve", "xi", "--genus", genus,
+                       "--divisor", "canonical")
+    assert code == 0 and out.strip().lstrip("-").isdigit()
+    code, out, _ = run(capsys, "class", "--space", "spin", "--genus", genus,
+                       "--name", "canonical")
+    assert code == 0 and out.count("beta_") > cli.MAX_GENUS // 4
+
+
 # --- class ------------------------------------------------------------------
 
 def test_space_choices_are_the_picard_kinds():
@@ -328,6 +355,36 @@ def test_complex_2000_digit_entries_print_exactly(tmp_path, capsys):
                        "--input", str(path))
     assert code == 0
     assert out.splitlines() == [str(7 * big - big * big), "rank: 1"]
+
+
+@pytest.mark.parametrize("head", ["\u0663", "1_0", "2/1", "+x"],
+                         ids=["arabic-indic-three", "underscore", "fraction",
+                              "letter"])
+def test_complex_dimension_line_keeps_the_entry_grammar(tmp_path, capsys,
+                                                         head):
+    path = tmp_path / "form.txt"
+    path.write_text(f"{head}\n1 0 0\n0 1 0\n0 0 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "complex", "--op", "compound",
+                         "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 1: the dimension must be an integer")
+
+
+def test_complex_compound_over_4300_digits_names_the_input_bound(
+        tmp_path, capsys):
+    sevens, threes = "7" * 2000, "3" * 2000
+    ones = "1" * 1999 + "3"
+    path = tmp_path / "form.txt"
+    path.write_text(f"2\n1/{sevens} 1/{ones}\n1/{ones} 1/{threes}\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "complex", "--op", "compound",
+                         "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "2000 digits a part" in err
+    assert "set_int_max_str_digits" not in err
 
 
 def test_complex_failure_after_compound_leaves_stdout_empty(

@@ -5,7 +5,8 @@ Random argument vectors for every subcommand but `verify-all`, and random
 end with exit 0 or 2 (a `lattice` check may also fail with 1), through a
 return value or argparse's `SystemExit`; any other exception escaping
 `main` is a traceback the user would see.  Sizes stay small: n <= 12,
-powers <= 3, dimensions <= 7.
+powers <= 3, dimensions <= 7.  Apart from that, `pair` and `class` run
+with genera around and far above the `--genus` cap, each under a deadline.
 """
 
 import contextlib
@@ -14,7 +15,7 @@ import io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spincalc.cli import main
+from spincalc.cli import MAX_GENUS, main
 
 GENUS = st.integers(-2, 12)
 PARAM = st.integers(-2, 6)
@@ -142,5 +143,31 @@ def test_cli_never_raises(tmp_path_factory):
         code = run_quietly(argv)
         allowed = {0, 1, 2} if argv[:1] == ["lattice"] else {0, 2}
         assert code in allowed, (argv, text, code)
+
+    check()
+
+
+#: genera just below, at and above the cap, up to nine and nineteen digits
+LARGE_GENUS = st.one_of(st.integers(MAX_GENUS - 3, MAX_GENUS + 3),
+                        st.integers(MAX_GENUS, 10 ** 9),
+                        st.sampled_from([10 ** 9, 10 ** 18]))
+
+
+def test_large_genera_exit_in_time():
+    @settings(max_examples=60, deadline=1000)
+    @given(st.sampled_from(["pair", "class"]), LARGE_GENUS, st.data())
+    def check(kind, genus, data):
+        required, optional = SUBCOMMANDS[kind]
+        argv = [kind] + data.draw(options(
+            [(f, v) for f, v in required if f != "--genus"],
+            [(f, v) for f, v in optional if f != "--genus"]))
+        argv += ["--genus", str(genus)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in {0, 2}, argv
+        if genus > MAX_GENUS:
+            assert code == 2 and out.getvalue() == "", argv
 
     check()

@@ -9,7 +9,7 @@ from math import prod
 import pytest
 
 from spincalc._linalg import (SingularMatrixError, bilinear, congruence, dot,
-                              mat_det, mat_rank, mat_vec, solve)
+                              mat_det, mat_rank, mat_vec, scaled, solve)
 
 
 def leibniz_det(m):
@@ -189,6 +189,16 @@ def test_kernel_rejects_floats():
         solve([[0.1]], [1])
     with pytest.raises(TypeError):
         solve([[1]], [0.1])
+
+
+def test_scaled_clears_every_denominator_with_their_lcm():
+    rows, d = scaled([[Fraction(1, 2), 1], [Fraction(-2, 3), 0]])
+    assert (rows, d) == ([[3, 6], [-4, 0]], 6)
+    assert all(type(x) is int for row in rows for x in row)
+    assert scaled([[1, -2], [Fraction(4, 2), 0]]) == ([[1, -2], [2, 0]], 1)
+    assert scaled([]) == ([], 1)
+    with pytest.raises(TypeError):
+        scaled([[1, Fraction(1, 2)], [0.5, 1]])
 
 
 # --- the Bareiss kernel against a plain Fraction elimination ---------------

@@ -1,5 +1,7 @@
 """Second compound forms, tangency, singular points and Pluecker ranks."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import comb
@@ -9,7 +11,8 @@ import pytest
 from spincalc._linalg import SingularMatrixError, mat_rank
 from spincalc.linecomplex import (BasePointNotOnQuadricError,
                                   DependentVectorsError, NotInComplexError,
-                                  ZeroInputError, complex_point_samples,
+                                  SymmetricForm, ZeroInputError,
+                                  complex_point_samples,
                                   compound_rank_samples,
                                   discriminant_tangency, is_singular_point,
                                   plucker_quadric_rank,
@@ -280,6 +283,118 @@ def test_integer_input_stays_integer():
     m = random_invertible_matrix(rng, 6)
     image = transform_bivector(m, {(0, 1): 1, (2, 3): -2})
     assert all(type(x) is int for x in image.values())
+
+
+# --- rational input ---------------------------------------------------------
+# Forms pushed through a rational change of basis, with every reference
+# computed here in plain Fraction arithmetic, apart from the package.
+
+def rational_change_of_basis(rng, dim):
+    """(P, P^-1) with P = M diag(n_k / d_k): M a product of integer
+    shears, 0 < |n_k| <= 9 and 0 < d_k <= 100."""
+    m = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    inv = [row[:] for row in m]
+    for _ in range(8):
+        i, j = rng.sample(range(dim), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        # m <- (I + c E_ij) m and inv <- inv (I - c E_ij)
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+        for row in inv:
+            row[j] -= c * row[i]
+    diag = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                     rng.randint(1, 100)) for _ in range(dim)]
+    p = [[m[i][k] * diag[k] for k in range(dim)] for i in range(dim)]
+    pinv = [[inv[k][j] / diag[k] for j in range(dim)] for k in range(dim)]
+    return p, pinv
+
+
+def double_sum(g, x, y):
+    return sum((Fraction(x[i]) * g[i][j] * y[j] for i in range(len(x))
+                for j in range(len(y))), Fraction(0))
+
+
+def plain_minors(g):
+    n = len(g)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return [[Fraction(g[i][k]) * g[j][l] - Fraction(g[j][k]) * g[i][l]
+             for k, l in pairs] for i, j in pairs]
+
+
+def rational_sample(rng, dim, singular):
+    """(gram, u, v, answer) in a split model U + diag(tail) pushed through
+    a rational change of basis.  u = e_0 is isotropic.  For tangency the
+    answer is whether v has no e_1 component; for a singular point v has
+    none, and the answer is whether v is isotropic (v = (a, 0, t, t, 0..)
+    on the tail (s, -s, ..))."""
+    answer = rng.random() < 0.5
+    tail = [rng.choice([-1, 1]) * rng.randint(1, 9) for _ in range(dim - 2)]
+    while True:
+        v0 = [rng.randint(-9, 9) for _ in range(dim)]
+        if singular:
+            tail[1] = -tail[0]
+            v0[1] = 0
+            if answer:
+                v0[3:] = [v0[2]] + [0] * (dim - 4)
+        else:
+            v0[1] = 0 if answer else rng.choice([-1, 1])
+        g0 = [[0] * dim for _ in range(dim)]
+        g0[0][1] = g0[1][0] = 1
+        for i, d in enumerate(tail):
+            g0[2 + i][2 + i] = d
+        if any(v0[2:]) and (not singular
+                            or answer == (double_sum(g0, v0, v0) == 0)):
+            break
+    p, pinv = rational_change_of_basis(rng, dim)
+    gram = [[double_sum(g0, [r[i] for r in p], [r[j] for r in p])
+             for j in range(dim)] for i in range(dim)]
+    u = [row[0] for row in pinv]
+    v = [sum(row[k] * v0[k] for k in range(dim)) for row in pinv]
+    return gram, u, v, answer
+
+
+@pytest.mark.parametrize("dim", [5, 6, 7])
+def test_rational_forms_match_plain_fraction_references(dim):
+    rng = random.Random(700 + dim)
+    seen = {True: 0, False: 0}
+    for singular in (False, True) * 6:
+        gram, u, v, answer = rational_sample(rng, dim, singular)
+        q = symmetric_form(gram)
+        assert any(x.denominator > 1 for row in q.gram for x in row)
+        c = second_compound(q)
+        assert [list(row) for row in c.gram] == plain_minors(gram)
+        assert all(type(x) is (int if x.denominator == 1 else Fraction)
+                   for row in c.gram for x in row)
+        for x, y in ((u, v), (v, u), (v, v), (gram[0], v)):
+            assert q.evaluate(x, y) == double_sum(gram, x, y)
+        assert double_sum(gram, u, u) == 0
+        if singular:
+            assert double_sum(gram, u, v) == 0
+            assert is_singular_point(q, u, v) == answer
+            assert answer == (double_sum(gram, v, v) == 0)
+        else:
+            assert tangency(q, u, v) == answer
+            assert discriminant_tangency(q, u, v) == answer
+        seen[answer] += 1
+    assert seen[True] and seen[False]
+
+
+def test_the_integer_view_is_not_part_of_the_value():
+    rng = random.Random(710)
+    gram, _, _, _ = rational_sample(rng, 5, False)
+    q = symmetric_form(gram)
+    twin = SymmetricForm(q.gram)
+    assert q == twin and hash(q) == hash(twin) == hash((q.gram,))
+    assert repr(q) == f"SymmetricForm({q.gram!r})"
+    assert q != symmetric_form([[2 * x for x in row] for row in gram])
+    for copied in (copy.copy(q), copy.deepcopy(q),
+                   pickle.loads(pickle.dumps(q))):
+        assert copied == q and hash(copied) == hash(q)
+        assert [[type(x) for x in row] for row in copied.gram] == \
+            [[type(x) for x in row] for row in q.gram]
+        assert second_compound(copied) == second_compound(q)
+    assert all(type(x) is (int if Fraction(g).denominator == 1
+                           else Fraction)
+               for row, grow in zip(q.gram, gram) for x, g in zip(row, grow))
 
 
 # --- wedge bookkeeping ------------------------------------------------------
