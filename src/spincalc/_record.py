@@ -15,8 +15,14 @@ only), hashing and `repr` all read one key tuple, `_key()`: every field
 in slot order, unless the subclass narrows it.  Copying and pickling
 rebuild an instance through its `__init__` from its fields.
 
+Two helpers serve the value types: `exact`, the one exact-scalar rule
+(ints stay ints, other rationals become an int or a ``Fraction``, floats
+and bools raise ``TypeError``), and `signed_sum`, the one renderer of
+sums such as ``2*lambda + ?*delta_1``, an unknown coefficient being `None`.
+
 Building a class costs no more than any class statement, and importing
-this module loads nothing that interpreter start-up has not loaded.
+this module loads nothing that interpreter start-up has not loaded:
+`exact` imports `fractions` the first time it meets a non-int.
 """
 
 from types import MappingProxyType
@@ -65,3 +71,32 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is read-only")
+
+
+def exact(x):
+    """`x` as an int when integral, else as a Fraction; floats and bools
+    are not exact rationals and raise ``TypeError``."""
+    if type(x) is int:
+        return x
+    if isinstance(x, (float, bool)):
+        raise TypeError(f"{type(x).__name__} is inexact; use int or Fraction")
+    import fractions  # here, not at the top: a `schubert` query needs none
+    x = x if type(x) is fractions.Fraction else fractions.Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def signed_sum(terms) -> str:
+    """Render (coefficient, name) pairs as ``c*name + ... - name``: a
+    coefficient of magnitude 1 is left out, a `None` coefficient prints
+    as ``?``, and no terms print as ``0``."""
+    out = []
+    for c, name in terms:
+        negative = c is not None and c < 0
+        body = (f"?*{name}" if c is None else
+                name if abs(c) == 1 else f"{abs(c)}*{name}")
+        if out:
+            body = ("- " if negative else "+ ") + body
+        elif negative:
+            body = "-" + body
+        out.append(body)
+    return " ".join(out) or "0"

@@ -18,6 +18,8 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from functools import cached_property
+from itertools import cycle, islice
 from math import comb
 
 from . import curves, kodaira, lattices, linecomplex, picard, schubert
@@ -40,21 +42,17 @@ class CheckRecord(Record):
     _defaults = (None,)
 
 
+def _count(status: str) -> property:
+    return property(lambda report: sum(c.status == status
+                                       for c in report.checks))
+
+
 class Report(Record):
     __slots__ = ("checks", "seed")
 
-    @property
-    def passed(self) -> int:
-        return sum(1 for c in self.checks if c.status == "pass")
-
-    @property
-    def failed(self) -> int:
-        return sum(1 for c in self.checks if c.status == "fail")
-
-    @property
-    def cited(self) -> int:
-        return sum(1 for c in self.checks
-                   if c.status == "cited-not-replayed")
+    passed = _count("pass")
+    failed = _count("fail")
+    cited = _count("cited-not-replayed")
 
     @property
     def all_passed(self) -> bool:
@@ -63,8 +61,8 @@ class Report(Record):
 
 class _Provider:
     """What a check may draw on: the seeded generator, the property-suite
-    sample counts, and the named classes with an optional
-    single-coefficient perturbation."""
+    sample counts, the named classes with an optional single-coefficient
+    perturbation, and the genus-8 rigidity rows built from those."""
 
     def __init__(self, rng, samples, perturb=None):
         self.rng = rng
@@ -75,18 +73,20 @@ class _Provider:
         if not self.perturb:
             return cls
         target, symbol, delta = self.perturb
-        if target != target_name:
+        if target != target_name or symbol not in picard._basis_set(cls.space):
             return cls
-        if symbol not in picard.basis_symbols(cls.space):
-            return cls
-        bump = picard.divisor_class(cls.space, [(symbol, Fraction(delta))])
-        return cls + bump
+        return cls + picard.divisor_class(cls.space, [(symbol, delta)])
 
     def theta_null(self, g: int):
         return self._apply(picard.theta_null(g), "theta_null")
 
     def bn8(self):
         return self._apply(picard.brill_noether_g8(), "bn8")
+
+    @cached_property
+    def rigidity_g8(self):
+        """The genus-8 rigidity rows, built once from the classes above."""
+        return kodaira.rigidity_report_g8(self.theta_null(8), self.bn8()).rows
 
 
 def _xi_check(g):
@@ -151,8 +151,11 @@ def _grassmannian_check(n, degree, citation):
     return f"schubert-g2{n}-degree", citation, run
 
 
-def _fmt(value) -> str:
-    return str(Fraction(value))
+def _tally(outcomes) -> tuple[str, str]:
+    """(computed, expected) of a property suite: how many of the sampled
+    outcomes hold, against all of them."""
+    held = list(outcomes)
+    return f"{sum(held)}/{len(held)}", f"{len(held)}/{len(held)}"
 
 
 def _build_registry():
@@ -164,7 +167,7 @@ def _build_registry():
         reg.append(_prym_green_check(i))
 
     def nikulin_g6(ctx):
-        return _fmt(pair(curves.xi_curve(6), picard.prym_nikulin_g6())), "-1"
+        return str(pair(curves.xi_curve(6), picard.prym_nikulin_g6())), "-1"
     reg.append(("nikulin-divisor-g6",
                 "Nikulin pencil against the genus-6 Nikulin-section "
                 "divisor: -1", nikulin_g6))
@@ -209,8 +212,8 @@ def _build_registry():
     def decomposition(ctx):
         r = kodaira.canonical_decomposition_g8(theta=ctx.theta_null(8),
                                                bn=ctx.bn8())
-        a = ",".join(_fmt(r.a[i]) for i in range(1, 5))
-        b = ",".join(_fmt(r.b[i]) for i in range(1, 5))
+        a = ",".join(str(r.a[i]) for i in range(1, 5))
+        b = ",".join(str(r.b[i]) for i in range(1, 5))
         positive = all(v > 0 for v in list(r.a.values()) + list(r.b.values()))
         computed = (f"residual={'0' if r.residual.is_zero() else 'nonzero'} "
                     f"a=({a}) b=({b}) "
@@ -237,27 +240,23 @@ def _build_registry():
                 "half-integer fibres", r_invariants))
 
     def r_theta(ctx):
-        return _fmt(pair(curves.r_curve_g8(), ctx.theta_null(8))), "-1"
+        return str(ctx.rigidity_g8[0].self_pairing), "-1"
     reg.append(("r-curve-theta",
                 "doubly-elliptic pencil against the theta-null class: "
                 "9/4 - 52/16 = -1", r_theta))
 
     def r_disjoint(ctx):
-        r = curves.r_curve_g8()
-        bn_pull = picard.pullback_to_spin(ctx.bn8())
-        higher = all(r.pairing(picard.alpha(i)) == 0
-                     and r.pairing(picard.beta(i)) == 0 for i in range(1, 5))
-        computed = (f"bn8-pullback={pair(r, bn_pull)} "
-                    f"higher={'0' if higher else 'nonzero'}")
+        (_, bn_pull), *higher = ctx.rigidity_g8[0].cross_pairings
+        computed = (f"bn8-pullback={bn_pull} higher="
+                    f"{'0' if all(v == 0 for _, v in higher) else 'nonzero'}")
         return computed, "bn8-pullback=0 higher=0"
     reg.append(("r-curve-disjointness",
                 "doubly-elliptic pencil is disjoint from the Brill-Noether "
                 "pullback and the higher boundary", r_disjoint))
 
     def btilde(ctx):
-        lift = curves.btilde_curve(curves.septic_pencil_curve())
-        value = pair(lift, picard.pullback_to_spin(ctx.bn8()))
-        computed = (f"degree={lift.degree} pairing={value} "
+        value = ctx.rigidity_g8[1].self_pairing
+        computed = (f"degree={curves.covering_degree(8)} pairing={value} "
                     f"negative={'yes' if value < 0 else 'no'}")
         return computed, "degree=32896 pairing=-32896 negative=yes"
     reg.append(("btilde-covering",
@@ -334,36 +333,27 @@ def _build_registry():
                 "degree 2 * 5 = 10", wq_degree))
 
     def compound_law(ctx):
-        good = total = 0
-        for q, rank in linecomplex.compound_rank_samples(
-                ctx.rng, ctx.samples[0]):
-            total += 1
-            good += linecomplex.second_compound(q).rank() == comb(rank, 2)
-        return f"{good}/{total}", f"{total}/{total}"
+        return _tally(linecomplex.second_compound(q).rank() == comb(rank, 2)
+                      for q, rank in linecomplex.compound_rank_samples(
+                          ctx.rng, ctx.samples[0]))
     reg.append(("complex-compound-rank-law",
                 "rank of the second compound form is C(rank, 2), sampled "
                 "over all ranks in dimension 5", compound_law))
 
     def tangency_oracle(ctx):
-        good = total = 0
-        for q, u, v in linecomplex.tangency_samples(ctx.rng, ctx.samples[1]):
-            total += 1
-            good += (linecomplex.tangency(q, u, v)
-                     == linecomplex.discriminant_tangency(q, u, v))
-        return f"{good}/{total}", f"{total}/{total}"
+        return _tally(linecomplex.tangency(q, u, v)
+                      == linecomplex.discriminant_tangency(q, u, v)
+                      for q, u, v in linecomplex.tangency_samples(
+                          ctx.rng, ctx.samples[1]))
     reg.append(("complex-tangency-oracle",
                 "compound-form tangency predicate agrees with the binary "
                 "discriminant oracle on random lines", tangency_oracle))
 
     def singularity(ctx):
-        good = total = 0
-        for q, u, v, inside in linecomplex.complex_point_samples(
-                ctx.rng, ctx.samples[2]):
-            total += 1
-            grad = linecomplex.is_singular_point(q, u, v)
-            iso = q.quadratic(v) == 0
-            good += grad == iso == inside
-        return f"{good}/{total}", f"{total}/{total}"
+        return _tally(linecomplex.is_singular_point(q, u, v)
+                      == (q.quadratic(v) == 0) == inside
+                      for q, u, v, inside in linecomplex.complex_point_samples(
+                          ctx.rng, ctx.samples[2]))
     reg.append(("complex-singularity-criterion",
                 "gradient test for singular points of the tangent complex "
                 "agrees with the both-vectors-isotropic criterion",
@@ -374,17 +364,12 @@ def _build_registry():
                      ({(0, 1): 1, (2, 3): 1}, 10),
                      ({(0, 1): 1, (2, 3): 1, (4, 5): 1}, 15)]
         ranks = [linecomplex.plucker_quadric_rank(psi) for psi, _ in canonical]
-        good = total = 0
-        for _ in range(ctx.samples[3]):
-            psi, want = canonical[total % 3]
-            m = linecomplex.random_invertible_matrix(ctx.rng, 6)
-            got = linecomplex.plucker_quadric_rank(
-                linecomplex.transform_bivector(m, psi))
-            total += 1
-            good += got == want
-        computed = (f"{','.join(map(str, ranks))} "
-                    f"conjugates={good}/{total}")
-        return computed, f"6,10,15 conjugates={total}/{total}"
+        got, want = _tally(
+            linecomplex.plucker_quadric_rank(linecomplex.transform_bivector(
+                linecomplex.random_invertible_matrix(ctx.rng, 6), psi)) == rank
+            for psi, rank in islice(cycle(canonical), ctx.samples[3]))
+        return (f"{','.join(map(str, ranks))} conjugates={got}",
+                f"6,10,15 conjugates={want}")
     reg.append(("complex-plucker-trichotomy",
                 "rank trichotomy {6, 10, 15} of quadrics through G(2,6), "
                 "stable under random changes of basis", plucker))
@@ -392,7 +377,7 @@ def _build_registry():
     def eq_solve(ctx):
         rows = [[1, 0], [0, 1]]  # h.H=1 h.B=0 / s.H=0 s.B=1
         coeffs = linecomplex.solve_in_basis(rows, [2, -2])
-        computed = ",".join(_fmt(c) for c in coeffs)
+        computed = ",".join(map(str, coeffs))
         return computed, "2,-2"
     reg.append(("complex-exceptional-class-solve",
                 "exceptional divisor of the complex resolution: pairings "
@@ -400,7 +385,7 @@ def _build_registry():
                 "E = 2H - 2B", eq_solve))
 
     def slope_check(ctx):
-        return _fmt(picard.slope(ctx.bn8())), "22/3"
+        return str(picard.slope(ctx.bn8())), "22/3"
     reg.append(("slope-bn8",
                 "slope of the genus-8 Brill-Noether class: 22/3 = "
                 "6 + 12/(g+1)", slope_check))
@@ -427,8 +412,9 @@ def verify_all(seed: int = DEFAULT_SEED, perturb=None,
     """Run the whole registry and return the report.
 
     `perturb`, when given, is (target, symbol, delta) with target one of
-    "theta_null" / "bn8"; the delta is added to that pinned coefficient
-    wherever the symbol exists, for harness-sensitivity testing.  `quick`
+    "theta_null" / "bn8"; the delta, an int or Fraction (a float fails the
+    checks that read it), is added to that pinned coefficient wherever the
+    symbol exists, for harness-sensitivity testing.  `quick`
     shrinks the property-suite sample counts (the deterministic checks
     are unaffected).  A check that raises is recorded as a failure whose
     computed value is the error; it never aborts the report.

@@ -179,9 +179,9 @@ def _cmd_schubert(args) -> tuple[int, str]:
 
 
 #: one `complex` input entry: an integer or p/q, each part at most 2000
-#: digits, so that every 2x2 minor of integer entries prints within
-#: CPython's 4300-digit limit and no numeral costs more than its text;
-#: the dimension line is an integer of the same grammar
+#: digits, so no numeral costs more than its text; the dimension line is
+#: an integer of the same grammar.  A form's integer view (d G, d) must be
+#: below 10^2000, so each compound entry prints in at most 4001 digits
 _INTEGER = r"[+-]?\d{1,2000}"
 _ENTRY = re.compile(rf"{_INTEGER}(?:/\d{{1,2000}})?", re.ASCII)
 _DIMENSION = re.compile(_INTEGER, re.ASCII)
@@ -226,16 +226,15 @@ def _cmd_complex(args) -> tuple[int, str]:
     if len(rows) < dim:
         raise UsageError(f"expected {dim} matrix rows")
     q = linecomplex.symmetric_form(rows[:dim])
+    bound = 10 ** 2000
+    if q._den >= bound or any(abs(x) >= bound for r in q._ints for x in r):
+        raise UsageError("the matrix times the lcm d of its denominators, "
+                         "and d, must be below 10^2000: 2000 digits a part "
+                         "bounds each entry, not their common denominator")
     vectors = rows[dim:]
     if args.op == "compound":
         c = linecomplex.second_compound(q)
-        try:
-            lines = _matrix_lines(c.gram)
-        except ValueError:  # CPython prints no int of over 4300 digits
-            raise UsageError("a compound entry needs over 4300 digits: "
-                             "2000 digits a part bounds the compounds of "
-                             "integer entries, not of rationals") from None
-        return 0, "\n".join([*lines, f"rank: {c.rank()}"])
+        return 0, "\n".join([*_matrix_lines(c.gram), f"rank: {c.rank()}"])
     if len(vectors) < 2:
         raise UsageError("tangency/singular input needs two "
                          "vector lines after the matrix")

@@ -38,7 +38,7 @@ from functools import cache
 from ._linalg import (SingularMatrixError, _eliminate, bilinear, congruence,
                       dot, mat_det, mat_rank, mat_vec, require_symmetric,
                       scaled, solve)
-from ._record import Record, _set
+from ._record import Record, _set, exact
 
 
 class BasePointNotOnQuadricError(ValueError):
@@ -107,19 +107,9 @@ def _ratio(n: int, d: int):
     return n // d if n % d == 0 else Fraction(n, d)
 
 
-def _exact(x):
-    """`x` as an int when integral, else as a Fraction; floats raise."""
-    if type(x) is int:
-        return x
-    if isinstance(x, float):
-        raise TypeError("float entries are not exact; use int or Fraction")
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
 def symmetric_form(rows) -> SymmetricForm:
     """Build a form from any square symmetric array of rationals."""
-    return SymmetricForm(tuple(tuple(_exact(x) for x in row)
+    return SymmetricForm(tuple(tuple(exact(x) for x in row)
                                for row in rows))
 
 
@@ -271,7 +261,7 @@ def plucker_quadric_rank(psi, dim_v: int = 6) -> int:
     """
     if dim_v != 6:
         raise ValueError("the volume pairing needs a 6-dimensional space")
-    psi = {p: c for p, v in psi.items() if (c := _exact(v))}
+    psi = {p: c for p, v in psi.items() if (c := exact(v))}
     if not psi:
         raise ZeroInputError("zero bivector")
     for (i, j) in psi:
@@ -296,7 +286,7 @@ def transform_bivector(matrix, psi) -> dict:
             c = matrix[k][i] * matrix[l][j] - matrix[k][j] * matrix[l][i]
             if c:
                 out[(k, l)] = out.get((k, l), 0) + p * c
-    return {p: v for p, v in out.items() if v}
+    return {p: c for p, v in out.items() if (c := exact(v))}
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import comb
 from types import MappingProxyType
 
-from ._record import Record, _set
+from ._record import Record, _set, exact, signed_sum
 
 MBAR = "mbar"
 RBAR = "rbar"
@@ -199,7 +199,7 @@ class DivisorClass(Record):
         return (-1) * self
 
     def __mul__(self, c) -> "DivisorClass":
-        c = _rational(c)
+        c = exact(c)
         if c == 0:
             return DivisorClass(self.space, {}, frozenset())
         return DivisorClass(self.space,
@@ -212,14 +212,6 @@ class DivisorClass(Record):
         return format_class(self)
 
 
-def _rational(value) -> Fraction:
-    """`value` as a Fraction; floats and bools are not exact rationals."""
-    if isinstance(value, (float, bool)):
-        raise TypeError(f"coefficients must be int or Fraction, "
-                        f"not {type(value).__name__}")
-    return Fraction(value)
-
-
 def _coefficients(space: ModuliSpace, values,
                   opaque=frozenset()) -> MappingProxyType:
     """`values` (symbol -> rational) as a read-only mapping of nonzero
@@ -227,31 +219,14 @@ def _coefficients(space: ModuliSpace, values,
     outside that basis raises."""
     _require_basis(space, (*values, *opaque))
     return MappingProxyType(
-        {sym: c for sym, v in values.items() if (c := _rational(v))})
+        {sym: Fraction(c) for sym, v in values.items() if (c := exact(v))})
 
 
 def format_class(d: DivisorClass) -> str:
     """Render a class in basis order; opaque coefficients print as `?`."""
-    parts = []
-    for sym in basis_symbols(d.space):
-        if sym in d.opaque:
-            parts.append((None, sym))
-        elif d.coeffs.get(sym):
-            parts.append((d.coeffs[sym], sym))
-    if not parts:
-        return "0"
-    out = []
-    for c, sym in parts:
-        if c is None:
-            out.append(f"+ ?*{sym}" if out else f"?*{sym}")
-            continue
-        mag = abs(c)
-        body = sym if mag == 1 else f"{mag}*{sym}"
-        if not out:
-            out.append(("-" if c < 0 else "") + body)
-        else:
-            out.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(out)
+    return signed_sum((None if sym in d.opaque else d.coeffs[sym], sym)
+                      for sym in basis_symbols(d.space)
+                      if sym in d.opaque or sym in d.coeffs)
 
 
 def divisor_class(space: ModuliSpace, entries=(), opaque=()) -> DivisorClass:

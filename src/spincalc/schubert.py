@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import comb
 from types import MappingProxyType
 
-from ._record import Record, _set
+from ._record import Record, _set, signed_sum
 
 
 class AmbientMismatchError(ValueError):
@@ -90,17 +90,8 @@ class SchubertCycle(Record):
     __rmul__ = __mul__
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (a, b) in sorted(self.terms):
-            c = self.terms[(a, b)]
-            body = f"s({a},{b})"
-            if abs(c) != 1:
-                body = f"{abs(c)}*{body}"
-            parts.append(("- " if c < 0 else "+ ") + body
-                         if parts else ("-" if c < 0 else "") + body)
-        return " ".join(parts)
+        return signed_sum((self.terms[p], f"s({p[0]},{p[1]})")
+                          for p in sorted(self.terms))
 
 
 def sigma(n: int, a: int, b: int = 0, coefficient: int = 1) -> SchubertCycle:

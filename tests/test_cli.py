@@ -2,6 +2,7 @@
 
 import json
 import time
+from math import factorial
 
 import pytest
 
@@ -385,6 +386,29 @@ def test_complex_compound_over_4300_digits_names_the_input_bound(
     assert out == ""
     assert "2000 digits a part" in err
     assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("op", ["compound", "tangency"])
+def test_complex_coprime_denominators_exit_two_at_once(tmp_path, capsys, op):
+    # 28 distinct odd 2000-digit denominators, pairwise coprime: any common
+    # prime of 1 + iK and 1 + jK divides (j - i) K, and every prime below
+    # 28 divides K, so their lcm has about 56000 digits
+    k = factorial(30) * 10 ** 1966
+    dens = iter(1 + i * k for i in range(4, 32))
+    gram = [[""] * 7 for _ in range(7)]
+    for i in range(7):
+        for j in range(i, 7):
+            gram[i][j] = gram[j][i] = f"1/{next(dens)}"
+    rows = [" ".join(row) for row in gram]
+    path = tmp_path / "form.txt"
+    path.write_text("\n".join(["7", *rows, "1 0 0 0 0 0 0",
+                               "0 1 0 0 0 0 0"]) + "\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "complex", "--op", op, "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "below 10^2000" in err
 
 
 def test_complex_failure_after_compound_leaves_stdout_empty(

@@ -118,6 +118,21 @@ def test_no_query_imports_dataclasses_or_inspect(tmp_path):
     assert run_probe(NO_DATACLASSES, json.dumps(queries), cwd=tmp_path) == []
 
 
+#: runs one CLI query and prints the rational-number modules it loaded
+NO_FRACTIONS = """
+import contextlib, io, json, sys
+from spincalc.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(json.loads(sys.argv[1])) == 0
+print(json.dumps(sorted({"fractions", "decimal"} & set(sys.modules))))
+"""
+
+
+def test_schubert_query_loads_no_fractions():
+    (argv,) = [argv for argv, _ in README_QUERIES if argv[0] == "schubert"]
+    assert run_probe(NO_FRACTIONS, json.dumps(argv)) == []
+
+
 def test_library_is_every_module_but_the_cli():
     found = {info.name for info in pkgutil.iter_modules(spincalc.__path__)}
     assert found == LIBRARY | {"cli"}

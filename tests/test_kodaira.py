@@ -130,6 +130,36 @@ def test_perturbing_bn8_breaks_slope_and_septic():
     assert "xi-battery-g8" not in failing
 
 
+def test_perturbing_bn8_delta_0_fails_exactly_the_bn8_checks():
+    report = checks.verify_all(
+        quick=True, perturb=("bn8", "delta_0", Fraction(1)))
+    failing = {c.id for c in report.checks if c.status == "fail"}
+    assert failing == {"btilde-covering", "canonical-decomposition-g8",
+                       "r-curve-disjointness", "septic-pencil", "slope-bn8"}
+
+
+@pytest.mark.parametrize("delta", [0.1, True])
+def test_inexact_perturbation_fails_the_checks_that_read_it(delta):
+    report = checks.verify_all(quick=True, perturb=("bn8", "delta_0", delta))
+    slope = {c.id: c for c in report.checks}["slope-bn8"]
+    assert slope.status == "fail"
+    assert slope.computed.startswith("error: TypeError:")
+
+
+def test_one_wrong_sample_shows_in_the_tally(monkeypatch):
+    from spincalc import linecomplex
+    real, calls = linecomplex.tangency, []
+
+    def wrong_on_the_third(q, u, v):
+        calls.append(None)
+        return real(q, u, v) != (len(calls) == 3)
+    monkeypatch.setattr(linecomplex, "tangency", wrong_on_the_third)
+    by_id = {c.id: c for c in checks.verify_all(quick=True).checks}
+    tan = by_id["complex-tangency-oracle"]
+    assert (tan.computed, tan.expected, tan.status) == ("24/25", "25/25",
+                                                        "fail")
+
+
 def test_check_raising_any_exception_is_recorded_as_fail(monkeypatch):
     build = checks._build_registry
 

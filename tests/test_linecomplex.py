@@ -267,6 +267,13 @@ def test_symmetric_form_rejects_floats():
         symmetric_form([[0.1]])
     with pytest.raises(TypeError):
         symmetric_form([[1, 0], [0, 2.0]])
+    with pytest.raises(TypeError):
+        symmetric_form([[True, 0], [0, 1]])
+    # the bivector transform checks its output coefficients
+    with pytest.raises(TypeError):
+        transform_bivector([[1, 0], [0, 1]], {(0, 1): 0.5})
+    with pytest.raises(TypeError):
+        transform_bivector([[1, 0], [0, 1.5]], {(0, 1): 1})
 
 
 def test_integer_input_stays_integer():

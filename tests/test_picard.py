@@ -366,6 +366,16 @@ def test_named_divisor_bad_params():
         named_divisor("no_such_class", genus=8)
 
 
+def test_format_class_signs_magnitudes_and_opaque_terms():
+    assert format_class(divisor_class(mbar(4), [(LAMBDA, -1), (DELTA0, 2)])) \
+        == "-lambda + 2*delta_0"
+    assert format_class(divisor_class(mbar(4), [(DELTA0, fr(-3, 2))])) \
+        == "-3/2*delta_0"
+    assert format_class(divisor_class(mbar(4), [(LAMBDA, 0)])) == "0"
+    assert format_class(divisor_class(mbar(4), [(DELTA0, fr(-1, 2))],
+                                      {LAMBDA})) == "?*lambda - 1/2*delta_0"
+
+
 def test_format_class():
     assert format_class(brill_noether_g8()) == \
         "22*lambda - 3*delta_0 - 14*delta_1 - 24*delta_2 - 30*delta_3 " \

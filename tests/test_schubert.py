@@ -179,6 +179,16 @@ def test_non_int_scalars_raise(scalar):
         sigma(5, 1, 0) * scalar
 
 
+def test_cycle_rendering():
+    assert str(SchubertCycle(5, {(1, 0): -1, (2, 0): 3})) \
+        == "-s(1,0) + 3*s(2,0)"
+    assert str(sigma(5, 2, 1, coefficient=-4)) == "-4*s(2,1)"
+    assert str(SchubertCycle(5, {(1, 1): 2, (2, 0): -1})) \
+        == "2*s(1,1) - s(2,0)"
+    assert str(SchubertCycle(5, {})) == "0"
+    assert str(sigma(5, 1) * 0) == "0"
+
+
 def test_int_scalars_scale():
     assert 3 * sigma(5, 2, 1) == sigma(5, 2, 1, coefficient=3)
     assert sigma(5, 2, 1) * -2 == sigma(5, 2, 1, coefficient=-2)
