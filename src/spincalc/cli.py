@@ -185,6 +185,12 @@ def _cmd_schubert(args) -> tuple[int, str]:
 _INTEGER = r"[+-]?\d{1,2000}"
 _ENTRY = re.compile(rf"{_INTEGER}(?:/\d{{1,2000}})?", re.ASCII)
 _DIMENSION = re.compile(_INTEGER, re.ASCII)
+#: the work rule of `complex`: the rank of an n x n matrix of D-digit
+#: ints, n = C(dim, 2), costs about n^5 D^2 digit operations, which must
+#: stay at or below this (dim 7 takes entries of up to 69 digits, dim 15
+#: one-digit entries); at the bound a whole `compound` query took under
+#: 0.4 s on a two-core x86-64 VM
+MAX_COMPLEX_WORK = 2 * 10 ** 10
 
 
 def _read_complex_file(path: str):
@@ -212,25 +218,38 @@ def _read_complex_file(path: str):
     return dim, rows
 
 
+def _require_bounds(dim: int, ints, den: int) -> None:
+    """The size rule and the work rule of `complex`, checked before any
+    work on the integer view (`ints`, `den`) of the input."""
+    top = max(abs(x) for row in ints for x in row)
+    if den >= 10 ** 2000 or top >= 10 ** 2000:
+        raise UsageError("the entries times the lcm d of their denominators, "
+                         "and d, must be below 10^2000: 2000 digits a part "
+                         "bounds each entry, not their common denominator")
+    n, digits = dim * (dim - 1) // 2, len(str(top))
+    if n ** 5 * digits ** 2 > MAX_COMPLEX_WORK:
+        raise UsageError(f"too much work: C(dim,2)^5 * D^2 = {n}^5 * "
+                         f"{digits}^2 is above {MAX_COMPLEX_WORK}, where D "
+                         f"counts the digits of the largest entry times d")
+
+
 def _cmd_complex(args) -> tuple[int, str]:
     from . import linecomplex
+    from ._linalg import scaled
     dim, rows = _read_complex_file(args.input)
     if args.op == "plucker-rank":
         if len(rows) < 1 or len(rows[0]) != dim * (dim - 1) // 2:
             raise UsageError(
                 "plucker-rank input: dimension line, then one line of "
                 "C(dim,2) wedge coefficients in lexicographic order")
+        _require_bounds(dim, *scaled(rows[:1]))
         psi = {p: c for p, c in zip(linecomplex.wedge_pairs(dim), rows[0])
                if c}
         return 0, str(linecomplex.plucker_quadric_rank(psi, dim_v=dim))
     if len(rows) < dim:
         raise UsageError(f"expected {dim} matrix rows")
     q = linecomplex.symmetric_form(rows[:dim])
-    bound = 10 ** 2000
-    if q._den >= bound or any(abs(x) >= bound for r in q._ints for x in r):
-        raise UsageError("the matrix times the lcm d of its denominators, "
-                         "and d, must be below 10^2000: 2000 digits a part "
-                         "bounds each entry, not their common denominator")
+    _require_bounds(dim, q._ints, q._den)
     vectors = rows[dim:]
     if args.op == "compound":
         c = linecomplex.second_compound(q)

@@ -19,13 +19,19 @@ rank of B is 6, 10 or 15 according to the wedge-rank of psi.
 Everything is exact rational arithmetic, done in Python ints.  A form
 clears its denominators once, when it is built: it keeps its Gram G as
 given and an integer view (d G, d) with d the lcm of the denominators of
-G.  Compounds, evaluations and gradients run on that view, and
+G.  Compounds, evaluations and gradients run on that view.  A derived
+form (a compound, a sampled form) is built from its own view, and its
+Gram is built from the view the first time it is read, so the rank of a
+compound never builds a `Fraction`.  A bivector transform clears the
+denominators of the matrix and of the bivector once and divides each
+image coefficient once, and the Pluecker rank eliminates int rows.
 `Fraction` appears only in an answer that has a denominator: an entry of
-the compound of a rational form, or a value of `evaluate`.  Tangency and
-singularity ask only whether something vanishes, which scaling q, u or v
-by a positive number does not change, so they never build a `Fraction`.
-Integral entries are stored as ints, so compounds, wedge coordinates and
-bivector transforms of integer input are integer.  Floats are refused.
+the Gram of a rational compound, a value of `evaluate`, or an image
+coefficient.  Tangency and singularity ask only whether something
+vanishes, which scaling q, u or v by a positive number does not change,
+so they never build a `Fraction`.  Integral entries are stored as ints,
+so compounds, wedge coordinates and bivector transforms of integer input
+are integer.  Floats are refused.
 The random samplers draw integer entries in [-9, 9] from a
 caller-supplied seeded generator.
 """
@@ -34,6 +40,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import chain
+from math import gcd
 
 from ._linalg import (SingularMatrixError, _eliminate, bilinear, congruence,
                       dot, mat_det, mat_rank, mat_vec, require_symmetric,
@@ -63,7 +71,11 @@ class SymmetricForm(Record):
     Besides `gram` it keeps the integer view `_ints` = d G, as int rows,
     and `_den` = d, the lcm of the denominators of G.  The view is a
     cache: equality, hashing and `repr` read `gram` alone, and copying
-    and pickling rebuild the form from `gram`.
+    and pickling rebuild the form from `gram`.  A form derived inside
+    this module (a compound, a sampled form) is built from its view by
+    `_from_view`, and its `gram` is built from the view the first time it
+    is read; `dim`, `evaluate` on an integral form and `rank` read the
+    view alone.
     """
 
     __slots__ = ("gram", "_ints", "_den")
@@ -75,6 +87,25 @@ class SymmetricForm(Record):
         _set(self, "_ints", ints)
         _set(self, "_den", den)
 
+    @classmethod
+    def _from_view(cls, ints: list, den: int) -> SymmetricForm:
+        """The form with Gram ints / den, for symmetric int rows `ints`
+        and den > 0 that have no common factor."""
+        form = object.__new__(cls)
+        _set(form, "_ints", ints)
+        _set(form, "_den", den)
+        return form
+
+    def __getattr__(self, name):
+        # reached only while a slot is empty: `gram` of a form built by
+        # `_from_view`, until it is first read
+        if name != "gram":
+            raise AttributeError(f"SymmetricForm has no attribute {name!r}")
+        d = self._den
+        _set(self, "gram", tuple(tuple(_ratio(x, d) for x in row)
+                                 for row in self._ints))
+        return self.gram
+
     def _key(self) -> tuple:
         return (self.gram,)
 
@@ -83,14 +114,14 @@ class SymmetricForm(Record):
 
     @property
     def dim(self) -> int:
-        return len(self.gram)
+        return len(self._ints)
 
     def evaluate(self, u, v):
         """Bilinear value u^T G v."""
         if len(u) != self.dim or len(v) != self.dim:
             raise ValueError("vector length must match the form dimension")
         if self._den == 1:
-            return bilinear(self.gram, u, v)
+            return bilinear(self._ints, u, v)
         (iu,), du = scaled((u,))
         (iv,), dv = scaled((v,))
         return _ratio(bilinear(self._ints, iu, iv), self._den * du * dv)
@@ -138,13 +169,16 @@ def _compound_rows(g) -> list:
 def second_compound(q: SymmetricForm) -> SymmetricForm:
     """Second compound form on the wedge square: the 2x2-minor matrix of
     the Gram of q.  Its rank is C(rank q, 2).
+
+    The minors of the view d G are the compound times d^2, so its own
+    view is the minors and d^2, both divided by their gcd.
     """
     rows = _compound_rows(q._ints)
-    if q._den == 1:
-        return SymmetricForm(tuple(map(tuple, rows)))
     d2 = q._den ** 2
-    return SymmetricForm(tuple(tuple(_ratio(c, d2) for c in row)
-                               for row in rows))
+    g = gcd(d2, *chain.from_iterable(rows))
+    if g > 1:
+        rows = [[c // g for c in row] for row in rows]
+    return SymmetricForm._from_view(rows, d2 // g)
 
 
 def _require_line(u, v) -> list:
@@ -255,6 +289,8 @@ def plucker_quadric_rank(psi, dim_v: int = 6) -> int:
     `psi` maps index pairs (i, j), i < j < dim_v, to rational
     coefficients.  For dim_v = 6 the rank is 6 for decomposable psi (a
     Pluecker quadric), 10 for wedge-rank two, 15 for wedge-rank three.
+    The coefficients are cleared of denominators first: a positive scale
+    does not change the rank.
 
     >>> plucker_quadric_rank({(0, 1): 1})
     6
@@ -267,6 +303,8 @@ def plucker_quadric_rank(psi, dim_v: int = 6) -> int:
     for (i, j) in psi:
         if not 0 <= i < j < dim_v:
             raise ValueError(f"bad index pair {(i, j)}")
+    (coefs,), _ = scaled((psi.values(),))
+    psi = dict(zip(psi, coefs))
     size = len(wedge_pairs(dim_v))
     rows = [[0] * size for _ in range(size)]
     for row, col, rest, sign in _volume_signs():
@@ -278,15 +316,19 @@ def plucker_quadric_rank(psi, dim_v: int = 6) -> int:
 
 def transform_bivector(matrix, psi) -> dict:
     """Image of a bivector under the wedge square of a linear map
-    (e_i -> sum_k matrix[k][i] e_k)."""
-    n = len(matrix)
+    (e_i -> sum_k matrix[k][i] e_k), accumulated in ints from the matrix
+    m / d and the coefficients p / e, then divided by d^2 e once."""
+    m, d = scaled(matrix)
+    (coefs,), e = scaled(([exact(v) for v in psi.values()],))
+    n = len(m)
     out: dict = {}
-    for (i, j), p in psi.items():
+    for (i, j), p in zip(psi, coefs):
         for k, l in wedge_pairs(n):
-            c = matrix[k][i] * matrix[l][j] - matrix[k][j] * matrix[l][i]
+            c = m[k][i] * m[l][j] - m[k][j] * m[l][i]
             if c:
                 out[(k, l)] = out.get((k, l), 0) + p * c
-    return {p: c for p, v in out.items() if (c := exact(v))}
+    den = d * d * e
+    return {p: _ratio(c, den) for p, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +347,14 @@ def random_invertible_matrix(rng, dim: int) -> list:
 
 
 def random_unimodular_pair(rng, dim: int, steps: int = 10):
-    """Random integer change of basis together with its integer inverse.
+    """Random integer change of basis P together with the transpose of
+    its integer inverse, whose row k is P^-1 e_k.
 
     Built as a product of row shears and swaps (determinant +-1), so the
     inverse stays integral and entries stay small in the sampling loops.
     """
     m = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    inv = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    inv_t = [[int(i == j) for j in range(dim)] for i in range(dim)]
     for _ in range(steps):
         i = rng.randrange(dim)
         j = rng.randrange(dim)
@@ -320,17 +363,16 @@ def random_unimodular_pair(rng, dim: int, steps: int = 10):
             continue
         if rng.random() < 0.2:
             # swap: self-inverse, applied on the left of m and the
-            # right of inv
+            # right of the inverse, i.e. to the rows of its transpose
             m[i], m[j] = m[j], m[i]
-            for row in inv:
-                row[i], row[j] = row[j], row[i]
+            inv_t[i], inv_t[j] = inv_t[j], inv_t[i]
             continue
         c = rng.randint(-3, 3)
-        # m <- S m with S = I + c E_ij; inv <- inv S^{-1}
+        # m <- S m with S = I + c E_ij; inverse <- inverse S^{-1}, whose
+        # column j loses c times column i
         m[i] = [a + c * b for a, b in zip(m[i], m[j])]
-        for row in inv:
-            row[j] -= c * row[i]
-    return m, inv
+        inv_t[j] = [a - c * b for a, b in zip(inv_t[j], inv_t[i])]
+    return m, inv_t
 
 
 def random_symmetric_form_of_rank(rng, dim: int, rank: int) -> SymmetricForm:
@@ -342,7 +384,7 @@ def random_symmetric_form_of_rank(rng, dim: int, rank: int) -> SymmetricForm:
     for i in range(rank):
         g0[i][i] = _nonzero(rng)
     p, _ = random_unimodular_pair(rng, dim)
-    return symmetric_form(congruence(p, g0))
+    return SymmetricForm._from_view(congruence(p, g0), 1)
 
 
 def _nonzero(rng):
@@ -360,11 +402,8 @@ def _conjugated_split_sample(rng, diag_tail):
     g0[0][1] = g0[1][0] = 1
     for i, d in enumerate(diag_tail):
         g0[2 + i][2 + i] = d
-    p, pinv = random_unimodular_pair(rng, dim)
-    gram = congruence(p, g0)
-    # in the new coordinates the old basis vector e_k is P^{-1} e_k
-    images = [[pinv[r][k] for r in range(dim)] for k in range(dim)]
-    return symmetric_form(gram), images
+    p, images = random_unimodular_pair(rng, dim)
+    return SymmetricForm._from_view(congruence(p, g0), 1), images
 
 
 def tangency_samples(rng, count: int, dim: int = 5):

@@ -1,8 +1,9 @@
 """Command-line surface: outputs, exit codes, file formats."""
 
 import json
+import random
 import time
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -409,6 +410,73 @@ def test_complex_coprime_denominators_exit_two_at_once(tmp_path, capsys, op):
     assert code == 2
     assert out == ""
     assert "below 10^2000" in err
+
+
+def dense_form_file(path, dim, digits, seed=1):
+    """A seeded dense symmetric form with entries of exactly `digits`
+    digits (0 or 1 for `digits` = 0), then two unit vectors."""
+    rng = random.Random(seed)
+    gram = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            gram[i][j] = gram[j][i] = (
+                rng.randint(0, 1) if digits == 0 else
+                rng.choice([-1, 1]) * rng.randrange(10 ** (digits - 1),
+                                                    10 ** digits))
+    units = [" ".join("1" if k == i else "0" for k in range(dim))
+             for i in (0, 1)]
+    path.write_text("\n".join([str(dim), *(" ".join(map(str, row))
+                                           for row in gram), *units]) + "\n")
+
+
+@pytest.mark.parametrize("op,dim,digits", [
+    ("compound", 7, 2000), ("compound", 7, 200), ("compound", 6, 400),
+    ("compound", 60, 0), ("tangency", 60, 0), ("singular", 60, 0),
+    ("compound", 16, 1),
+])
+def test_complex_work_rule_exits_two_at_once(tmp_path, capsys, op, dim,
+                                             digits):
+    path = tmp_path / "form.txt"
+    dense_form_file(path, dim, digits)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "complex", "--op", op, "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: too much work: C(dim,2)^5 * D^2")
+
+
+@pytest.mark.parametrize("dim,digits", [(7, 50), (7, 69), (6, 162), (4, 1603),
+                                        (15, 1)])
+def test_complex_work_rule_keeps_queries_inside_it(tmp_path, capsys, dim,
+                                                   digits):
+    path = tmp_path / "form.txt"
+    dense_form_file(path, dim, digits)
+    assert comb(dim, 2) ** 5 * digits ** 2 <= cli.MAX_COMPLEX_WORK
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "complex", "--op", "compound",
+                       "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out.splitlines()[-1] == f"rank: {comb(dim, 2)}"
+
+
+@pytest.mark.parametrize("coefficients,message", [
+    (["9" * 2000] * 15, "too much work"),
+    ([f"1/{1 + i * factorial(30) * 10 ** 1966}" for i in range(4, 19)],
+     "below 10^2000"),
+], ids=["2000-digit-integers", "coprime-denominators"])
+def test_complex_plucker_rank_meets_both_rules(tmp_path, capsys,
+                                               coefficients, message):
+    path = tmp_path / "psi.txt"
+    path.write_text("6\n" + " ".join(coefficients) + "\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "complex", "--op", "plucker-rank",
+                         "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_complex_failure_after_compound_leaves_stdout_empty(

@@ -1,14 +1,17 @@
 """Second compound forms, tangency, singular points and Pluecker ranks."""
 
 import copy
+import hashlib
 import pickle
 import random
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 import pytest
 
-from spincalc._linalg import SingularMatrixError, mat_rank
+from spincalc import linecomplex
+from spincalc._linalg import SingularMatrixError, mat_rank, scaled
 from spincalc.linecomplex import (BasePointNotOnQuadricError,
                                   DependentVectorsError, NotInComplexError,
                                   SymmetricForm, ZeroInputError,
@@ -276,6 +279,17 @@ def test_symmetric_form_rejects_floats():
         transform_bivector([[1, 0], [0, 1.5]], {(0, 1): 1})
 
 
+def test_transform_bivector_refuses_a_float_it_never_multiplies():
+    # column 0 of the matrix and the coefficient of a vanishing minor take
+    # no part in the image, yet the input is still inexact
+    identity = [[int(i == j) for j in range(6)] for i in range(6)]
+    identity[0][0] = 1.0
+    with pytest.raises(TypeError):
+        transform_bivector(identity, {(2, 3): 1})
+    with pytest.raises(TypeError):
+        transform_bivector([[1, 1], [1, 1]], {(0, 1): 0.5})
+
+
 def test_integer_input_stays_integer():
     rng = random.Random(77)
     for rank in range(6):
@@ -404,6 +418,98 @@ def test_the_integer_view_is_not_part_of_the_value():
                for row, grow in zip(q.gram, gram) for x, g in zip(row, grow))
 
 
+# --- derived forms ----------------------------------------------------------
+# A compound is built from its integer view; its Gram is built on first read.
+
+@pytest.mark.parametrize("dim", [5, 6, 7])
+def test_compounds_of_rational_forms_equal_their_public_twins(dim):
+    rng = random.Random(720 + dim)
+    for singular in (False, True):
+        gram, _, _, _ = rational_sample(rng, dim, singular)
+        c = second_compound(symmetric_form(gram))
+        view = (c._ints, c._den)
+        assert view == scaled(c.gram)
+        reference = plain_minors(gram)
+        assert [list(row) for row in c.gram] == reference
+        assert [[type(x) for x in row] for row in c.gram] == \
+            [[int if x.denominator == 1 else Fraction for x in row]
+             for row in reference]
+        twin = symmetric_form(c.gram)
+        assert (twin._ints, twin._den) == view
+        assert c == twin and twin == c and hash(c) == hash(twin)
+        assert repr(c) == repr(twin)
+        for copied in (copy.copy(c), copy.deepcopy(c),
+                       pickle.loads(pickle.dumps(c))):
+            assert copied == twin and hash(copied) == hash(twin)
+            assert (copied._ints, copied._den) == view
+
+
+def test_sampled_forms_equal_their_public_twins():
+    rng = random.Random(730)
+    for q, rank in compound_rank_samples(rng, count=3):
+        twin = symmetric_form(q.gram)
+        assert q == twin and hash(q) == hash(twin) and q.rank() == rank
+        assert all(type(x) is int for row in q.gram for x in row)
+    for q, _, _ in tangency_samples(rng, 3):
+        assert q == symmetric_form(q.gram) and q.rank() == 5
+
+
+@pytest.mark.parametrize("dim", [5, 6, 7])
+def test_rational_compound_rank_and_plucker_rank_build_no_fraction(
+        dim, monkeypatch):
+    rng = random.Random(740 + dim)
+    gram, _, _, _ = rational_sample(rng, dim, False)
+    q = symmetric_form(gram)
+    m, _ = rational_change_of_basis(rng, 6)
+    images = [transform_bivector(m, psi) for psi in
+              ({(0, 1): Fraction(1, 3)},
+               {(0, 1): 1, (2, 3): Fraction(-2, 7)},
+               {(0, 1): Fraction(5, 2), (2, 3): 1, (4, 5): -3})]
+    assert all(any(type(c) is Fraction for c in image.values())
+               for image in images)
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    def int_rank(rows):
+        assert all(type(x) is int for row in rows for x in row)
+        return mat_rank(rows)
+    monkeypatch.setattr(linecomplex, "Fraction", no_fraction)
+    monkeypatch.setattr(linecomplex, "mat_rank", int_rank)
+    assert second_compound(q).rank() == comb(dim, 2)
+    assert [plucker_quadric_rank(image) for image in images] == [6, 10, 15]
+
+
+# --- sampler draws ----------------------------------------------------------
+
+def sha256_of(samples):
+    return hashlib.sha256(repr(list(samples)).encode()).hexdigest()
+
+
+def test_samplers_keep_their_draws():
+    # the first 50 samples of each sampler at seed 1729, as drawn before
+    # the samplers built their forms from integer views
+    def rng():
+        return random.Random(1729)
+    invertible = rng()
+    assert {
+        "compound": sha256_of(islice(compound_rank_samples(rng(), 10), 50)),
+        "tangency": sha256_of(tangency_samples(rng(), 50)),
+        "complex": sha256_of(complex_point_samples(rng(), 50)),
+        "invertible": sha256_of(random_invertible_matrix(invertible, 6)
+                                for _ in range(50)),
+    } == {
+        "compound": "28eef2ece53e2d5be81a2f097276ef9f"
+                    "02edd32aad0edfbdac72322ff692c25f",
+        "tangency": "760a141e53930fbe6c391394c05281ee"
+                    "dcbbb81ee8b83ec1c4a4af3019249599",
+        "complex": "6f0c68144743a33523c7f9c14a872a95"
+                   "415bdce34963bfa519c7aa5a1de86b91",
+        "invertible": "b5b08bc547b2591c3ae63b6a6f78704c"
+                      "3d8b9a50e8e98e79d35df648cd393a6b",
+    }
+
+
 # --- wedge bookkeeping ------------------------------------------------------
 
 def test_wedge_pairs_lexicographic():
@@ -418,10 +524,11 @@ def test_wedge_coordinates_antisymmetric():
 
 
 def test_unimodular_pair_inverts():
+    # the second matrix is the transpose of the inverse: row j is P^-1 e_j
     rng = random.Random(31)
     for _ in range(10):
-        m, inv = random_unimodular_pair(rng, 5)
-        prod = [[sum(m[i][k] * inv[k][j] for k in range(5))
+        m, inv_t = random_unimodular_pair(rng, 5)
+        prod = [[sum(m[i][k] * inv_t[j][k] for k in range(5))
                  for j in range(5)] for i in range(5)]
         assert prod == [[int(i == j) for j in range(5)] for i in range(5)]
 
