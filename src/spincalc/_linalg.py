@@ -2,7 +2,7 @@
 
 Denominators are cleared in one place, `scaled`, which multiplies a
 matrix by the lcm d of all its denominators and returns Python int rows
-together with d.  Every elimination in the package runs through
+together with d; it also refuses any entry but an int or a Fraction.  Every elimination in the package runs through
 `_eliminate`, a single fraction-free Bareiss elimination of such int rows
 (Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
 elimination", Math. Comp. 22, 1968): every entry is an integer minor of
@@ -30,17 +30,23 @@ class SingularMatrixError(ValueError):
     """A square system with no unique solution."""
 
 
+#: the entry types `scaled` takes (a bool is an int to Python, not here)
+_INTS = frozenset((int,))
+_RATIONALS = frozenset((int, Fraction))
+
+
 def scaled(mat) -> tuple[list, int]:
     """The matrix times the lcm d of all its denominators, as lists of
-    ints, and d.  Raises ``TypeError`` on an entry without a denominator,
-    such as a float."""
-    try:
-        d = lcm(*{x.denominator for row in mat for x in row})
-    except AttributeError:
-        raise TypeError("matrix entries must be int or Fraction; "
-                        "floats are not exact") from None
-    if d == 1:
-        return [[x.numerator for x in row] for row in mat], 1
+    ints, and d.  This is the one exactness check of the kernel: an entry
+    that is not an int or a Fraction, such as a float or a bool, raises
+    ``TypeError``."""
+    kinds = {type(x) for row in mat for x in row}
+    if kinds <= _INTS:
+        return [list(row) for row in mat], 1
+    if not kinds <= _RATIONALS:
+        raise TypeError("matrix entries must be int or Fraction; floats "
+                        "and bools are not exact rationals")
+    d = lcm(*{x.denominator for row in mat for x in row})
     return [[x.numerator * (d // x.denominator) for x in row]
             for row in mat], d
 

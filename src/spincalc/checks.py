@@ -8,9 +8,11 @@ results rather than computation carry the status ``cited-not-replayed``.
 
 The registry order is fixed, so reports are deterministic; the only
 randomness is in the property-suite samplers, driven by an explicit seed.
-A single pinned coefficient of the theta-null or Brill-Noether class can
-be perturbed through ``verify_all(perturb=...)`` to confirm the harness
-actually depends on every input (fault injection).
+Checks read their pinned divisor classes only through `_Provider.divisor`,
+by name: canonical, theta_null, bn8, prym_green, nikulin_N6, hodge_c1 and
+d2_nonveryample (see `picard.named_divisor`).  One coefficient of any of
+them can be perturbed through ``verify_all(perturb=...)`` to confirm the
+harness actually depends on it (fault injection).
 """
 
 from __future__ import annotations
@@ -68,31 +70,29 @@ class _Provider:
         self.rng = rng
         self.samples = samples
         self.perturb = perturb
+        self.perturbed = False
 
-    def _apply(self, cls, target_name):
-        if not self.perturb:
-            return cls
-        target, symbol, delta = self.perturb
-        if target != target_name or symbol not in picard._basis_set(cls.space):
-            return cls
-        return cls + picard.divisor_class(cls.space, [(symbol, delta)])
-
-    def theta_null(self, g: int):
-        return self._apply(picard.theta_null(g), "theta_null")
-
-    def bn8(self):
-        return self._apply(picard.brill_noether_g8(), "bn8")
+    def divisor(self, name: str, **where):
+        """`picard.named_divisor(name, **where)`, plus the `perturb` delta
+        when `perturb` names this class and a symbol it pins."""
+        d = picard.named_divisor(name, **where)
+        target, symbol, delta = self.perturb or (None,) * 3
+        pins = picard._basis_set(d.space) - d.opaque
+        if target != name or symbol not in pins:
+            return d
+        self.perturbed = True
+        return d + picard.divisor_class(d.space, [(symbol, delta)])
 
     @cached_property
     def rigidity_g8(self):
         """The genus-8 rigidity rows, built once from the classes above."""
-        return kodaira.rigidity_report_g8(self.theta_null(8), self.bn8()).rows
+        return kodaira.rigidity_report_g8(self.divisor).rows
 
 
 def _xi_check(g):
     def run(ctx):
         xi = curves.xi_curve(g)
-        k = pair(xi, picard.canonical_class(picard.rbar(g)))
+        k = pair(xi, ctx.divisor("canonical", space=picard.rbar(g)))
         computed = (f"lambda={xi.pairing(picard.LAMBDA)} "
                     f"delta_0'={xi.pairing(picard.D0P)} "
                     f"delta_0''={xi.pairing(picard.D0PP)} "
@@ -109,7 +109,7 @@ def _xi_check(g):
 def _prym_green_check(i):
     g = 2 * i + 6
     def run(ctx):
-        value = pair(curves.xi_curve(g), picard.prym_green(i))
+        value = pair(curves.xi_curve(g), ctx.divisor("prym_green", param=i))
         return str(value), str(-comb(2 * i + 3, i))
     return (f"prym-green-i{i}",
             f"Nikulin pencil against the Prym-Green virtual class at genus "
@@ -123,11 +123,11 @@ def _theta_rigidity_check(g):
     theta_expected = kodaira.theta_null_pencil_pairing(g)
     def run(ctx):
         c = curves.gamma_curve(g)
-        theta = ctx.theta_null(g)
-        report = kodaira.theta_rigidity_report(g, theta=theta)
-        higher = "0" if all(v == 0 for _, v in
-                            report.rows[0].cross_pairings) else "nonzero"
-        computed = (f"theta={pair(c, theta)} "
+        report = kodaira.theta_rigidity_report(g, ctx.divisor)
+        row = report.rows[0]
+        higher = "0" if all(v == 0 for _, v in row.cross_pairings) \
+            else "nonzero"
+        computed = (f"theta={row.self_pairing} "
                     f"lambda={c.pairing(picard.LAMBDA)} "
                     f"alpha_0={c.pairing(picard.ALPHA0)} "
                     f"beta_0={c.pairing(picard.BETA0)} higher={higher} "
@@ -167,13 +167,13 @@ def _build_registry():
         reg.append(_prym_green_check(i))
 
     def nikulin_g6(ctx):
-        return str(pair(curves.xi_curve(6), picard.prym_nikulin_g6())), "-1"
+        return str(pair(curves.xi_curve(6), ctx.divisor("nikulin_N6"))), "-1"
     reg.append(("nikulin-divisor-g6",
                 "Nikulin pencil against the genus-6 Nikulin-section "
                 "divisor: -1", nikulin_g6))
 
     def hodge3(ctx):
-        return (picard.format_class(picard.twisted_hodge_c1(3)),
+        return (picard.format_class(ctx.divisor("hodge_c1", param=3)),
                 "37*lambda - 3*delta_0' - 3*delta_0'' - 33/4*delta_0^ram "
                 "+ ?*pi_delta_1 + ?*pi_delta_2")
     reg.append(("hodge-c1-3",
@@ -184,9 +184,9 @@ def _build_registry():
                 "delta_0 in its place is inconsistent with that formula"))
 
     def d1d2(ctx):
-        d1 = picard.twisted_hodge_c1(3) - picard.sym_power_c1(
-            picard.twisted_hodge_c1(1), rank=4, power=3)
-        diff = d1 - picard.non_very_ample_g5()
+        d1 = ctx.divisor("hodge_c1", param=3) - picard.sym_power_c1(
+            ctx.divisor("hodge_c1", param=1), rank=4, power=3)
+        diff = d1 - ctx.divisor("d2_nonveryample")
         return (picard.format_class(diff),
                 "8*lambda - delta_0' - delta_0'' - 2*delta_0^ram "
                 "+ ?*pi_delta_1 + ?*pi_delta_2")
@@ -200,7 +200,7 @@ def _build_registry():
 
     def septic(ctx):
         m = curves.septic_pencil_curve()
-        value = pair(m, ctx.bn8())
+        value = pair(m, ctx.divisor("bn8"))
         computed = (f"lambda={m.pairing(picard.LAMBDA)} "
                     f"delta_0={m.pairing(picard.DELTA0)} bn8={value}")
         return computed, "lambda=8 delta_0=59 bn8=-1"
@@ -210,8 +210,7 @@ def _build_registry():
                 "(in units of its positive normalization)", septic))
 
     def decomposition(ctx):
-        r = kodaira.canonical_decomposition_g8(theta=ctx.theta_null(8),
-                                               bn=ctx.bn8())
+        r = kodaira.canonical_decomposition_g8(ctx.divisor)
         a = ",".join(str(r.a[i]) for i in range(1, 5))
         b = ",".join(str(r.b[i]) for i in range(1, 5))
         positive = all(v > 0 for v in list(r.a.values()) + list(r.b.values()))
@@ -385,7 +384,7 @@ def _build_registry():
                 "E = 2H - 2B", eq_solve))
 
     def slope_check(ctx):
-        return str(picard.slope(ctx.bn8())), "22/3"
+        return str(picard.slope(ctx.divisor("bn8"))), "22/3"
     reg.append(("slope-bn8",
                 "slope of the genus-8 Brill-Noether class: 22/3 = "
                 "6 + 12/(g+1)", slope_check))
@@ -411,12 +410,14 @@ def verify_all(seed: int = DEFAULT_SEED, perturb=None,
                quick: bool = False) -> Report:
     """Run the whole registry and return the report.
 
-    `perturb`, when given, is (target, symbol, delta) with target one of
-    "theta_null" / "bn8"; the delta, an int or Fraction (a float fails the
-    checks that read it), is added to that pinned coefficient wherever the
-    symbol exists, for harness-sensitivity testing.  `quick`
-    shrinks the property-suite sample counts (the deterministic checks
-    are unaffected).  A check that raises is recorded as a failure whose
+    `perturb`, when given, is (target, symbol, delta), the target a name
+    of `picard.named_divisor`: "canonical", "theta_null", "bn8",
+    "prym_green", "nikulin_N6", "hodge_c1" or "d2_nonveryample".  The
+    delta, an int or Fraction (a float or bool fails the checks that read
+    it), is added to that coefficient of every such class a check reads;
+    ``ValueError`` is raised if none pins the symbol.  `quick` shrinks
+    the property-suite sample counts (the deterministic checks are
+    unaffected).  A check that raises is recorded as a failure whose
     computed value is the error; it never aborts the report.
     """
     rng = random.Random(seed)
@@ -434,6 +435,8 @@ def verify_all(seed: int = DEFAULT_SEED, perturb=None,
         status = "pass" if computed == expected else "fail"
         records.append(CheckRecord(check_id, citation, computed, expected,
                                    status, *note))
+    if perturb and not ctx.perturbed:
+        raise ValueError(f"no class the checks read pins {perturb[:2]!r}")
     for check_id, citation in _CITED_ROWS:
         records.append(CheckRecord(check_id, citation, "", "",
                                    "cited-not-replayed"))

@@ -149,12 +149,24 @@ def _cmd_lattice(args) -> tuple[int, str]:
 _INT_FACTOR = re.compile(r"^-?\d+$")
 #: s(a,b), s(a) or sa, each with an optional power ^k
 _FACTOR = re.compile(r"^s(?:\((\d+)(?:,(\d+))?\)|(\d+))(?:\^(\d+))?$")
+#: the largest `schubert --n`: a degree takes about n^2 Pieri terms, and
+#: at the cap a whole `--expr s1 --degree` query took under 0.8 s on a
+#: two-core x86-64 VM
+MAX_SCHUBERT_N = 1000
+#: the digits of all numerals of a `schubert` expression together: the
+#: integer factors then multiply to below 10^2000, so with a Schubert
+#: coefficient of G(2, 1000) (below 10^600) every number prints within
+#: CPython's 4300-digit limit, and no expression has more factors
+MAX_SCHUBERT_DIGITS = 2000
 
 
 def parse_schubert_expr(n: int, expr: str):
     """Parse products like "4*s(2,1)*s1^3" into a `SchubertCycle` in
     G(2, n)."""
     from . import schubert
+    if sum(map(len, re.findall(r"\d+", expr))) > MAX_SCHUBERT_DIGITS:
+        raise UsageError(f"the numerals of an expression may have at most "
+                         f"{MAX_SCHUBERT_DIGITS} digits together")
     result = schubert.sigma(n, 0, 0)
     for raw in expr.split("*"):
         token = raw.strip()
@@ -167,13 +179,18 @@ def parse_schubert_expr(n: int, expr: str):
         if not m:
             raise UsageError(f"cannot parse factor {token!r}")
         a, b = int(m.group(1) or m.group(3)), int(m.group(2) or 0)
-        for _ in range(int(m.group(4) or 1)):
+        # 2n - 3 factors of positive codimension make the product zero,
+        # and s(0,0) is the unit, so a higher power changes nothing
+        for _ in range(min(int(m.group(4) or 1), 2 * n - 3)):
             result = schubert.multiply(result, schubert.sigma(n, a, b))
     return result
 
 
 def _cmd_schubert(args) -> tuple[int, str]:
     from . import schubert
+    if args.n > MAX_SCHUBERT_N:
+        raise UsageError(f"--n must be at most {MAX_SCHUBERT_N}, "
+                         f"not {args.n}")
     cycle = parse_schubert_expr(args.n, args.expr)
     return 0, str(schubert.degree(cycle) if args.degree else cycle)
 

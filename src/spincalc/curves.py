@@ -24,7 +24,7 @@ from fractions import Fraction
 from ._record import Record, _set
 from .picard import (ALPHA0, BETA0, D0P, D0RAM, DELTA0, LAMBDA, MBAR, SPIN,
                      DivisorClass, ModuliSpace, SpaceMismatchError,
-                     _coefficients, _require_basis, basis_symbols,
+                     _coefficients, _entries, _require_basis, basis_symbols,
                      covering_images, delta, mbar, rbar, spin_plus)
 
 
@@ -81,7 +81,9 @@ class CurveClass(Record):
 
 
 def curve_class(space, entries=(), label="") -> CurveClass:
-    return CurveClass(space, dict(entries), label)
+    """Build a curve class from (symbol, pairing) pairs; a symbol listed
+    twice raises, as in `picard.divisor_class`."""
+    return CurveClass(space, _entries(entries), label)
 
 
 class SurfacePencilSpec(Record):

@@ -11,7 +11,8 @@ with strictly positive coefficients (a_i, b_i) = (4,8), (10,14), (13,17),
 (14,18).  Each summand is covered by a pencil pairing negatively with it
 and zero with the others, which certifies that the whole class is rigid.
 This module replays exactly that numeric skeleton; the bridging geometric
-steps are quoted, not recomputed.
+steps are quoted, not recomputed.  Each function reads the pinned classes
+through its argument `divisor`, which defaults to `picard.named_divisor`.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from ._record import Record
 from .curves import (btilde_curve, covering_degree, gamma_curve, pair,
                      r_curve_g8, septic_pencil_curve)
 from .picard import (ALPHA0, BETA0, LAMBDA, DivisorClass, alpha, beta,
-                     brill_noether_g8, canonical_class, divisor_class,
-                     pullback_to_spin, spin_plus, theta_null)
+                     divisor_class, named_divisor, pullback_to_spin,
+                     spin_plus)
 
 
 class ResidualNonzeroError(ValueError):
@@ -51,9 +52,7 @@ class DecompositionResult(Record):
                 self.residual)
 
 
-def canonical_decomposition_g8(theta: DivisorClass | None = None,
-                               bn: DivisorClass | None = None
-                               ) -> DecompositionResult:
+def canonical_decomposition_g8(divisor=named_divisor) -> DecompositionResult:
     """Solve for the boundary part of the genus-8 canonical class.
 
     Subtracts half the spin pullback of the Brill-Noether class and eight
@@ -62,10 +61,9 @@ def canonical_decomposition_g8(theta: DivisorClass | None = None,
     and strict positivity.  The eight coefficients are derived values:
     they follow from the three pinned classes.
     """
-    theta = theta if theta is not None else theta_null(8)
-    bn = bn if bn is not None else brill_noether_g8()
-    k = canonical_class(spin_plus(8))
-    d = k - Fraction(1, 2) * pullback_to_spin(bn) - 8 * theta
+    k = divisor("canonical", space=spin_plus(8))
+    d = (k - Fraction(1, 2) * pullback_to_spin(divisor("bn8"))
+         - 8 * divisor("theta_null", genus=8))
     a = {i: d.coeff(alpha(i)) for i in range(1, 5)}
     b = {i: d.coeff(beta(i)) for i in range(1, 5)}
     boundary = [(alpha(i), a[i]) for i in range(1, 5)]
@@ -108,8 +106,7 @@ def _higher_crosses(c) -> list:
             for sym in (alpha(i), beta(i))]
 
 
-def rigidity_report_g8(theta: DivisorClass | None = None,
-                       bn: DivisorClass | None = None) -> RigidityReport:
+def rigidity_report_g8(divisor=named_divisor) -> RigidityReport:
     """Pair every component of the canonical decomposition with its
     covering curve.
 
@@ -120,12 +117,11 @@ def rigidity_report_g8(theta: DivisorClass | None = None,
     constant of that divisor.  Rigidity of the higher boundary components
     themselves is quoted, not recomputed.
     """
-    theta = theta if theta is not None else theta_null(8)
-    bn = bn if bn is not None else brill_noether_g8()
-    bn_pull = pullback_to_spin(bn)
+    bn_pull = pullback_to_spin(divisor("bn8"))
     r = r_curve_g8()
     crosses = [("pullback of bn8", pair(r, bn_pull)), *_higher_crosses(r)]
-    row_theta = RigidityRow("theta_null", r.label, pair(r, theta),
+    row_theta = RigidityRow("theta_null", r.label,
+                            pair(r, divisor("theta_null", genus=8)),
                             tuple(crosses))
     lift = btilde_curve(septic_pencil_curve())
     row_bn = RigidityRow("pullback of bn8", lift.label, pair(lift, bn_pull),
@@ -148,18 +144,16 @@ def theta_null_pencil_pairing(g: int) -> Fraction:
     return Fraction(-1 if g == 4 else -2)
 
 
-def theta_rigidity_report(g: int,
-                          theta: DivisorClass | None = None
-                          ) -> RigidityReport:
+def theta_rigidity_report(g: int, divisor=named_divisor) -> RigidityReport:
     """Covering-curve certificate for the theta-null divisor, genus 4..9.
 
     The pencil pairs `theta_null_pencil_pairing(g)` with the theta-null
     class, pairs zero with every higher boundary class, and its
     alpha_0/beta_0 pairings exhaust the Noether budget.
     """
-    theta = theta if theta is not None else theta_null(g)
     c = gamma_curve(g)
-    row = RigidityRow("theta_null", c.label, pair(c, theta),
+    row = RigidityRow("theta_null", c.label,
+                      pair(c, divisor("theta_null", genus=g)),
                       tuple(_higher_crosses(c)))
     expected = theta_null_pencil_pairing(g)
     budget = c.pairing(ALPHA0) + 2 * c.pairing(BETA0)

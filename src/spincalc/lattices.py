@@ -31,6 +31,9 @@ class IntegerLattice(Record):
     def __init__(self, gram: tuple, basis_names: tuple):
         if len(basis_names) != len(gram):
             raise ValueError("one basis name per Gram row")
+        if any(type(x) is not int for row in gram for x in row):
+            raise TypeError("Gram entries must be int; a Fraction, float "
+                            "or bool is refused, not truncated")
         require_symmetric(gram)
         Record.__init__(self, gram, basis_names)
 

@@ -74,8 +74,7 @@ class SymmetricForm(Record):
     and pickling rebuild the form from `gram`.  A form derived inside
     this module (a compound, a sampled form) is built from its view by
     `_from_view`, and its `gram` is built from the view the first time it
-    is read; `dim`, `evaluate` on an integral form and `rank` read the
-    view alone.
+    is read; `dim`, `evaluate` and `rank` read the view alone.
     """
 
     __slots__ = ("gram", "_ints", "_den")
@@ -120,11 +119,8 @@ class SymmetricForm(Record):
         """Bilinear value u^T G v."""
         if len(u) != self.dim or len(v) != self.dim:
             raise ValueError("vector length must match the form dimension")
-        if self._den == 1:
-            return bilinear(self._ints, u, v)
-        (iu,), du = scaled((u,))
-        (iv,), dv = scaled((v,))
-        return _ratio(bilinear(self._ints, iu, iv), self._den * du * dv)
+        (iu, iv), d = scaled((u, v))
+        return _ratio(bilinear(self._ints, iu, iv), self._den * d * d)
 
     def quadratic(self, u):
         return self.evaluate(u, u)
@@ -319,7 +315,7 @@ def transform_bivector(matrix, psi) -> dict:
     (e_i -> sum_k matrix[k][i] e_k), accumulated in ints from the matrix
     m / d and the coefficients p / e, then divided by d^2 e once."""
     m, d = scaled(matrix)
-    (coefs,), e = scaled(([exact(v) for v in psi.values()],))
+    (coefs,), e = scaled((psi.values(),))
     n = len(m)
     out: dict = {}
     for (i, j), p in zip(psi, coefs):

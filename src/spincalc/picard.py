@@ -222,6 +222,17 @@ def _coefficients(space: ModuliSpace, values,
         {sym: Fraction(c) for sym, v in values.items() if (c := exact(v))})
 
 
+def _entries(pairs) -> dict:
+    """(symbol, value) pairs as a dict; a symbol listed twice raises
+    ``DuplicateSymbolError``."""
+    out = {}
+    for sym, value in pairs:
+        if sym in out:
+            raise DuplicateSymbolError(f"{sym!r} listed twice")
+        out[sym] = value
+    return out
+
+
 def format_class(d: DivisorClass) -> str:
     """Render a class in basis order; opaque coefficients print as `?`."""
     return signed_sum((None if sym in d.opaque else d.coeffs[sym], sym)
@@ -238,12 +249,7 @@ def divisor_class(space: ModuliSpace, entries=(), opaque=()) -> DivisorClass:
     >>> str(divisor_class(mbar(8), [("lambda", 22), ("delta_0", -3)]))
     '22*lambda - 3*delta_0'
     """
-    coeffs = {}
-    for sym, value in entries:
-        if sym in coeffs:
-            raise DuplicateSymbolError(f"{sym!r} listed twice")
-        coeffs[sym] = value
-    return DivisorClass(space, coeffs, frozenset(opaque))
+    return DivisorClass(space, _entries(entries), frozenset(opaque))
 
 
 def zero_class(space: ModuliSpace) -> DivisorClass:

@@ -215,6 +215,49 @@ def test_schubert_parse_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n, expr", [
+    (cli.MAX_SCHUBERT_N + 1, "s1"),
+    (10 ** 9, "s1"),
+    (5, "s1^" + "9" * 5000),
+    (5, "*".join(["7" * 2000] * 3) + "*s1"),
+    (5, "s(" + "1" * 2001 + ")"),
+], ids=["n-above-cap", "n-huge", "5000-digit-power", "three-2000-digit-ints",
+        "2001-digit-index"])
+def test_schubert_bounds_exit_two_at_once(capsys, n, expr):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "schubert", "--n", str(n), "--expr", expr,
+                         "--degree")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    bound = (f"at most {cli.MAX_SCHUBERT_N}" if n > cli.MAX_SCHUBERT_N
+             else f"at most {cli.MAX_SCHUBERT_DIGITS} digits")
+    assert bound in err
+
+
+@pytest.mark.parametrize("expr, answer", [
+    ("s1^10000000", "0"), ("s1^100000000", "0"), ("s0^100000000", "s(0,0)"),
+    ("3*s(1,1)^100000000", "0"), ("s1^7", "0"), ("s1^6", "5*s(3,3)"),
+])
+def test_schubert_high_powers_answer_at_once(capsys, expr, answer):
+    # the product of 2n - 3 factors of positive codimension is zero, and
+    # s(0,0) is the unit, so no power needs more steps than that
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "schubert", "--n", "5", "--expr", expr)
+    assert time.perf_counter() - start < 1
+    assert (code, out.strip()) == (0, answer)
+
+
+def test_schubert_at_the_bounds_is_answered(capsys):
+    n = str(cli.MAX_SCHUBERT_N)
+    code, out, _ = run(capsys, "schubert", "--n", n, "--expr", "s1")
+    assert (code, out.strip()) == (0, "s(1,0)")
+    numeral = "7" * (cli.MAX_SCHUBERT_DIGITS - 4)  # with 2, 1, 1 and 3
+    code, out, _ = run(capsys, "schubert", "--n", "5", "--expr",
+                       f"{numeral}*s(2,1)*s1^3", "--degree")
+    assert (code, out.strip()) == (0, str(int(numeral) * 2))
+
+
 # --- complex ----------------------------------------------------------------
 
 def test_complex_compound(tmp_path, capsys):

@@ -15,11 +15,12 @@ from spincalc.curves import (BadGenusError, CurveClass, NegativeBudgetError,
                              pushforward_to_mbar, r_curve_g8,
                              septic_pencil_curve, xi_curve)
 from spincalc.picard import (ALPHA0, BETA0, D0P, D0PP, D0RAM, DELTA0, LAMBDA,
-                             SpaceMismatchError, alpha, basis_symbols, beta,
-                             brill_noether_g8, canonical_class, delta,
-                             divisor_class, mbar, pi_delta, prym_green,
-                             prym_nikulin_g6, pullback_to_prym,
-                             pullback_to_spin, rbar, spin_plus, theta_null)
+                             DuplicateSymbolError, SpaceMismatchError, alpha,
+                             basis_symbols, beta, brill_noether_g8,
+                             canonical_class, delta, divisor_class, mbar,
+                             pi_delta, prym_green, prym_nikulin_g6,
+                             pullback_to_prym, pullback_to_spin, rbar,
+                             spin_plus, theta_null)
 
 
 def fr(a, b=1):
@@ -240,6 +241,14 @@ def test_float_and_bool_pairings_raise(value):
         CurveClass(mbar(4), {LAMBDA: value})
     with pytest.raises(TypeError):
         curve_class(mbar(4), [(LAMBDA, value)])
+
+
+def test_curve_class_refuses_a_symbol_listed_twice():
+    # as `divisor_class` does: the second value must not silently win
+    with pytest.raises(DuplicateSymbolError):
+        curve_class(mbar(4), [(LAMBDA, 1), (LAMBDA, 2)])
+    with pytest.raises(DuplicateSymbolError):
+        curve_class(mbar(4), [(LAMBDA, 1), (DELTA0, 3), (LAMBDA, 1)])
 
 
 # --- projection formula -----------------------------------------------------

@@ -5,14 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from spincalc import checks
+from spincalc import checks, picard
 from spincalc.curves import BadGenusError
 from spincalc.kodaira import (NonPositiveCoefficientError,
                               ResidualNonzeroError,
                               canonical_decomposition_g8,
                               rigidity_report_g8, theta_rigidity_report)
 from spincalc.picard import (ALPHA0, LAMBDA, alpha, beta, divisor_class,
-                             spin_plus, theta_null)
+                             named_divisor, spin_plus, theta_null)
+
+
+def _reader(name, broken):
+    """A divisor reader, called as `named_divisor` is, that returns
+    `broken` for `name` and the pinned class for every other name."""
+    return lambda n, **where: broken if n == name else named_divisor(
+        n, **where)
 
 
 # --- the decomposition ------------------------------------------------------
@@ -42,7 +49,7 @@ def test_decomposition_linear_equations():
 def test_decomposition_detects_broken_theta():
     broken = theta_null(8) + divisor_class(spin_plus(8), [(LAMBDA, 1)])
     with pytest.raises(ResidualNonzeroError):
-        canonical_decomposition_g8(theta=broken)
+        canonical_decomposition_g8(_reader("theta_null", broken))
 
 
 def test_decomposition_detects_sign_flip():
@@ -51,7 +58,7 @@ def test_decomposition_detects_sign_flip():
     flipped = t + divisor_class(
         spin_plus(8), [(beta(i), 5) for i in range(1, 5)])
     with pytest.raises(NonPositiveCoefficientError):
-        canonical_decomposition_g8(theta=flipped)
+        canonical_decomposition_g8(_reader("theta_null", flipped))
 
 
 # --- rigidity reports -------------------------------------------------------
@@ -82,7 +89,7 @@ def test_theta_rigidity_bad_genus():
 
 def test_theta_rigidity_flags_wrong_value():
     bad = theta_null(8) + divisor_class(spin_plus(8), [(ALPHA0, 1)])
-    assert not theta_rigidity_report(8, theta=bad).verdict
+    assert not theta_rigidity_report(8, _reader("theta_null", bad)).verdict
 
 
 # --- the harness ------------------------------------------------------------
@@ -144,6 +151,48 @@ def test_inexact_perturbation_fails_the_checks_that_read_it(delta):
     slope = {c.id: c for c in report.checks}["slope-bn8"]
     assert slope.status == "fail"
     assert slope.computed.startswith("error: TypeError:")
+
+
+@pytest.mark.parametrize("perturb", [("nonexistent", LAMBDA, 1),
+                                     ("bn8", ALPHA0, 1),
+                                     ("prym_green", "delta_0''", 1)])
+def test_perturbation_that_reaches_no_pinned_coefficient_raises(perturb):
+    # an unknown class, a symbol outside the class's basis, an opaque one
+    with pytest.raises(ValueError, match="no class the checks read pins"):
+        checks.verify_all(quick=True, perturb=perturb)
+
+
+#: (class, symbol) perturbations that break no check, with the reason
+SURVIVORS = {
+    ("canonical", "delta_0''"): "the only checks reading the Prym canonical "
+        "class pair it with the Nikulin pencil xi, which pairs 0 with "
+        "delta_0''",
+    ("nikulin_N6", "delta_0''"): "read only against the Nikulin pencil, "
+        "which pairs 0 with delta_0''",
+}
+
+
+def test_fault_injection_matrix(monkeypatch):
+    # every pinned coefficient of every class a quick run reads, +1 each
+    read, resolve = {}, picard.named_divisor
+
+    def recording(name, **where):
+        d = resolve(name, **where)
+        read.setdefault(name, set()).update(
+            s for s in picard.basis_symbols(d.space) if not d.is_opaque(s))
+        return d
+    monkeypatch.setattr(picard, "named_divisor", recording)
+    checks.verify_all(quick=True)
+    monkeypatch.undo()
+    assert set(read) == {"canonical", "theta_null", "bn8", "prym_green",
+                         "nikulin_N6", "hodge_c1", "d2_nonveryample"}
+    cases = [(name, s) for name, symbols in read.items() for s in symbols]
+    assert len(cases) == 46
+    failing = {case: {c.id for c in checks.verify_all(
+        quick=True, perturb=(*case, 1)).checks if c.status == "fail"}
+        for case in cases}
+    assert {case for case, ids in failing.items() if not ids} \
+        == set(SURVIVORS)
 
 
 def test_one_wrong_sample_shows_in_the_tally(monkeypatch):

@@ -15,6 +15,15 @@ from spincalc.lattices import (CsCertificate, DimensionMismatchError,
                                sum_square_solution_exists)
 
 
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2), 0.5, True])
+def test_lattice_refuses_gram_entries_that_are_not_int(entry):
+    # a half used to be truncated: the determinant of ((1/2,),) read 0
+    with pytest.raises(TypeError):
+        IntegerLattice(((entry,),), ("a",))
+    with pytest.raises(TypeError):
+        IntegerLattice(((2, entry), (entry, 2)), ("a", "b"))
+
+
 # --- Nikulin lattice --------------------------------------------------------
 
 def test_nikulin_is_even_with_determinant_64():

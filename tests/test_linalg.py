@@ -189,6 +189,13 @@ def test_kernel_rejects_floats():
         solve([[0.1]], [1])
     with pytest.raises(TypeError):
         solve([[1]], [0.1])
+    # bools are ints to Python, but not exact input to the kernel
+    with pytest.raises(TypeError):
+        mat_rank([[True, False]])
+    with pytest.raises(TypeError):
+        solve([[1]], [True])
+    with pytest.raises(TypeError):
+        scaled([[Fraction(1, 2), False]])
 
 
 def test_scaled_clears_every_denominator_with_their_lcm():

@@ -277,6 +277,13 @@ def test_symmetric_form_rejects_floats():
         transform_bivector([[1, 0], [0, 1]], {(0, 1): 0.5})
     with pytest.raises(TypeError):
         transform_bivector([[1, 0], [0, 1.5]], {(0, 1): 1})
+    # bools too, in a matrix or a vector that is cleared of denominators
+    with pytest.raises(TypeError):
+        transform_bivector([[True, 0], [0, 1]], {(0, 1): 1})
+    with pytest.raises(TypeError):
+        symmetric_form([[1, 0], [0, 1]]).evaluate([True, 0], [1, 0])
+    with pytest.raises(TypeError):
+        symmetric_form([[1, 0], [0, 1]]).quadratic([0, False])
 
 
 def test_transform_bivector_refuses_a_float_it_never_multiplies():
@@ -301,6 +308,9 @@ def test_integer_input_stays_integer():
         w = wedge_coordinates(u, v)
         assert all(type(x) is int for x in w)
         assert type(second_compound(q).evaluate(w, w)) is int
+    # rational vectors on an integral form still evaluate exactly
+    assert symmetric_form([[1, 0], [0, 1]]).evaluate(
+        [Fraction(1, 2), 0], [Fraction(2, 3), 5]) == Fraction(1, 3)
     m = random_invertible_matrix(rng, 6)
     image = transform_bivector(m, {(0, 1): 1, (2, 3): -2})
     assert all(type(x) is int for x in image.values())
