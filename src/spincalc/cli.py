@@ -146,9 +146,10 @@ def _cmd_lattice(args) -> tuple[int, str]:
     return 0 if ok else 1, "\n".join(lines)
 
 
-_INT_FACTOR = re.compile(r"^-?\d+$")
+_INT_FACTOR = re.compile(r"^-?\d+$", re.ASCII)
 #: s(a,b), s(a) or sa, each with an optional power ^k
-_FACTOR = re.compile(r"^s(?:\((\d+)(?:,(\d+))?\)|(\d+))(?:\^(\d+))?$")
+_FACTOR = re.compile(r"^s(?:\((\d+)(?:,(\d+))?\)|(\d+))(?:\^(\d+))?$",
+                     re.ASCII)
 #: the largest `schubert --n`: a degree takes about n^2 Pieri terms, and
 #: at the cap a whole `--expr s1 --degree` query took under 0.8 s on a
 #: two-core x86-64 VM
@@ -164,7 +165,8 @@ def parse_schubert_expr(n: int, expr: str):
     """Parse products like "4*s(2,1)*s1^3" into a `SchubertCycle` in
     G(2, n)."""
     from . import schubert
-    if sum(map(len, re.findall(r"\d+", expr))) > MAX_SCHUBERT_DIGITS:
+    digits = sum(map(len, re.findall(r"\d+", expr, re.ASCII)))
+    if digits > MAX_SCHUBERT_DIGITS:
         raise UsageError(f"the numerals of an expression may have at most "
                          f"{MAX_SCHUBERT_DIGITS} digits together")
     result = schubert.sigma(n, 0, 0)

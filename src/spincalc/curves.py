@@ -25,7 +25,8 @@ from ._record import Record, _set
 from .picard import (ALPHA0, BETA0, D0P, D0RAM, DELTA0, LAMBDA, MBAR, SPIN,
                      DivisorClass, ModuliSpace, SpaceMismatchError,
                      _coefficients, _entries, _require_basis, basis_symbols,
-                     covering_images, delta, mbar, rbar, spin_plus)
+                     covering_images, higher_boundary, mbar, rbar,
+                     spin_plus)
 
 
 class OpaquePairingError(ValueError):
@@ -245,11 +246,10 @@ def btilde_curve(base: CurveClass) -> LiftedSpinCurve:
     """
     if base.space.kind != MBAR:
         raise SpaceMismatchError("lift starts from the stable-curve space")
-    g = base.space.genus
-    for i in range(1, g // 2 + 1):
-        if base.pairing(delta(i)):
+    for sym in higher_boundary(base.space):
+        if base.pairing(sym):
             raise NonzeroHigherBoundaryError(
-                f"base pairs {base.pairing(delta(i))} with {delta(i)}")
+                f"base pairs {base.pairing(sym)} with {sym}")
     return LiftedSpinCurve(base, label=f"spin fibre-product lift of "
                                        f"{base.label or 'a pencil'}")
 

@@ -24,8 +24,8 @@ from ._record import Record
 from .curves import (btilde_curve, covering_degree, gamma_curve, pair,
                      r_curve_g8, septic_pencil_curve)
 from .picard import (ALPHA0, BETA0, LAMBDA, DivisorClass, alpha, beta,
-                     divisor_class, named_divisor, pullback_to_spin,
-                     spin_plus)
+                     divisor_class, higher_boundary, named_divisor,
+                     pullback_to_spin, spin_plus)
 
 
 class ResidualNonzeroError(ValueError):
@@ -102,8 +102,7 @@ class RigidityReport(Record):
 def _higher_crosses(c) -> list:
     """(symbol, pairing) of the curve `c` with each higher boundary class,
     alpha_1, beta_1, ..., alpha_{g//2}, beta_{g//2}."""
-    return [(sym, c.pairing(sym)) for i in range(1, c.space.genus // 2 + 1)
-            for sym in (alpha(i), beta(i))]
+    return [(sym, c.pairing(sym)) for sym in higher_boundary(c.space)]
 
 
 def rigidity_report_g8(divisor=named_divisor) -> RigidityReport:

@@ -24,11 +24,13 @@ class DimensionMismatchError(ValueError):
 
 
 class IntegerLattice(Record):
-    """Integral symmetric bilinear form with a named basis."""
+    """Integral symmetric bilinear form with a named basis; the Gram rows
+    and the names are stored as tuples, whatever sequences they came in."""
 
     __slots__ = ("gram", "basis_names")
 
-    def __init__(self, gram: tuple, basis_names: tuple):
+    def __init__(self, gram, basis_names):
+        gram, basis_names = tuple(map(tuple, gram)), tuple(basis_names)
         if len(basis_names) != len(gram):
             raise ValueError("one basis name per Gram row")
         if any(type(x) is not int for row in gram for x in row):
@@ -45,6 +47,8 @@ class IntegerLattice(Record):
         if len(v) != self.rank:
             raise DimensionMismatchError(
                 f"vector of length {len(v)} in a rank-{self.rank} lattice")
+        if any(type(x) is not int for x in v):
+            raise TypeError("lattice coordinates must be ints")
 
     def inner(self, v, w) -> int:
         """Bilinear product v . w = v^T G w."""
@@ -73,18 +77,14 @@ class IntegerLattice(Record):
     def direct_sum(self, other: "IntegerLattice") -> "IntegerLattice":
         """Orthogonal direct sum; basis names are concatenated."""
         n, m = self.rank, other.rank
-        gram = tuple(tuple(self.gram[i]) + (0,) * m for i in range(n)) + \
-            tuple((0,) * n + tuple(other.gram[i]) for i in range(m))
+        gram = [row + (0,) * m for row in self.gram] + \
+            [(0,) * n + row for row in other.gram]
         return IntegerLattice(gram, self.basis_names + other.basis_names)
 
     def scaled(self, c: int) -> "IntegerLattice":
         """Same module with the form multiplied by the integer c."""
-        gram = tuple(tuple(c * x for x in row) for row in self.gram)
-        return IntegerLattice(gram, self.basis_names)
-
-
-def _lattice(rows, names) -> IntegerLattice:
-    return IntegerLattice(tuple(tuple(r) for r in rows), tuple(names))
+        return IntegerLattice([[c * x for x in row] for row in self.gram],
+                              self.basis_names)
 
 
 def nikulin_lattice() -> IntegerLattice:
@@ -98,7 +98,7 @@ def nikulin_lattice() -> IntegerLattice:
     """
     rows = [[-2 * (i == j) for j in range(7)] + [-1] for i in range(7)]
     rows.append([-1] * 7 + [-4])
-    return _lattice(rows, [f"n{i}" for i in range(1, 8)] + ["e"])
+    return IntegerLattice(rows, [f"n{i}" for i in range(1, 8)] + ["e"])
 
 
 def nikulin_derived_root() -> tuple:
@@ -111,13 +111,13 @@ def lambda_lattice(g: int) -> IntegerLattice:
     c.c = 2g - 2 and c orthogonal to the Nikulin block."""
     if g < 2:
         raise ValueError("genus must be at least 2")
-    pol = _lattice([[2 * g - 2]], ["c"])
+    pol = IntegerLattice([[2 * g - 2]], ["c"])
     return pol.direct_sum(nikulin_lattice())
 
 
 def hyperbolic_u() -> IntegerLattice:
     """The standard rank-2 hyperbolic plane."""
-    return _lattice([[0, 1], [1, 0]], ["u1", "u2"])
+    return IntegerLattice([[0, 1], [1, 0]], ["u1", "u2"])
 
 
 #: Dynkin-diagram edges of E8 (Bourbaki numbering: the chain
@@ -135,7 +135,7 @@ def e8(scale: int = 1) -> IntegerLattice:
     rows = [[2 * (i == j) for j in range(8)] for i in range(8)]
     for a, b in _E8_EDGES:
         rows[a - 1][b - 1] = rows[b - 1][a - 1] = -1
-    return _lattice(rows, [f"r{i}" for i in range(1, 9)]).scaled(scale)
+    return IntegerLattice(rows, [f"r{i}" for i in range(1, 9)]).scaled(scale)
 
 
 def sum_square_solution_exists(slots: int, target_sum: int,
@@ -275,11 +275,11 @@ def doubly_elliptic_identities() -> DoublyEllipticReport:
     rows = [[0] + [1] * 7]
     for i in range(1, 8):
         rows.append([1] + [-2 * (i == j) for j in range(1, 8)])
-    blowup = _lattice(rows, ["E"] + [f"G{i}" for i in range(1, 8)])
+    blowup = IntegerLattice(rows, ["E"] + [f"G{i}" for i in range(1, 8)])
     section = (2,) + (1,) * 7
     dots = tuple(blowup.inner(section, blowup.basis_vector(f"G{i}"))
                  for i in range(1, 8))
-    pencils = _lattice([[0, 7], [7, 0]], ["C1", "C2"])
+    pencils = IntegerLattice([[0, 7], [7, 0]], ["C1", "C2"])
     return DoublyEllipticReport(
         section_square=blowup.norm(section),
         section_dot_exceptional=dots,

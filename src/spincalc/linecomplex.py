@@ -66,7 +66,8 @@ class ZeroInputError(ValueError):
 
 
 class SymmetricForm(Record):
-    """Dense exact-rational symmetric bilinear form.
+    """Dense exact-rational symmetric bilinear form, built from any square
+    symmetric array of rationals: `gram` is its rows as `exact` tuples.
 
     Besides `gram` it keeps the integer view `_ints` = d G, as int rows,
     and `_den` = d, the lcm of the denominators of G.  The view is a
@@ -79,7 +80,8 @@ class SymmetricForm(Record):
 
     __slots__ = ("gram", "_ints", "_den")
 
-    def __init__(self, gram: tuple):
+    def __init__(self, gram):
+        gram = tuple(tuple(exact(x) for x in row) for row in gram)
         require_symmetric(gram)
         _set(self, "gram", gram)
         ints, den = scaled(gram)
@@ -134,10 +136,8 @@ def _ratio(n: int, d: int):
     return n // d if n % d == 0 else Fraction(n, d)
 
 
-def symmetric_form(rows) -> SymmetricForm:
-    """Build a form from any square symmetric array of rationals."""
-    return SymmetricForm(tuple(tuple(exact(x) for x in row)
-                               for row in rows))
+#: the constructor under the name of a builder function
+symmetric_form = SymmetricForm
 
 
 @cache

@@ -114,19 +114,27 @@ def spin_plus(g: int) -> ModuliSpace:
     return ModuliSpace(SPIN, g)
 
 
+def boundary(space: ModuliSpace, i: int) -> tuple[str, ...]:
+    """The basis symbols of the i-th boundary of `space`, 0 <= i <= g//2:
+    delta_i; delta_0', delta_0'', delta_0^ram or pi_delta_i; alpha_i,
+    beta_i."""
+    if space.kind == MBAR:
+        return (delta(i),)
+    if space.kind == RBAR:
+        return (D0P, D0PP, D0RAM) if i == 0 else (pi_delta(i),)
+    return (alpha(i), beta(i))
+
+
+def higher_boundary(space: ModuliSpace) -> tuple[str, ...]:
+    """The symbols of boundaries 1..g//2 of `space`, in basis order."""
+    return tuple(sym for i in range(1, space.genus // 2 + 1)
+                 for sym in boundary(space, i))
+
+
 @lru_cache(maxsize=None)
 def basis_symbols(space: ModuliSpace) -> tuple[str, ...]:
     """Ordered Picard-group basis of `space`."""
-    h = space.genus // 2
-    if space.kind == MBAR:
-        return (LAMBDA,) + tuple(delta(i) for i in range(h + 1))
-    if space.kind == RBAR:
-        return (LAMBDA, D0P, D0PP, D0RAM) + tuple(
-            pi_delta(i) for i in range(1, h + 1))
-    parts = [LAMBDA, ALPHA0, BETA0]
-    for i in range(1, h + 1):
-        parts += [alpha(i), beta(i)]
-    return tuple(parts)
+    return (LAMBDA, *boundary(space, 0), *higher_boundary(space))
 
 
 @lru_cache(maxsize=None)
@@ -267,16 +275,15 @@ def covering_images(target: ModuliSpace) -> tuple:
                     delta_i -> alpha_i + beta_i.
     Both send lambda -> lambda.
     """
-    h = target.genus // 2
     if target.kind == RBAR:
         d0 = ((D0P, 1), (D0PP, 1), (D0RAM, 2))
-        higher = [((pi_delta(i), 1),) for i in range(1, h + 1)]
     elif target.kind == SPIN:
         d0 = ((ALPHA0, 1), (BETA0, 2))
-        higher = [((alpha(i), 1), (beta(i), 1)) for i in range(1, h + 1)]
     else:
         raise SpaceMismatchError("coverings go to the Prym and spin spaces")
-    images = [((LAMBDA, 1),), d0] + higher
+    images = [((LAMBDA, 1),), d0] + [
+        tuple((sym, 1) for sym in boundary(target, i))
+        for i in range(1, target.genus // 2 + 1)]
     return tuple(zip(basis_symbols(mbar(target.genus)), images))
 
 
@@ -318,21 +325,17 @@ def canonical_class(space: ModuliSpace) -> DivisorClass:
     13*lambda - 2*(delta_0'+delta_0'') - 3*delta_0^ram - (...).
     On the stable-curve space only 13*lambda - 2*delta_0 is pinned.
     """
-    g = space.genus
-    h = g // 2
     if space.kind == SPIN:
         entries = [(LAMBDA, 13), (ALPHA0, -2), (BETA0, -3)]
-        for i in range(1, h + 1):
-            c = -3 if i == 1 else -2
-            entries += [(alpha(i), c), (beta(i), c)]
+        entries += [(sym, -3 if i == 1 else -2)
+                    for i in range(1, space.genus // 2 + 1)
+                    for sym in boundary(space, i)]
         return divisor_class(space, entries)
     if space.kind == RBAR:
         entries = [(LAMBDA, 13), (D0P, -2), (D0PP, -2), (D0RAM, -3)]
-        opaque = {pi_delta(i) for i in range(1, h + 1)}
-        return divisor_class(space, entries, opaque)
-    entries = [(LAMBDA, 13), (DELTA0, -2)]
-    opaque = {delta(i) for i in range(1, h + 1)}
-    return divisor_class(space, entries, opaque)
+    else:
+        entries = [(LAMBDA, 13), (DELTA0, -2)]
+    return divisor_class(space, entries, higher_boundary(space))
 
 
 def theta_null(g: int) -> DivisorClass:
@@ -360,8 +363,7 @@ def prym_green(i: int) -> DivisorClass:
     entries = [(LAMBDA, factor * Fraction(3 * (2 * i + 7), i + 3)),
                (D0RAM, factor * Fraction(-3, 2)),
                (D0P, Fraction(-factor))]
-    opaque = {D0PP} | {pi_delta(j) for j in range(1, g // 2 + 1)}
-    return divisor_class(rbar(g), entries, opaque)
+    return divisor_class(rbar(g), entries, (D0PP, *higher_boundary(rbar(g))))
 
 
 def prym_nikulin_g6() -> DivisorClass:
@@ -370,8 +372,7 @@ def prym_nikulin_g6() -> DivisorClass:
     7*lambda - 3/2*delta_0^ram - (delta_0' + delta_0''), higher terms opaque.
     """
     entries = [(LAMBDA, 7), (D0RAM, Fraction(-3, 2)), (D0P, -1), (D0PP, -1)]
-    opaque = {pi_delta(j) for j in range(1, 4)}
-    return divisor_class(rbar(6), entries, opaque)
+    return divisor_class(rbar(6), entries, higher_boundary(rbar(6)))
 
 
 def brill_noether_g8() -> DivisorClass:
@@ -395,8 +396,7 @@ def non_very_ample_g5() -> DivisorClass:
     14*lambda - 2*(delta_0'+delta_0'') - 5/2*delta_0^ram, higher terms opaque.
     """
     entries = [(LAMBDA, 14), (D0P, -2), (D0PP, -2), (D0RAM, Fraction(-5, 2))]
-    opaque = {pi_delta(j) for j in range(1, 3)}
-    return divisor_class(rbar(5), entries, opaque)
+    return divisor_class(rbar(5), entries, higher_boundary(rbar(5)))
 
 
 def twisted_hodge_c1(i: int, g: int = 5) -> DivisorClass:
@@ -413,8 +413,7 @@ def twisted_hodge_c1(i: int, g: int = 5) -> DivisorClass:
     entries = [(LAMBDA, 12 * c + 1),
                (D0P, -c), (D0PP, -c),
                (D0RAM, -2 * c - Fraction(i * i, 4))]
-    opaque = {pi_delta(j) for j in range(1, g // 2 + 1)}
-    return divisor_class(rbar(g), entries, opaque)
+    return divisor_class(rbar(g), entries, higher_boundary(rbar(g)))
 
 
 def sym_power_c1(c1: DivisorClass, rank: int, power: int) -> DivisorClass:

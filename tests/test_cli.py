@@ -215,6 +215,13 @@ def test_schubert_parse_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("expr", ["s\u0663", "\u0663*s1", "s(\u0662,1)"])
+def test_schubert_refuses_digits_that_are_not_ascii(capsys, expr):
+    # Arabic-Indic three and two, once read as 3 and 2
+    code, out, _ = run(capsys, "schubert", "--n", "5", "--expr", expr)
+    assert (code, out) == (2, "")
+
+
 @pytest.mark.parametrize("n, expr", [
     (cli.MAX_SCHUBERT_N + 1, "s1"),
     (10 ** 9, "s1"),

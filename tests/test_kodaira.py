@@ -210,18 +210,13 @@ def test_one_wrong_sample_shows_in_the_tally(monkeypatch):
 
 
 def test_check_raising_any_exception_is_recorded_as_fail(monkeypatch):
-    build = checks._build_registry
-
     def boom(ctx):
         raise ZeroDivisionError("division by zero")
 
-    def with_failing_check():
-        reg = build()
-        reg[0] = (reg[0][0], reg[0][1], boom)
-        return reg
-
+    first, *rest = checks.REGISTRY
     expected_ids = [c.id for c in checks.verify_all(quick=True).checks]
-    monkeypatch.setattr(checks, "_build_registry", with_failing_check)
+    monkeypatch.setattr(checks, "REGISTRY",
+                        (checks.Check(first.id, first.citation, boom), *rest))
     report = checks.verify_all(quick=True)
     assert report.failed == 1
     assert [c.id for c in report.checks] == expected_ids
@@ -234,11 +229,20 @@ def test_value_error_keeps_plain_message(monkeypatch):
     def bad(ctx):
         raise ValueError("bad input")
 
-    monkeypatch.setattr(checks, "_build_registry",
-                        lambda: [("only", "c", bad)])
+    monkeypatch.setattr(checks, "REGISTRY", (checks.Check("only", "c", bad),))
     report = checks.verify_all(quick=True)
     assert report.failed == 1
     assert report.checks[0].computed == "error: bad input"
+
+
+def test_registry_is_one_table_of_checks():
+    assert all(type(c) is checks.Check for c in checks.REGISTRY)
+    ids = [c.id for c in checks.REGISTRY]
+    assert len(ids) == len(set(ids)) == 50
+    cited = ["clifford-index", "vq-class-input", "kodaira-dimension-bridge"]
+    assert [c.id for c in checks.REGISTRY if c.run is None] == cited
+    assert ids[-3:] == cited
+    assert [c.id for c in checks.verify_all(quick=True).checks] == ids
 
 
 def test_report_counts():

@@ -24,6 +24,24 @@ def test_lattice_refuses_gram_entries_that_are_not_int(entry):
         IntegerLattice(((2, entry), (entry, 2)), ("a", "b"))
 
 
+@pytest.mark.parametrize("coordinate", [True, Fraction(1, 2), 0.5])
+def test_lattice_refuses_coordinates_that_are_not_int(coordinate):
+    # a bool used to pass as 1: n_1.n_1 read -2
+    lat = nikulin_lattice()
+    v = (coordinate,) + (0,) * 7
+    with pytest.raises(TypeError):
+        lat.inner(v, lat.basis_vector("n1"))
+    with pytest.raises(TypeError):
+        lat.norm(v)
+
+
+def test_lattice_is_canonical_whatever_sequences_it_is_given():
+    lists = IntegerLattice([[2, 1], [1, 2]], ["a", "b"])
+    tuples = IntegerLattice(((2, 1), (1, 2)), ("a", "b"))
+    assert lists == tuples and hash(lists) == hash(tuples)
+    assert lists.gram == ((2, 1), (1, 2)) and lists.basis_names == ("a", "b")
+
+
 # --- Nikulin lattice --------------------------------------------------------
 
 def test_nikulin_is_even_with_determinant_64():

@@ -265,6 +265,13 @@ def test_symmetric_form_stores_integral_entries_as_ints():
                                                           [int, int]]
 
 
+def test_symmetric_form_is_canonical_whatever_sequences_it_is_given():
+    lists = SymmetricForm([[1, 2], [2, Fraction(1)]])
+    tuples = SymmetricForm(((1, 2), (2, 1)))
+    assert lists == tuples == symmetric_form([[1, 2], [2, 1]])
+    assert hash(lists) == hash(tuples) and lists.gram == ((1, 2), (2, 1))
+
+
 def test_symmetric_form_rejects_floats():
     with pytest.raises(TypeError):
         symmetric_form([[0.1]])

@@ -13,8 +13,9 @@ from spincalc.picard import (ALPHA0, BETA0, D0P, D0PP, D0RAM, DELTA0, LAMBDA,
                              OpaqueCoefficientError, SpaceMismatchError,
                              UnknownSymbolError, ZeroDenominatorError, alpha,
                              basis_symbols, beta, brill_noether_g8,
-                             canonical_class, delta, divisor_class,
-                             format_class, mbar, named_divisor,
+                             boundary, canonical_class, delta,
+                             divisor_class, format_class, higher_boundary,
+                             mbar, named_divisor,
                              non_very_ample_g5, pi_delta, prym_green,
                              prym_nikulin_g6, pullback, pullback_to_prym,
                              pullback_to_spin, rbar, slope, spin_plus,
@@ -99,6 +100,18 @@ def test_basis_sizes():
     assert len(basis_symbols(mbar(8))) == 6
     assert len(basis_symbols(rbar(8))) == 8
     assert len(basis_symbols(spin_plus(8))) == 11
+
+
+def test_boundary_symbols_by_index():
+    assert boundary(rbar(7), 0) == (D0P, D0PP, D0RAM)
+    assert boundary(rbar(7), 2) == (pi_delta(2),)
+    assert boundary(spin_plus(7), 0) == (ALPHA0, BETA0)
+    assert higher_boundary(mbar(7)) == (delta(1), delta(2), delta(3))
+    assert higher_boundary(spin_plus(5)) == (alpha(1), beta(1), alpha(2),
+                                             beta(2))
+    for space in (mbar(9), rbar(9), spin_plus(9)):
+        assert basis_symbols(space) == (LAMBDA, *boundary(space, 0),
+                                        *higher_boundary(space))
 
 
 # --- add / scale ------------------------------------------------------------
