@@ -13,15 +13,18 @@ vanishing or rank statement made elsewhere in the package is decided
 with zero tolerance by the same code.  Only the answers of `mat_det` and
 `solve` are built as ``fractions.Fraction``.
 
-Products go through `dot`, from which `mat_vec`, `bilinear` (u^T G v)
-and `congruence` (P^T G P) are built.  They keep the exact type of their
-inputs (ints stay ints, rationals stay rationals) and reject floats, as
-the kernel does.
+The products `dot`, `mat_vec`, `bilinear` (u^T G v) and `congruence`
+(P^T G P) are sums of products of the entries, so they keep the exact
+type of their inputs (ints stay ints, rationals stay rationals).  Each
+checks its lengths, and that its result holds only ints and Fractions,
+once for the whole matrix rather than row by row; `congruence`, which
+forms G P from the nonzero entries of G alone, checks its inputs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from operator import mul
 
@@ -148,28 +151,56 @@ def solve(mat, rhs) -> list[Fraction]:
     return [Fraction(yi, d) for yi in y]
 
 
+def _require_exact(values) -> None:
+    """Raise ``TypeError`` unless each of `values` is an int or a Fraction;
+    a float anywhere in a product makes its sum a float."""
+    if not _RATIONALS.issuperset(map(type, values)):
+        raise TypeError("float entries are not exact; use int or Fraction")
+
+
 def dot(u, v):
     """Exact dot product of two equally long vectors."""
     if len(u) != len(v):
         raise ValueError("dot product of vectors of unequal length")
     total = sum(map(mul, u, v))
-    if isinstance(total, float):
-        raise TypeError("float entries are not exact; use int or Fraction")
+    _require_exact((total,))
     return total
 
 
 def mat_vec(mat, vec) -> list:
     """The column vector mat * vec."""
-    return [dot(row, vec) for row in mat]
+    if set(map(len, mat)) - {len(vec)}:
+        raise ValueError("matrix rows and vector differ in length")
+    out = [sum(map(mul, row, vec)) for row in mat]
+    _require_exact(out)
+    return out
 
 
 def bilinear(gram, u, v):
-    """The bilinear value u^T G v of the Gram matrix G."""
-    return dot(u, mat_vec(gram, v))
+    """The bilinear value u^T G v of the Gram matrix G; a float anywhere
+    in G, u or v makes the total a float."""
+    if len(u) != len(gram) or set(map(len, gram)) - {len(v)}:
+        raise ValueError("u, the rows of G and v differ in length")
+    total = sum(map(mul, u, [sum(map(mul, row, v)) for row in gram]))
+    _require_exact((total,))
+    return total
 
 
 def congruence(p, gram) -> list:
-    """The congruent Gram matrix P^T G P."""
-    cols = list(zip(*p))
-    gp = [mat_vec(gram, c) for c in cols]
-    return [[dot(ci, gpj) for gpj in gp] for ci in cols]
+    """The congruent Gram matrix P^T G P.  Row k of G P sums g P[l] over
+    the nonzero entries g = G[k][l] alone (a sampled Gram is diagonal, or
+    diagonal plus a hyperbolic plane), so both inputs are checked first:
+    a skipped 0.0 would otherwise pass unseen."""
+    n = len(gram)
+    if len(p) != n or set(map(len, gram)) - {n} or len(set(map(len, p))) > 1:
+        raise ValueError("congruence needs a square G and n equal rows of P")
+    _require_exact(chain(*gram, *p))
+    gp = []
+    for row in gram:
+        acc = [0] * len(p[0])
+        for g, pl in zip(row, p):
+            if g:
+                acc = [a + g * x for a, x in zip(acc, pl)]
+        gp.append(acc)
+    gp_cols = list(zip(*gp))
+    return [[sum(map(mul, ci, gj)) for gj in gp_cols] for ci in zip(*p)]

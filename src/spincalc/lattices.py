@@ -70,8 +70,13 @@ class IntegerLattice(Record):
         return int(d)
 
     def basis_vector(self, name) -> tuple:
-        """Coordinate vector of a named (or indexed) basis element."""
+        """Coordinate vector of a named basis element, or of one indexed
+        in range(rank); a bool is refused, not read as index 0 or 1."""
+        if type(name) is bool:
+            raise TypeError("a basis index must be an int, not a bool")
         idx = name if isinstance(name, int) else self.basis_names.index(name)
+        if not 0 <= idx < self.rank:
+            raise IndexError(f"no basis index {idx} in rank {self.rank}")
         return tuple(int(i == idx) for i in range(self.rank))
 
     def direct_sum(self, other: "IntegerLattice") -> "IntegerLattice":

@@ -19,7 +19,9 @@ rank of B is 6, 10 or 15 according to the wedge-rank of psi.
 Everything is exact rational arithmetic, done in Python ints.  A form
 clears its denominators once, when it is built: it keeps its Gram G as
 given and an integer view (d G, d) with d the lcm of the denominators of
-G.  Compounds, evaluations and gradients run on that view.  A derived
+G.  Compounds, evaluations and gradients run on that view.  A compound
+is built as the symmetric matrix it is: each 2x2 minor on or above the
+diagonal is computed once and read again below it.  A derived
 form (a compound, a sampled form) is built from its own view, and its
 Gram is built from the view the first time it is read, so the rank of a
 compound never builds a `Fraction`.  A bivector transform clears the
@@ -42,6 +44,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain
 from math import gcd
+from operator import itemgetter, mul
 
 from ._linalg import (SingularMatrixError, _eliminate, bilinear, congruence,
                       dot, mat_det, mat_rank, mat_vec, require_symmetric,
@@ -151,15 +154,30 @@ def wedge_coordinates(u, v) -> list:
     return [u[i] * v[j] - u[j] * v[i] for i, j in wedge_pairs(len(u))]
 
 
+@cache
+def _compound_layout(n: int) -> tuple:
+    """The index quadruples (i, j, k, l) of the minors on and right of the
+    diagonal of the compound of an n x n matrix, row by row, and one
+    getter per row that picks the row out of the list of those minors.
+    For a symmetric matrix the compound is symmetric, so entry (b, a) is
+    read where entry (a, b) was put."""
+    pairs = wedge_pairs(n)
+    upper = [(a, b) for a in range(len(pairs)) for b in range(a, len(pairs))]
+    at = {ab: t for t, ab in enumerate(upper)}
+    rows = [[at[min(a, b), max(a, b)] for b in range(len(pairs))]
+            for a in range(len(pairs))]
+    # a one-index itemgetter returns the item, not a 1-tuple
+    getters = [itemgetter(*row) if len(row) > 1 else tuple for row in rows]
+    return tuple(pairs[a] + pairs[b] for a, b in upper), tuple(getters)
+
+
 def _compound_rows(g) -> list:
-    """The 2x2 minors of the int matrix g, row by row in the wedge-pair
-    basis: the compound of the form with Gram g / d is this over d^2."""
-    pairs = wedge_pairs(len(g))
-    rows = []
-    for i, j in pairs:
-        gi, gj = g[i], g[j]
-        rows.append([gi[k] * gj[l] - gj[k] * gi[l] for k, l in pairs])
-    return rows
+    """The 2x2 minors of the symmetric int matrix g, as row tuples in the
+    wedge-pair basis: the compound of the form with Gram g / d is this
+    over d^2.  Each minor off the diagonal is computed once."""
+    quads, getters = _compound_layout(len(g))
+    minors = [g[i][k] * g[j][l] - g[j][k] * g[i][l] for i, j, k, l in quads]
+    return [get(minors) for get in getters]
 
 
 def second_compound(q: SymmetricForm) -> SymmetricForm:
@@ -215,10 +233,11 @@ def discriminant_tangency(q: SymmetricForm, u, v) -> bool:
     """Oracle for `tangency`: the restriction of q to the line su + tv is
     a binary quadratic with discriminant Qt(u,v)^2 - Q(u) Q(v); the line
     is tangent exactly when the discriminant vanishes."""
-    if q.quadratic(u) != 0:
+    qu = q.quadratic(u)
+    if qu != 0:
         raise BasePointNotOnQuadricError("base point is not on the quadric")
     _require_line(u, v)
-    return q.evaluate(u, v) ** 2 - q.quadratic(u) * q.quadratic(v) == 0
+    return q.evaluate(u, v) ** 2 - qu * q.quadratic(v) == 0
 
 
 def is_singular_point(q: SymmetricForm, u, v) -> bool:
@@ -279,6 +298,14 @@ def _volume_signs() -> tuple:
     return tuple(table)
 
 
+def _require_pairs(psi, n: int) -> None:
+    """Raise ``ValueError`` unless each key of `psi` is a pair (i, j) of
+    ints, not bools, with 0 <= i < j < n."""
+    for i, j in psi:
+        if type(i) is not int or type(j) is not int or not 0 <= i < j < n:
+            raise ValueError(f"bad index pair {(i, j)}")
+
+
 def plucker_quadric_rank(psi, dim_v: int = 6) -> int:
     """Rank of the quadric B(x, y) = vol(x ^ y ^ psi) on the wedge square.
 
@@ -293,12 +320,10 @@ def plucker_quadric_rank(psi, dim_v: int = 6) -> int:
     """
     if dim_v != 6:
         raise ValueError("the volume pairing needs a 6-dimensional space")
+    _require_pairs(psi, dim_v)
     psi = {p: c for p, v in psi.items() if (c := exact(v))}
     if not psi:
         raise ZeroInputError("zero bivector")
-    for (i, j) in psi:
-        if not 0 <= i < j < dim_v:
-            raise ValueError(f"bad index pair {(i, j)}")
     (coefs,), _ = scaled((psi.values(),))
     psi = dict(zip(psi, coefs))
     size = len(wedge_pairs(dim_v))
@@ -313,9 +338,13 @@ def plucker_quadric_rank(psi, dim_v: int = 6) -> int:
 def transform_bivector(matrix, psi) -> dict:
     """Image of a bivector under the wedge square of a linear map
     (e_i -> sum_k matrix[k][i] e_k), accumulated in ints from the matrix
-    m / d and the coefficients p / e, then divided by d^2 e once."""
+    m / d and the coefficients p / e, then divided by d^2 e once.  The
+    keys of `psi` are index pairs (i, j), i < j < the number of columns."""
     m, d = scaled(matrix)
     (coefs,), e = scaled((psi.values(),))
+    if len(set(map(len, m))) > 1:
+        raise ValueError("matrix rows must have equal length")
+    _require_pairs(psi, len(m[0]) if m else 0)
     n = len(m)
     out: dict = {}
     for (i, j), p in zip(psi, coefs):
@@ -349,21 +378,22 @@ def random_unimodular_pair(rng, dim: int, steps: int = 10):
     Built as a product of row shears and swaps (determinant +-1), so the
     inverse stays integral and entries stay small in the sampling loops.
     """
-    m = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    inv_t = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    randrange, random, randint = rng.randrange, rng.random, rng.randint
+    m = [[0] * i + [1] + [0] * (dim - 1 - i) for i in range(dim)]
+    inv_t = [row[:] for row in m]
     for _ in range(steps):
-        i = rng.randrange(dim)
-        j = rng.randrange(dim)
+        i = randrange(dim)
+        j = randrange(dim)
         if i == j:
             m[i], m[j] = m[j], m[i]
             continue
-        if rng.random() < 0.2:
+        if random() < 0.2:
             # swap: self-inverse, applied on the left of m and the
             # right of the inverse, i.e. to the rows of its transpose
             m[i], m[j] = m[j], m[i]
             inv_t[i], inv_t[j] = inv_t[j], inv_t[i]
             continue
-        c = rng.randint(-3, 3)
+        c = randint(-3, 3)
         # m <- S m with S = I + c E_ij; inverse <- inverse S^{-1}, whose
         # column j loses c times column i
         m[i] = [a + c * b for a, b in zip(m[i], m[j])]
@@ -440,8 +470,7 @@ def complex_point_samples(rng, count: int, dim: int = 5):
                       rng.randint(*_ENTRY_RANGE),
                       rng.randint(*_ENTRY_RANGE),
                       rng.randint(*_ENTRY_RANGE)]
-        v = [sum(c * img[r] for c, img in zip(coeffs, images))
-             for r in range(dim)]
+        v = [sum(map(mul, coeffs, col)) for col in zip(*images)]
         u = images[0]
         if not any(wedge_coordinates(u, v)):
             continue

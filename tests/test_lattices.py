@@ -35,6 +35,26 @@ def test_lattice_refuses_coordinates_that_are_not_int(coordinate):
         lat.norm(v)
 
 
+def test_basis_vector_by_name_and_by_index():
+    lat = nikulin_lattice()
+    assert lat.basis_vector("n1") == lat.basis_vector(0) == (1,) + (0,) * 7
+    assert lat.basis_vector("e") == lat.basis_vector(7) == (0,) * 7 + (1,)
+
+
+@pytest.mark.parametrize("index", [8, 99, -1, -8])
+def test_basis_vector_refuses_an_index_out_of_range(index):
+    # an index past either end names no basis vector, not the zero vector
+    with pytest.raises(IndexError):
+        nikulin_lattice().basis_vector(index)
+
+
+@pytest.mark.parametrize("index", [True, False])
+def test_basis_vector_refuses_a_bool_index(index):
+    # True is the int 1 to Python, but not a basis index
+    with pytest.raises(TypeError):
+        nikulin_lattice().basis_vector(index)
+
+
 def test_lattice_is_canonical_whatever_sequences_it_is_given():
     lists = IntegerLattice([[2, 1], [1, 2]], ["a", "b"])
     tuples = IntegerLattice(((2, 1), (1, 2)), ("a", "b"))

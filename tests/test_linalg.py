@@ -10,6 +10,7 @@ import pytest
 
 from spincalc._linalg import (SingularMatrixError, bilinear, congruence, dot,
                               mat_det, mat_rank, mat_vec, scaled, solve)
+from spincalc.linecomplex import second_compound, symmetric_form
 
 
 def leibniz_det(m):
@@ -180,6 +181,56 @@ def test_dot_rejects_floats_and_ragged_vectors():
         dot([1, 2, 3], [1, 2])
 
 
+@pytest.mark.parametrize("bad", [0.5, 0.0])
+def test_products_refuse_a_float_in_either_argument(bad):
+    def with_bad(rows, i, j):
+        rows = [list(row) for row in rows]
+        rows[i][j] = bad
+        return rows
+    g = [[2, 0, 0], [0, 0, 1], [0, 1, 0]]
+    p = [[1, 2, 0], [0, 1, 0], [3, 0, 1]]
+    u, v = [1, 2, 3], [0, 1, 0]
+    for i in range(3):
+        for j in range(3):
+            # a 0.0 where G has a zero is an entry that a loop over the
+            # nonzero entries of G never multiplies
+            with pytest.raises(TypeError):
+                congruence(p, with_bad(g, i, j))
+            with pytest.raises(TypeError):
+                congruence(with_bad(p, i, j), g)
+            with pytest.raises(TypeError):
+                mat_vec(with_bad(g, i, j), v)
+            with pytest.raises(TypeError):
+                bilinear(with_bad(g, i, j), u, v)
+        with pytest.raises(TypeError):
+            mat_vec(g, with_bad([v], 0, i)[0])
+        with pytest.raises(TypeError):
+            bilinear(g, with_bad([u], 0, i)[0], v)
+        with pytest.raises(TypeError):
+            bilinear(g, u, with_bad([v], 0, i)[0])
+
+
+def test_products_refuse_ragged_rows():
+    g = [[1, 0, 0], [0, 1], [0, 0, 1]]
+    square = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    with pytest.raises(ValueError):
+        mat_vec(g, [1, 1, 1])
+    with pytest.raises(ValueError):
+        mat_vec(square, [1, 1])
+    with pytest.raises(ValueError):
+        bilinear(g, [1, 1, 1], [1, 1, 1])
+    with pytest.raises(ValueError):
+        bilinear(square, [1, 1], [1, 1, 1])
+    with pytest.raises(ValueError):
+        bilinear(square, [1, 1, 1], [1, 1])
+    with pytest.raises(ValueError):
+        congruence(square, g)
+    with pytest.raises(ValueError):
+        congruence(g, square)
+    with pytest.raises(ValueError):
+        congruence([[1, 0], [0, 1]], square)
+
+
 def test_kernel_rejects_floats():
     with pytest.raises(TypeError):
         mat_rank([[0.1]])
@@ -279,6 +330,22 @@ def compound(g):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return [[g[i][k] * g[j][l] - g[j][k] * g[i][l] for k, l in pairs]
             for i, j in pairs]
+
+
+@pytest.mark.parametrize("rational", [False, True])
+@pytest.mark.parametrize("dim", range(2, 8))
+def test_second_compound_is_the_explicit_minor_matrix(dim, rational):
+    # the package computes each minor off the diagonal once and mirrors
+    # it; the reference here computes all of them
+    rng = random.Random(1111 + 2 * dim + rational)
+    for _ in range(3):
+        b = random_matrix(rng, dim, dim, rational)
+        d = [entry(rng, rational) for _ in range(dim)]
+        g = [[sum(b[k][i] * d[k] * b[k][j] for k in range(dim))
+              for j in range(dim)] for i in range(dim)]
+        c = second_compound(symmetric_form(g))
+        assert c.gram == tuple(map(tuple, compound(g)))
+        assert c == symmetric_form(compound(g))
 
 
 @pytest.mark.parametrize("dim", [6, 7])

@@ -255,6 +255,35 @@ def test_plucker_rank_errors():
         plucker_quadric_rank({(0, 1): 1}, dim_v=5)
 
 
+@pytest.mark.parametrize("pair", [(1, 0), (0, 0), (0, 6), (-1, 2),
+                                  (False, True), (0, True)])
+def test_plucker_rank_refuses_bad_index_pairs(pair):
+    # (False, True) is equal to (0, 1) as a key, but it is no index pair
+    with pytest.raises(ValueError, match="bad index pair"):
+        plucker_quadric_rank({pair: 1})
+    # a zero coefficient does not excuse its key
+    with pytest.raises(ValueError, match="bad index pair"):
+        plucker_quadric_rank({(2, 3): 1, pair: 0})
+
+
+@pytest.mark.parametrize("pair", [(0, 5), (1, 0), (1, 1), (-1, 1),
+                                  (False, True), (0, True)])
+def test_transform_bivector_refuses_bad_index_pairs(pair):
+    # (0, 5) is out of range for a 2x2 matrix, and (1, 0) is not -(0, 1)
+    with pytest.raises(ValueError, match="bad index pair"):
+        transform_bivector([[1, 0], [0, 1]], {pair: 1})
+
+
+def test_transform_bivector_reads_source_pairs_in_the_columns():
+    # e_2 of a map from 3-space to the plane goes to 0, and a pair past
+    # the two columns of a map from the plane has no source vectors
+    assert transform_bivector([[1, 0, 0], [0, 1, 0]], {(0, 2): 1}) == {}
+    with pytest.raises(ValueError, match="bad index pair"):
+        transform_bivector([[1, 0], [0, 1], [1, 1]], {(0, 2): 1})
+    with pytest.raises(ValueError, match="equal length"):
+        transform_bivector([[1, 0], [0]], {(0, 1): 1})
+
+
 # --- exact types ------------------------------------------------------------
 
 def test_symmetric_form_stores_integral_entries_as_ints():
@@ -505,25 +534,33 @@ def sha256_of(samples):
 
 def test_samplers_keep_their_draws():
     # the first 50 samples of each sampler at seed 1729, as drawn before
-    # the samplers built their forms from integer views
-    def rng():
-        return random.Random(1729)
-    invertible = rng()
+    # the samplers built their forms from integer views, and the next
+    # value of the generator after them: a sampler that yields the same
+    # samples from a different number of draws would shift every suite
+    # that runs after it
+    def drawn(sample):
+        rng = random.Random(1729)
+        return sha256_of(sample(rng)), rng.random()
     assert {
-        "compound": sha256_of(islice(compound_rank_samples(rng(), 10), 50)),
-        "tangency": sha256_of(tangency_samples(rng(), 50)),
-        "complex": sha256_of(complex_point_samples(rng(), 50)),
-        "invertible": sha256_of(random_invertible_matrix(invertible, 6)
-                                for _ in range(50)),
+        "compound": drawn(lambda rng: islice(compound_rank_samples(rng, 10),
+                                             50)),
+        "tangency": drawn(lambda rng: tangency_samples(rng, 50)),
+        "complex": drawn(lambda rng: complex_point_samples(rng, 50)),
+        "invertible": drawn(lambda rng: (random_invertible_matrix(rng, 6)
+                                         for _ in range(50))),
+        "unimodular": drawn(lambda rng: (random_unimodular_pair(rng, 5)
+                                         for _ in range(50))),
     } == {
-        "compound": "28eef2ece53e2d5be81a2f097276ef9f"
-                    "02edd32aad0edfbdac72322ff692c25f",
-        "tangency": "760a141e53930fbe6c391394c05281ee"
-                    "dcbbb81ee8b83ec1c4a4af3019249599",
-        "complex": "6f0c68144743a33523c7f9c14a872a95"
-                   "415bdce34963bfa519c7aa5a1de86b91",
-        "invertible": "b5b08bc547b2591c3ae63b6a6f78704c"
-                      "3d8b9a50e8e98e79d35df648cd393a6b",
+        "compound": ("28eef2ece53e2d5be81a2f097276ef9f"
+                     "02edd32aad0edfbdac72322ff692c25f", 0.9059525383118969),
+        "tangency": ("760a141e53930fbe6c391394c05281ee"
+                     "dcbbb81ee8b83ec1c4a4af3019249599", 0.2247345478685101),
+        "complex": ("6f0c68144743a33523c7f9c14a872a95"
+                    "415bdce34963bfa519c7aa5a1de86b91", 0.4343962256869083),
+        "invertible": ("b5b08bc547b2591c3ae63b6a6f78704c"
+                       "3d8b9a50e8e98e79d35df648cd393a6b", 0.9391613413033183),
+        "unimodular": ("a7d0b6103ca1ff18b0729b9233fb2375"
+                       "28d4162f2ff711a6d7033e255222acac", 0.5584852691888934),
     }
 
 
