@@ -177,9 +177,10 @@ def mat_vec(mat, vec) -> list:
 
 
 def bilinear(gram, u, v):
-    """The bilinear value u^T G v of the Gram matrix G; a float anywhere
-    in G, u or v makes the total a float."""
-    if len(u) != len(gram) or set(map(len, gram)) - {len(v)}:
+    """The bilinear value u^T G v of the square Gram matrix G; a float
+    anywhere in G, u or v makes the total a float."""
+    n = len(gram)
+    if len(u) != n or len(v) != n or set(map(len, gram)) - {n}:
         raise ValueError("u, the rows of G and v differ in length")
     total = sum(map(mul, u, [sum(map(mul, row, v)) for row in gram]))
     _require_exact((total,))

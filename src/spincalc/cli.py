@@ -237,15 +237,22 @@ def _read_complex_file(path: str):
     return dim, rows
 
 
-def _require_bounds(dim: int, ints, den: int) -> None:
-    """The size rule and the work rule of `complex`, checked before any
-    work on the integer view (`ints`, `den`) of the input."""
+def _require_size(ints, den: int) -> int:
+    """The size rule of `complex` on the integer view (`ints`, `den`) of
+    input rows, alone for the vectors of the predicates: the work rule
+    prices an elimination, and they enter none.  Returns max |entry|."""
     top = max(abs(x) for row in ints for x in row)
     if den >= 10 ** 2000 or top >= 10 ** 2000:
         raise UsageError("the entries times the lcm d of their denominators, "
                          "and d, must be below 10^2000: 2000 digits a part "
                          "bounds each entry, not their common denominator")
-    n, digits = dim * (dim - 1) // 2, len(str(top))
+    return top
+
+
+def _require_bounds(dim: int, ints, den: int) -> None:
+    """The size rule and the work rule of `complex`, checked before any
+    work on the integer view (`ints`, `den`) of the input."""
+    n, digits = dim * (dim - 1) // 2, len(str(_require_size(ints, den)))
     if n ** 5 * digits ** 2 > MAX_COMPLEX_WORK:
         raise UsageError(f"too much work: C(dim,2)^5 * D^2 = {n}^5 * "
                          f"{digits}^2 is above {MAX_COMPLEX_WORK}, where D "
@@ -261,10 +268,12 @@ def _cmd_complex(args) -> tuple[int, str]:
             raise UsageError(
                 "plucker-rank input: dimension line, then one line of "
                 "C(dim,2) wedge coefficients in lexicographic order")
+        if dim != 6:
+            raise UsageError("the volume pairing needs a 6-dimensional space")
         _require_bounds(dim, *scaled(rows[:1]))
-        psi = {p: c for p, c in zip(linecomplex.wedge_pairs(dim), rows[0])
+        psi = {p: c for p, c in zip(linecomplex.wedge_pairs(6), rows[0])
                if c}
-        return 0, str(linecomplex.plucker_quadric_rank(psi, dim_v=dim))
+        return 0, str(linecomplex.plucker_quadric_rank(psi))
     if len(rows) < dim:
         raise UsageError(f"expected {dim} matrix rows")
     q = linecomplex.symmetric_form(rows[:dim])
@@ -276,6 +285,7 @@ def _cmd_complex(args) -> tuple[int, str]:
     if len(vectors) < 2:
         raise UsageError("tangency/singular input needs two "
                          "vector lines after the matrix")
+    _require_size(*scaled(vectors[:2]))
     predicate = (linecomplex.tangency if args.op == "tangency"
                  else linecomplex.is_singular_point)
     return 0, "true" if predicate(q, vectors[0], vectors[1]) else "false"

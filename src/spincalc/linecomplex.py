@@ -31,9 +31,12 @@ image coefficient once, and the Pluecker rank eliminates int rows.
 the Gram of a rational compound, a value of `evaluate`, or an image
 coefficient.  Tangency and singularity ask only whether something
 vanishes, which scaling q, u or v by a positive number does not change,
-so they never build a `Fraction`.  Integral entries are stored as ints,
-so compounds, wedge coordinates and bivector transforms of integer input
-are integer.  Floats are refused.
+so they never build a `Fraction`.  Both, and the tangency oracle
+`discriminant_tangency`, check u and v in one gate, which scales them to
+ints once; the oracle then reads Qt(u, v) on the view of q and forms no
+compound.  Integral entries are stored as ints, so compounds, wedge
+coordinates and bivector transforms of integer input are integer.
+Floats are refused.
 The random samplers draw integer entries in [-9, 9] from a
 caller-supplied seeded generator.
 """
@@ -121,9 +124,7 @@ class SymmetricForm(Record):
         return len(self._ints)
 
     def evaluate(self, u, v):
-        """Bilinear value u^T G v."""
-        if len(u) != self.dim or len(v) != self.dim:
-            raise ValueError("vector length must match the form dimension")
+        """Bilinear value u^T G v; `bilinear` checks the lengths."""
         (iu, iv), d = scaled((u, v))
         return _ratio(bilinear(self._ints, iu, iv), self._den * d * d)
 
@@ -195,28 +196,22 @@ def second_compound(q: SymmetricForm) -> SymmetricForm:
     return SymmetricForm._from_view(rows, d2 // g)
 
 
-def _require_line(u, v) -> list:
-    """Wedge coordinates of u ^ v, which must be a line."""
-    if len(u) != len(v):
-        raise ValueError("the two vectors must have the same length")
-    w = wedge_coordinates(u, v)
-    if not any(w):
-        raise DependentVectorsError("vectors do not span a line")
-    return w
-
-
-def _integer_line(q: SymmetricForm, u, v, off_quadric) -> tuple:
-    """(c, iu, iv, w): the integer compound of q, u and v scaled to ints,
-    and the wedge coordinates of iu ^ iv.  Raises `off_quadric` unless
-    [u] lies on the quadric, and `DependentVectorsError` unless u and v
-    span a line."""
+def _line(q: SymmetricForm, u, v, off_quadric) -> tuple:
+    """(iu, iv, w): u and v scaled to ints together, and the wedge
+    coordinates of iu ^ iv.  Raises ``ValueError`` on a length mismatch,
+    ``TypeError`` on an inexact entry, `off_quadric` unless [u] lies on
+    the quadric, and `DependentVectorsError` unless u and v span a line."""
     if len(u) != q.dim:
         raise ValueError("vector length must match the form dimension")
+    if len(v) != len(u):
+        raise ValueError("the two vectors must have the same length")
     (iu, iv), _ = scaled((u, v))
     if bilinear(q._ints, iu, iu) != 0:
         raise off_quadric("base point is not on the quadric")
-    w = _require_line(iu, iv)
-    return _compound_rows(q._ints), iu, iv, w
+    w = wedge_coordinates(iu, iv)
+    if not any(w):
+        raise DependentVectorsError("vectors do not span a line")
+    return iu, iv, w
 
 
 def tangency(q: SymmetricForm, u, v) -> bool:
@@ -225,19 +220,17 @@ def tangency(q: SymmetricForm, u, v) -> bool:
     Decided by the vanishing of the second compound form on u ^ v.  The
     independent route is `discriminant_tangency`.
     """
-    c, _, _, w = _integer_line(q, u, v, BasePointNotOnQuadricError)
-    return bilinear(c, w, w) == 0
+    _, _, w = _line(q, u, v, BasePointNotOnQuadricError)
+    return bilinear(_compound_rows(q._ints), w, w) == 0
 
 
 def discriminant_tangency(q: SymmetricForm, u, v) -> bool:
-    """Oracle for `tangency`: the restriction of q to the line su + tv is
-    a binary quadratic with discriminant Qt(u,v)^2 - Q(u) Q(v); the line
-    is tangent exactly when the discriminant vanishes."""
-    qu = q.quadratic(u)
-    if qu != 0:
-        raise BasePointNotOnQuadricError("base point is not on the quadric")
-    _require_line(u, v)
-    return q.evaluate(u, v) ** 2 - qu * q.quadratic(v) == 0
+    """Oracle for `tangency`, with no compound: q restricted to the line
+    su + tv is a binary quadratic of discriminant Qt(u,v)^2 - Q(u) Q(v),
+    which vanishes exactly on a tangent line.  As Q(u) = 0 on the
+    quadric, that is Qt(u, v) = 0, read on the integer view."""
+    iu, iv, _ = _line(q, u, v, BasePointNotOnQuadricError)
+    return bilinear(q._ints, iu, iv) == 0
 
 
 def is_singular_point(q: SymmetricForm, u, v) -> bool:
@@ -253,8 +246,8 @@ def is_singular_point(q: SymmetricForm, u, v) -> bool:
     [i = k], so with m the antisymmetric matrix m[j][i] = -m[i][j] = the
     gradient at (i, j), m x lists grad . (x ^ e_k) for every k at once.
     """
-    c, iu, iv, w = _integer_line(q, u, v, NotInComplexError)
-    grad = mat_vec(c, w)
+    iu, iv, w = _line(q, u, v, NotInComplexError)
+    grad = mat_vec(_compound_rows(q._ints), w)
     if dot(grad, w) != 0:
         raise NotInComplexError("line is not in the tangent complex")
     m = [[0] * q.dim for _ in range(q.dim)]
@@ -306,28 +299,24 @@ def _require_pairs(psi, n: int) -> None:
             raise ValueError(f"bad index pair {(i, j)}")
 
 
-def plucker_quadric_rank(psi, dim_v: int = 6) -> int:
-    """Rank of the quadric B(x, y) = vol(x ^ y ^ psi) on the wedge square.
-
-    `psi` maps index pairs (i, j), i < j < dim_v, to rational
-    coefficients.  For dim_v = 6 the rank is 6 for decomposable psi (a
-    Pluecker quadric), 10 for wedge-rank two, 15 for wedge-rank three.
-    The coefficients are cleared of denominators first: a positive scale
-    does not change the rank.
+def plucker_quadric_rank(psi) -> int:
+    """Rank of the quadric B(x, y) = vol(x ^ y ^ psi) on the wedge square
+    of a 6-space, for psi mapping index pairs (i, j), i < j < 6, to
+    rational coefficients: 6 for decomposable psi (a Pluecker quadric),
+    10 for wedge-rank two, 15 for wedge-rank three.  The coefficients are
+    cleared of denominators first: a positive scale does not change the
+    rank.
 
     >>> plucker_quadric_rank({(0, 1): 1})
     6
     """
-    if dim_v != 6:
-        raise ValueError("the volume pairing needs a 6-dimensional space")
-    _require_pairs(psi, dim_v)
+    _require_pairs(psi, 6)
     psi = {p: c for p, v in psi.items() if (c := exact(v))}
     if not psi:
         raise ZeroInputError("zero bivector")
     (coefs,), _ = scaled((psi.values(),))
     psi = dict(zip(psi, coefs))
-    size = len(wedge_pairs(dim_v))
-    rows = [[0] * size for _ in range(size)]
+    rows = [[0] * 15 for _ in range(15)]
     for row, col, rest, sign in _volume_signs():
         coef = psi.get(rest)
         if coef:
@@ -445,17 +434,15 @@ def tangency_samples(rng, count: int, dim: int = 5):
         yield q, u, v
 
 
-def complex_point_samples(rng, count: int, dim: int = 5):
+def complex_point_samples(rng, count: int):
     """Yield (q, u, v, inside) with [u ^ v] in the tangent complex of the
-    full-rank form q; `inside` marks the constructed lines that lie in
-    the quadric (both vectors isotropic).
+    full-rank form q on a 5-space; `inside` marks the constructed lines
+    that lie in the quadric (both vectors isotropic).
 
     Construction on the split model U + diag(d, -d, d'): u0 = e_1 is
     isotropic and everything orthogonal to e_2 pairs to zero with it;
     v0 = (a, 0, t, t, 0) is isotropic, v0 = (a, 0, b, c, f) generic.
     """
-    if dim != 5:
-        raise ValueError("the split construction is tuned to dimension 5")
     made = 0
     while made < count:
         d = _nonzero(rng)

@@ -324,6 +324,16 @@ def test_complex_plucker_rank(tmp_path, capsys):
     assert out.strip() == "6"
 
 
+def test_complex_plucker_rank_needs_dimension_six(tmp_path, capsys):
+    path = tmp_path / "psi.txt"
+    path.write_text("5\n1 0 0 0 0 0 0 0 0 0\n")
+    code, out, err = run(capsys, "complex", "--op", "plucker-rank",
+                         "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "6-dimensional" in err
+
+
 def test_complex_rational_entries(tmp_path, capsys):
     path = tmp_path / "half.txt"
     path.write_text("2\n1/2 0\n0 1/2\n")
@@ -439,27 +449,69 @@ def test_complex_compound_over_4300_digits_names_the_input_bound(
     assert "set_int_max_str_digits" not in err
 
 
-@pytest.mark.parametrize("op", ["compound", "tangency"])
-def test_complex_coprime_denominators_exit_two_at_once(tmp_path, capsys, op):
-    # 28 distinct odd 2000-digit denominators, pairwise coprime: any common
-    # prime of 1 + iK and 1 + jK divides (j - i) K, and every prime below
-    # 28 divides K, so their lcm has about 56000 digits
+def coprime_form_lines():
+    """A 7x7 form whose 28 entries have distinct odd 2000-digit
+    denominators, pairwise coprime: any common prime of 1 + iK and 1 + jK
+    divides (j - i) K, and every prime below 28 divides K, so their lcm
+    has about 56000 digits.  Then two unit vectors."""
     k = factorial(30) * 10 ** 1966
     dens = iter(1 + i * k for i in range(4, 32))
     gram = [[""] * 7 for _ in range(7)]
     for i in range(7):
         for j in range(i, 7):
             gram[i][j] = gram[j][i] = f"1/{next(dens)}"
-    rows = [" ".join(row) for row in gram]
+    return ["7", *(" ".join(row) for row in gram), "1 0 0 0 0 0 0",
+            "0 1 0 0 0 0 0"]
+
+
+def split_form_lines(u, v):
+    """The one-digit form diag(1, -1, ..., 1) in dimension 15, which
+    meets both rules, then the vectors u and v."""
+    rows = [" ".join(str((-1) ** i if i == j else 0) for j in range(15))
+            for i in range(15)]
+    return ["15", *rows, " ".join(u), " ".join(v)]
+
+
+def coprime_vector_lines():
+    """An isotropic u and a v whose 2000-digit denominators are pairwise
+    coprime, as above, so the vectors do not meet the size rule."""
+    k = factorial(30) * 10 ** 1966
+    p = [1 + i * k for i in range(26)]
+    u = [f"1/{p[i]}" for i in range(1, 8) for _ in range(2)] + ["0"]
+    return split_form_lines(u, [f"1/{p[i]}" for i in range(11, 26)])
+
+
+@pytest.mark.parametrize("op,lines", [
+    ("compound", coprime_form_lines), ("tangency", coprime_form_lines),
+    ("tangency", coprime_vector_lines), ("singular", coprime_vector_lines),
+], ids=["compound", "tangency", "tangency-vectors", "singular-vectors"])
+def test_complex_coprime_denominators_exit_two_at_once(tmp_path, capsys, op,
+                                                       lines):
     path = tmp_path / "form.txt"
-    path.write_text("\n".join(["7", *rows, "1 0 0 0 0 0 0",
-                               "0 1 0 0 0 0 0"]) + "\n")
+    path.write_text("\n".join(lines()) + "\n")
     start = time.perf_counter()
     code, out, err = run(capsys, "complex", "--op", op, "--input", str(path))
     assert time.perf_counter() - start < 1
     assert code == 2
     assert out == ""
     assert "below 10^2000" in err
+
+
+@pytest.mark.parametrize("op,answer", [("tangency", "true"),
+                                       ("singular", "false")])
+def test_complex_vectors_meet_the_size_rule_alone(tmp_path, capsys, op,
+                                                  answer):
+    # 1999-digit vectors at dimension 15 would fail the work rule, which
+    # prices an elimination; the vectors enter none, so they are answered
+    big = "9" * 1999
+    lines = split_form_lines([big, big] + ["0"] * 13,
+                             ["0", "0", big] + [f"-{big}"] * 12)
+    path = tmp_path / "form.txt"
+    path.write_text("\n".join(lines) + "\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "complex", "--op", op, "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out.strip()) == (0, answer)
 
 
 def dense_form_file(path, dim, digits, seed=1):

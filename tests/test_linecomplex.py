@@ -105,6 +105,51 @@ def test_vector_lengths_must_match(v):
             fn(q, u, v)
 
 
+Q_SPLIT = [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
+ON_QUADRIC, OFF_QUADRIC, GENERIC = [1, 0, 1], [1, 0, 0], [0, 1, 0]
+
+
+@pytest.mark.parametrize("u,v", [
+    ([1, 0], GENERIC),
+    (ON_QUADRIC, [0, 1]),
+    ([1.0, 0, 1], GENERIC),
+    (ON_QUADRIC, [0, 1.0, 0]),
+    (OFF_QUADRIC, GENERIC),
+    (ON_QUADRIC, [2, 0, 2]),
+    (OFF_QUADRIC, [0, 1.0, 0]),
+], ids=["short-u", "short-v", "float-u", "float-v", "off-quadric",
+        "dependent", "off-quadric-and-float-v"])
+def test_both_tangency_routes_raise_the_same_error(u, v):
+    q = symmetric_form(Q_SPLIT)
+    errors = []
+    for fn in (tangency, discriminant_tangency):
+        with pytest.raises((ValueError, TypeError)) as info:
+            fn(q, u, v)
+        errors.append(info.type)
+    assert errors[0] is errors[1]
+
+
+@pytest.mark.parametrize("gram,u,v", [
+    (Q_SPLIT, [1, 0], [0, 1, 0]), (Q_SPLIT, [1, 0, 1], [0, 1]),
+    (Q_SPLIT, [1], [1]), ([], [], [1]),
+])
+def test_evaluate_refuses_vectors_of_the_wrong_length(gram, u, v):
+    with pytest.raises(ValueError):
+        symmetric_form(gram).evaluate(u, v)
+
+
+def test_discriminant_oracle_forms_no_compound(monkeypatch):
+    # the oracle must stay independent of the compound route it checks
+    samples = list(tangency_samples(random.Random(13), 50))
+    want = [tangency(q, u, v) for q, u, v in samples]
+
+    def fail(*args):
+        pytest.fail("the oracle formed a compound")
+    monkeypatch.setattr(linecomplex, "_compound_rows", fail)
+    monkeypatch.setattr(linecomplex, "second_compound", fail)
+    assert [discriminant_tangency(q, u, v) for q, u, v in samples] == want
+
+
 def test_tangency_agrees_with_discriminant_oracle():
     rng = random.Random(42)
     seen = {True: 0, False: 0}
@@ -251,8 +296,6 @@ def test_plucker_rank_errors():
         plucker_quadric_rank({(0, 1): 0})
     with pytest.raises(ValueError):
         plucker_quadric_rank({(1, 0): 1})
-    with pytest.raises(ValueError):
-        plucker_quadric_rank({(0, 1): 1}, dim_v=5)
 
 
 @pytest.mark.parametrize("pair", [(1, 0), (0, 0), (0, 6), (-1, 2),
