@@ -16,9 +16,9 @@ in slot order, unless the subclass narrows it.  Copying and pickling
 rebuild an instance through its `__init__` from its fields.
 
 Two helpers serve the value types: `exact`, the one exact-scalar rule
-(ints stay ints, other rationals become an int or a ``Fraction``, floats
-and bools raise ``TypeError``), and `signed_sum`, the one renderer of
-sums such as ``2*lambda + ?*delta_1``, an unknown coefficient being `None`.
+(an int or a ``Fraction``, by exact type, as `_linalg.scaled` takes;
+anything else raises ``TypeError``), and `signed_sum`, the one renderer
+of sums such as ``2*lambda + ?*delta_1``, an unknown coefficient `None`.
 
 Building a class costs no more than any class statement, and importing
 this module loads nothing that interpreter start-up has not loaded:
@@ -74,14 +74,14 @@ class Record:
 
 
 def exact(x):
-    """`x` as an int when integral, else as a Fraction; floats and bools
-    are not exact rationals and raise ``TypeError``."""
+    """`x` as an int when integral, else as the Fraction it is; any type
+    but int and Fraction (a float, a bool, text, a ``Decimal``, an int
+    subclass) raises ``TypeError``, as in `_linalg.scaled`."""
     if type(x) is int:
         return x
-    if isinstance(x, (float, bool)):
-        raise TypeError(f"{type(x).__name__} is inexact; use int or Fraction")
     import fractions  # here, not at the top: a `schubert` query needs none
-    x = x if type(x) is fractions.Fraction else fractions.Fraction(x)
+    if type(x) is not fractions.Fraction:
+        raise TypeError(f"{type(x).__name__} is inexact; use int or Fraction")
     return x.numerator if x.denominator == 1 else x
 
 

@@ -94,8 +94,8 @@ class SurfacePencilSpec(Record):
     over the pencil; base_points counts blown-up pencil base points when
     chi/k_squared quote a minimal model instead.  nodes_resolved counts
     fibres meeting the exceptional locus with multiplicity one, and
-    reducible_fibres lists the node count of each fibre that contributes
-    half-integrally.
+    reducible_fibres, kept as a tuple, lists the node count of each fibre
+    that contributes half-integrally.
     """
 
     __slots__ = ("chi", "k_squared", "target", "nodes_resolved",
@@ -104,6 +104,7 @@ class SurfacePencilSpec(Record):
 
     def __init__(self, *args, **kwargs):
         Record.__init__(self, *args, **kwargs)
+        _set(self, "reducible_fibres", tuple(self.reducible_fibres))
         if noether_c2(self.chi, self.k_squared) < 0:
             raise ValueError("negative c_2: inconsistent surface invariants")
         if self.nodes_resolved < 0 or self.base_points < 0:

@@ -17,26 +17,24 @@ B(x, y) = vol(x ^ y ^ psi) on the wedge square of a 6-space, and the
 rank of B is 6, 10 or 15 according to the wedge-rank of psi.
 
 Everything is exact rational arithmetic, done in Python ints.  A form
-clears its denominators once, when it is built: it keeps its Gram G as
-given and an integer view (d G, d) with d the lcm of the denominators of
-G.  Compounds, evaluations and gradients run on that view.  A compound
-is built as the symmetric matrix it is: each 2x2 minor on or above the
-diagonal is computed once and read again below it.  A derived
-form (a compound, a sampled form) is built from its own view, and its
-Gram is built from the view the first time it is read, so the rank of a
-compound never builds a `Fraction`.  A bivector transform clears the
-denominators of the matrix and of the bivector once and divides each
-image coefficient once, and the Pluecker rank eliminates int rows.
-`Fraction` appears only in an answer that has a denominator: an entry of
-the Gram of a rational compound, a value of `evaluate`, or an image
-coefficient.  Tangency and singularity ask only whether something
-vanishes, which scaling q, u or v by a positive number does not change,
-so they never build a `Fraction`.  Both, and the tangency oracle
-`discriminant_tangency`, check u and v in one gate, which scales them to
-ints once; the oracle then reads Qt(u, v) on the view of q and forms no
-compound.  Integral entries are stored as ints, so compounds, wedge
-coordinates and bivector transforms of integer input are integer.
-Floats are refused.
+keeps only its integer view (d G, d), d the lcm of the denominators of
+its Gram G, and reads G back from it.  Compounds, evaluations and
+gradients run on that view.  A compound is built as the symmetric matrix
+it is: each 2x2 minor on or above the diagonal is computed once and read
+again below it.  A derived form (a compound, a sampled form) is built
+from its own view, so the rank of a compound never builds a `Fraction`.
+A bivector transform clears the denominators of the matrix and of the
+bivector once and divides each image coefficient once, and the Pluecker
+rank eliminates int rows.  `Fraction` appears only in an answer that has
+a denominator: an entry of the Gram of a rational compound, a value of
+`evaluate`, or an image coefficient.  Tangency and singularity ask only
+whether something vanishes, which scaling q, u or v by a positive number
+does not change, so they never build a `Fraction`.  Both, and the
+tangency oracle `discriminant_tangency`, check u and v in one gate,
+which scales them to ints once; the oracle then reads Qt(u, v) on the
+view of q and forms no compound.  Integer input stays integer.  One
+exactness rule holds throughout, that of `_linalg.scaled`: a number is
+an int or a Fraction, and anything else raises ``TypeError``.
 The random samplers draw integer entries in [-9, 9] from a
 caller-supplied seeded generator.
 """
@@ -52,7 +50,7 @@ from operator import itemgetter, mul
 from ._linalg import (SingularMatrixError, _eliminate, bilinear, congruence,
                       dot, mat_det, mat_rank, mat_vec, require_symmetric,
                       scaled, solve)
-from ._record import Record, _set, exact
+from ._record import Record, _set
 
 
 class BasePointNotOnQuadricError(ValueError):
@@ -73,24 +71,23 @@ class ZeroInputError(ValueError):
 
 class SymmetricForm(Record):
     """Dense exact-rational symmetric bilinear form, built from any square
-    symmetric array of rationals: `gram` is its rows as `exact` tuples.
+    symmetric array of ints and Fractions.
 
-    Besides `gram` it keeps the integer view `_ints` = d G, as int rows,
-    and `_den` = d, the lcm of the denominators of G.  The view is a
-    cache: equality, hashing and `repr` read `gram` alone, and copying
-    and pickling rebuild the form from `gram`.  A form derived inside
-    this module (a compound, a sampled form) is built from its view by
-    `_from_view`, and its `gram` is built from the view the first time it
-    is read; `dim`, `evaluate` and `rank` read the view alone.
+    Its one stored state is the integer view: `_ints` = d G, as int rows,
+    and `_den` = d, the lcm of the denominators of the Gram G.  `gram`
+    reads G back from the view, an entry as an int where it is integral,
+    so equality, hashing and `repr` compare Grams, and copying and
+    pickling rebuild the form from its Gram.  A form derived inside this
+    module (a compound, a sampled form) is built from its view by
+    `_from_view`; `dim`, `evaluate` and `rank` read the view alone.
     """
 
-    __slots__ = ("gram", "_ints", "_den")
+    __slots__ = ("_ints", "_den")
 
     def __init__(self, gram):
-        gram = tuple(tuple(exact(x) for x in row) for row in gram)
-        require_symmetric(gram)
-        _set(self, "gram", gram)
-        ints, den = scaled(gram)
+        # rows read once, as `scaled` (the one type check) walks them twice
+        ints, den = scaled([tuple(row) for row in gram])
+        require_symmetric(ints)
         _set(self, "_ints", ints)
         _set(self, "_den", den)
 
@@ -103,15 +100,11 @@ class SymmetricForm(Record):
         _set(form, "_den", den)
         return form
 
-    def __getattr__(self, name):
-        # reached only while a slot is empty: `gram` of a form built by
-        # `_from_view`, until it is first read
-        if name != "gram":
-            raise AttributeError(f"SymmetricForm has no attribute {name!r}")
+    @property
+    def gram(self) -> tuple:
+        """The Gram matrix as row tuples, an integral entry as an int."""
         d = self._den
-        _set(self, "gram", tuple(tuple(_ratio(x, d) for x in row)
-                                 for row in self._ints))
-        return self.gram
+        return tuple(tuple(_ratio(x, d) for x in row) for row in self._ints)
 
     def _key(self) -> tuple:
         return (self.gram,)
@@ -311,11 +304,10 @@ def plucker_quadric_rank(psi) -> int:
     6
     """
     _require_pairs(psi, 6)
-    psi = {p: c for p, v in psi.items() if (c := exact(v))}
+    (coefs,), _ = scaled((psi.values(),))
+    psi = {p: c for p, c in zip(psi, coefs) if c}
     if not psi:
         raise ZeroInputError("zero bivector")
-    (coefs,), _ = scaled((psi.values(),))
-    psi = dict(zip(psi, coefs))
     rows = [[0] * 15 for _ in range(15)]
     for row, col, rest, sign in _volume_signs():
         coef = psi.get(rest)
@@ -360,17 +352,17 @@ def random_invertible_matrix(rng, dim: int) -> list:
             return m
 
 
-def random_unimodular_pair(rng, dim: int, steps: int = 10):
+def random_unimodular_pair(rng, dim: int):
     """Random integer change of basis P together with the transpose of
     its integer inverse, whose row k is P^-1 e_k.
 
-    Built as a product of row shears and swaps (determinant +-1), so the
-    inverse stays integral and entries stay small in the sampling loops.
+    Built as a product of ten row shears and swaps (determinant +-1), so
+    the inverse stays integral and entries stay small in the samplers.
     """
     randrange, random, randint = rng.randrange, rng.random, rng.randint
     m = [[0] * i + [1] + [0] * (dim - 1 - i) for i in range(dim)]
     inv_t = [row[:] for row in m]
-    for _ in range(steps):
+    for _ in range(10):
         i = randrange(dim)
         j = randrange(dim)
         if i == j:
@@ -398,8 +390,14 @@ def random_symmetric_form_of_rank(rng, dim: int, rank: int) -> SymmetricForm:
     g0 = [[0] * dim for _ in range(dim)]
     for i in range(rank):
         g0[i][i] = _nonzero(rng)
-    p, _ = random_unimodular_pair(rng, dim)
-    return SymmetricForm._from_view(congruence(p, g0), 1)
+    return _conjugated(rng, g0)[0]
+
+
+def _conjugated(rng, g0) -> tuple:
+    """(the form P^T g0 P, P^-1 e_k for each k) for the integer Gram g0
+    and a random unimodular P."""
+    p, images = random_unimodular_pair(rng, len(g0))
+    return SymmetricForm._from_view(congruence(p, g0), 1), images
 
 
 def _nonzero(rng):
@@ -417,18 +415,18 @@ def _conjugated_split_sample(rng, diag_tail):
     g0[0][1] = g0[1][0] = 1
     for i, d in enumerate(diag_tail):
         g0[2 + i][2 + i] = d
-    p, images = random_unimodular_pair(rng, dim)
-    return SymmetricForm._from_view(congruence(p, g0), 1), images
+    return _conjugated(rng, g0)
 
 
-def tangency_samples(rng, count: int, dim: int = 5):
-    """Yield (q, u, v) with q of full rank, [u] on the quadric, v generic."""
+def tangency_samples(rng, count: int):
+    """Yield (q, u, v) with q of full rank on a 5-space, [u] on the
+    quadric, v generic."""
     for _ in range(count):
-        tail = [_nonzero(rng) for _ in range(dim - 2)]
-        q, images = _conjugated_split_sample(rng, tail)
+        q, images = _conjugated_split_sample(
+            rng, [_nonzero(rng) for _ in range(3)])
         u = images[0]
         while True:
-            v = [rng.randint(*_ENTRY_RANGE) for _ in range(dim)]
+            v = [rng.randint(*_ENTRY_RANGE) for _ in range(5)]
             if any(wedge_coordinates(u, v)):
                 break
         yield q, u, v
@@ -467,8 +465,8 @@ def complex_point_samples(rng, count: int):
         made += 1
 
 
-def compound_rank_samples(rng, count: int, dim: int = 5):
-    """Yield (q, rank q) over all ranks 0..dim, `count` samples each."""
-    for rank in range(dim + 1):
+def compound_rank_samples(rng, count: int):
+    """Yield (q, rank q) for forms on a 5-space, `count` of each rank."""
+    for rank in range(6):
         for _ in range(count):
-            yield random_symmetric_form_of_rank(rng, dim, rank), rank
+            yield random_symmetric_form_of_rank(rng, 5, rank), rank

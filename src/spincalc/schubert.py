@@ -78,11 +78,12 @@ class SchubertCycle(Record):
         return SchubertCycle(self.n, terms)
 
     def __mul__(self, other):
-        """Cup product with a cycle, or scaling by an int; any other
-        scalar (a bool, a float, a Fraction) raises ``TypeError``."""
+        """Cup product with a cycle, or scaling by a plain int; any other
+        scalar (a bool, an int subclass, a float, a Fraction) raises
+        ``TypeError``, as a coefficient of the constructor does."""
         if isinstance(other, SchubertCycle):
             return multiply(self, other)
-        if not isinstance(other, int) or isinstance(other, bool):
+        if type(other) is not int:
             return NotImplemented
         return SchubertCycle(self.n,
                              {p: other * c for p, c in self.terms.items()})
@@ -144,11 +145,9 @@ def degree(c: SchubertCycle) -> int:
     codims = c.codimensions()
     if len(codims) != 1:
         raise MixedCodimensionError(f"codimensions {sorted(codims)}")
-    k = codims.pop()
-    top = 2 * (c.n - 2)
-    if k > top:
-        raise MixedCodimensionError("codimension exceeds the dimension")
-    for _ in range(top - k):
+    # the constructor keeps every partition in the 2 x (n-2) box, so the
+    # codimension is at most the dimension 2(n-2)
+    for _ in range(2 * (c.n - 2) - codims.pop()):
         c = pieri(c)
     return c.coefficient(c.n - 2, c.n - 2)
 

@@ -315,6 +315,17 @@ def test_complex_vector_length_mismatch(tmp_path, capsys, v):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("op", ["tangency", "singular"])
+@pytest.mark.parametrize("vectors", ["", "1 1\n"])
+def test_complex_predicates_need_two_vector_lines(tmp_path, capsys, op,
+                                                  vectors):
+    path = tmp_path / "one.txt"
+    path.write_text(f"2\n1 0\n0 -1\n{vectors}")
+    code, out, err = run(capsys, "complex", "--op", op, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert "needs two vector lines" in err
+
+
 def test_complex_plucker_rank(tmp_path, capsys):
     path = tmp_path / "psi.txt"
     path.write_text("6\n1 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n")

@@ -79,6 +79,15 @@ def test_pencil_curve_rejects_prym_target():
         pencil_curve(spec)
 
 
+def test_pencil_spec_stores_reducible_fibres_as_a_tuple():
+    given = SurfacePencilSpec(chi=2, k_squared=-14, target=spin_plus(8),
+                              reducible_fibres=[7, 7])
+    spec = SurfacePencilSpec(chi=2, k_squared=-14, target=spin_plus(8),
+                             reducible_fibres=(7, 7))
+    assert given.reducible_fibres == (7, 7)
+    assert given == spec and hash(given) == hash(spec)
+
+
 # --- the Nikulin pencil -----------------------------------------------------
 
 def test_xi_curve_tabulated():
@@ -188,6 +197,24 @@ def test_btilde_refuses_undefined_split():
         pair(lift, theta_null(8))  # beta_0 coeff is not twice alpha_0's
 
 
+def test_btilde_starts_from_the_stable_curve_space():
+    with pytest.raises(SpaceMismatchError):
+        btilde_curve(xi_curve(8))
+
+
+def test_btilde_pairs_only_with_pinned_classes_on_its_space():
+    lift = btilde_curve(septic_pencil_curve())
+    with pytest.raises(SpaceMismatchError):
+        pair(lift, brill_noether_g8())
+    with pytest.raises(OpaquePairingError):
+        pair(lift, divisor_class(spin_plus(8), [(LAMBDA, 1)], [alpha(1)]))
+
+
+def test_pushforward_keeps_a_stable_curve_class():
+    c = septic_pencil_curve()
+    assert pushforward_to_mbar(c) is c
+
+
 # --- the pairing itself -----------------------------------------------------
 
 @pytest.mark.parametrize("g", range(2, 13))
@@ -249,6 +276,12 @@ def test_curve_class_refuses_a_symbol_listed_twice():
         curve_class(mbar(4), [(LAMBDA, 1), (LAMBDA, 2)])
     with pytest.raises(DuplicateSymbolError):
         curve_class(mbar(4), [(LAMBDA, 1), (DELTA0, 3), (LAMBDA, 1)])
+
+
+def test_curve_rendering():
+    assert str(xi_curve(6)) == ("<curve on Rbar_6: lambda=7, delta_0'=38, "
+                                "delta_0^ram=8>")
+    assert str(curve_class(mbar(4))) == "<curve on Mbar_4: 0>"
 
 
 # --- projection formula -----------------------------------------------------

@@ -224,6 +224,11 @@ def test_cs_obstruction_rejects_low_genus():
         cs_obstruction(6, a_bound=1)
 
 
+def test_cs_obstruction_needs_a_multiple():
+    with pytest.raises(ValueError, match="at least one multiple"):
+        cs_obstruction(8, a_bound=0)
+
+
 # --- doubly-elliptic identities ---------------------------------------------
 
 def test_doubly_elliptic_identities():

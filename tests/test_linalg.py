@@ -146,6 +146,10 @@ def test_solve_singular_systems():
         solve([[1, 0], [0, 1]], [1, 2, 3])
 
 
+def test_solve_empty_system():
+    assert solve([], []) == []
+
+
 # --- products ---------------------------------------------------------------
 
 @pytest.mark.parametrize("rational", [False, True])

@@ -54,6 +54,11 @@ def test_compound_rank_law_sampled():
         assert second_compound(q).rank() == comb(rank, 2)
 
 
+def test_random_form_rank_out_of_range():
+    with pytest.raises(ValueError, match="rank out of range"):
+        random_symmetric_form_of_rank(random.Random(0), 5, 6)
+
+
 def test_random_form_rank_is_exact():
     rng = random.Random(9)
     for rank in range(6):
@@ -332,7 +337,7 @@ def test_transform_bivector_reads_source_pairs_in_the_columns():
 def test_symmetric_form_stores_integral_entries_as_ints():
     q = symmetric_form([[Fraction(3, 1)]])
     assert q.gram == ((3,),) and type(q.gram[0][0]) is int
-    q = symmetric_form([[Fraction(1, 2), 2], [2, "4/2"]])
+    q = symmetric_form([[Fraction(1, 2), 2], [2, Fraction(4, 2)]])
     assert [[type(x) for x in row] for row in q.gram] == [[Fraction, int],
                                                           [int, int]]
 
@@ -342,6 +347,19 @@ def test_symmetric_form_is_canonical_whatever_sequences_it_is_given():
     tuples = SymmetricForm(((1, 2), (2, 1)))
     assert lists == tuples == symmetric_form([[1, 2], [2, 1]])
     assert hash(lists) == hash(tuples) and lists.gram == ((1, 2), (2, 1))
+
+
+def test_symmetric_form_reads_iterators_of_rows_once():
+    rows = [[1, 2], [2, Fraction(1, 2)]]
+    assert SymmetricForm(iter(map(iter, rows))) == SymmetricForm(rows)
+
+
+def test_the_integer_view_is_the_only_state():
+    assert SymmetricForm.__slots__ == ("_ints", "_den")
+    assert "__getattr__" not in vars(SymmetricForm)
+    assert isinstance(vars(SymmetricForm)["gram"], property)
+    q = second_compound(symmetric_form([[Fraction(1, 2), 0], [0, 3]]))
+    assert (q._ints, q._den, q.gram) == ([[3]], 2, ((Fraction(3, 2),),))
 
 
 def test_symmetric_form_rejects_floats():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from spincalc.picard import (ALPHA0, BETA0, D0P, D0PP, D0RAM, DELTA0, LAMBDA,
                              BadParamError, DivisorClass, DuplicateSymbolError,
+                             ModuliSpace,
                              OpaqueCoefficientError, SpaceMismatchError,
                              UnknownSymbolError, ZeroDenominatorError, alpha,
                              basis_symbols, beta, brill_noether_g8,
@@ -146,6 +147,14 @@ def test_add_space_mismatch():
     with pytest.raises(SpaceMismatchError):
         divisor_class(mbar(8), [(LAMBDA, 1)]) + \
             divisor_class(mbar(7), [(LAMBDA, 1)])
+
+
+def test_negation_and_sums_with_non_classes():
+    d = brill_noether_g8()
+    assert -d == (-1) * d and (-d).coeff(LAMBDA) == -22
+    assert (d + -d).is_zero()
+    with pytest.raises(TypeError):
+        d + 1
 
 
 # --- pullbacks --------------------------------------------------------------
@@ -377,6 +386,24 @@ def test_named_divisor_bad_params():
         named_divisor("nikulin_N6", space=mbar(6))
     with pytest.raises(BadParamError):
         named_divisor("no_such_class", genus=8)
+
+
+def test_named_divisor_needs_a_consistent_home():
+    with pytest.raises(BadParamError, match="needs a genus"):
+        named_divisor("theta_null")
+    with pytest.raises(BadParamError, match="ambient space"):
+        named_divisor("canonical")
+    with pytest.raises(BadParamError, match="does not match"):
+        named_divisor("bn8", space=mbar(8), genus=7)
+
+
+def test_bad_spaces_and_parameters_raise():
+    with pytest.raises(ValueError, match="unknown moduli-space kind"):
+        ModuliSpace("x", 3)
+    with pytest.raises(BadParamError):
+        prym_green(-1)
+    with pytest.raises(BadParamError):
+        sym_power_c1(twisted_hodge_c1(1), 0, 1)
 
 
 def test_format_class_signs_magnitudes_and_opaque_terms():

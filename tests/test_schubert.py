@@ -32,6 +32,14 @@ def test_square_of_sigma1():
     assert multiply(sigma(5, 1), sigma(5, 1)) == sigma(5, 2) + sigma(5, 1, 1)
 
 
+def test_cycle_operators():
+    assert sigma(5, 1) * sigma(5, 1) == multiply(sigma(5, 1), sigma(5, 1))
+    with pytest.raises(TypeError):
+        sigma(5, 1) + 1
+    with pytest.raises(AmbientMismatchError):
+        sigma(5, 1) + sigma(6, 1)
+
+
 def test_square_of_sigma11():
     prod = multiply(sigma(5, 1, 1), sigma(5, 1, 1))
     assert prod == sigma(5, 2, 2)
