@@ -2,15 +2,20 @@
 
 Denominators are cleared in one place, `scaled`, which multiplies a
 matrix by the lcm d of all its denominators and returns Python int rows
-together with d; it also refuses any entry but an int or a Fraction.  Every elimination in the package runs through
-`_eliminate`, a single fraction-free Bareiss elimination of such int rows
-(Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22, 1968): every entry is an integer minor of
-the cleared matrix and every division is exact.  Rank is the pivot count,
-the determinant is the signed last pivot divided by d ** n, and a square
-solve eliminates the augmented matrix and back-substitutes, so every
-vanishing or rank statement made elsewhere in the package is decided
-with zero tolerance by the same code.  Only the answers of `mat_det` and
+together with d; it also refuses any entry but an int or a Fraction.
+Every elimination in the package runs through `_eliminate`, a single
+fraction-free Bareiss elimination of such int rows (Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math.
+Comp. 22, 1968): every entry is an integer minor of the cleared matrix
+and every division is exact.  A rank is taken on content-free rows and
+columns: `int_rank` divides each row, then each column, by the gcd of
+its entries (its content), drops those that vanish, and counts the
+pivots; scaling by a nonzero int keeps the rank and shrinks every minor
+the elimination builds.  The determinant is the signed last pivot
+divided by d ** n, and a square solve eliminates the augmented matrix
+and back-substitutes, so every vanishing or rank statement made
+elsewhere in the package is decided with zero tolerance by the same
+code.  Only the answers of `mat_det` and
 `solve` are built as ``fractions.Fraction``.
 
 The products `dot`, `mat_vec`, `bilinear` (u^T G v) and `congruence`
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 
@@ -108,9 +113,31 @@ def require_symmetric(gram) -> None:
                 raise ValueError("Gram matrix must be symmetric")
 
 
+def _primitive(vectors) -> list:
+    """The int vectors that are not zero, each divided by its content."""
+    out = []
+    for v in vectors:
+        g = gcd(*v)
+        if g == 1:
+            out.append(v)
+        elif g:
+            out.append([x // g for x in v])
+    return out
+
+
+def int_rank(rows) -> int:
+    """Rank of a rectangular matrix of ints, given as rows (lists or
+    tuples), which it leaves as they are: the pivot count of `_eliminate`
+    on the rows and then the columns cleared of their contents."""
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("rank needs rows of equal length")
+    cols = _primitive(zip(*_primitive(rows)))
+    return len(_eliminate([list(row) for row in zip(*cols)])[0])
+
+
 def mat_rank(mat) -> int:
     """Rank of a rectangular matrix of rationals."""
-    return len(_eliminate(scaled(mat)[0])[0])
+    return int_rank(scaled(mat)[0])
 
 
 def mat_det(mat) -> Fraction:

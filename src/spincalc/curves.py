@@ -95,7 +95,8 @@ class SurfacePencilSpec(Record):
     chi/k_squared quote a minimal model instead.  nodes_resolved counts
     fibres meeting the exceptional locus with multiplicity one, and
     reducible_fibres, kept as a tuple, lists the node count of each fibre
-    that contributes half-integrally.
+    that contributes half-integrally.  Every count is a plain int; any
+    other type (a bool, a float, a Fraction) raises ``TypeError``.
     """
 
     __slots__ = ("chi", "k_squared", "target", "nodes_resolved",
@@ -105,6 +106,10 @@ class SurfacePencilSpec(Record):
     def __init__(self, *args, **kwargs):
         Record.__init__(self, *args, **kwargs)
         _set(self, "reducible_fibres", tuple(self.reducible_fibres))
+        counts = (self.chi, self.k_squared, self.nodes_resolved,
+                  self.base_points, *self.reducible_fibres)
+        if any(type(n) is not int for n in counts):
+            raise TypeError("surface pencil counts must be int")
         if noether_c2(self.chi, self.k_squared) < 0:
             raise ValueError("negative c_2: inconsistent surface invariants")
         if self.nodes_resolved < 0 or self.base_points < 0:
@@ -137,8 +142,7 @@ def pencil_curve(spec: SurfacePencilSpec, label: str = "") -> CurveClass:
     if spec.target.kind != SPIN:
         raise SpaceMismatchError("pencil targets are the stable-curve and "
                                  "even-spin spaces")
-    b0 = Fraction(spec.nodes_resolved)
-    b0 += sum((Fraction(n, 2) for n in spec.reducible_fibres), Fraction(0))
+    b0 = Fraction(2 * spec.nodes_resolved + sum(spec.reducible_fibres), 2)
     a0 = total - 2 * b0
     if a0 < 0:
         raise NegativeBudgetError(f"budget {total} cannot carry beta_0={b0}")

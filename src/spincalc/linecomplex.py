@@ -25,7 +25,11 @@ again below it.  A derived form (a compound, a sampled form) is built
 from its own view, so the rank of a compound never builds a `Fraction`.
 A bivector transform clears the denominators of the matrix and of the
 bivector once and divides each image coefficient once, and the Pluecker
-rank eliminates int rows.  `Fraction` appears only in an answer that has
+rank eliminates int rows.  Every rank, of a form or of the Pluecker
+matrix, is taken on content-free rows and columns (`_linalg.int_rank`):
+row i of the view d G of a rational form is divisible by d / d_i, d_i
+the lcm of the denominators of row i of G, and those factors would grow
+every minor of the elimination.  `Fraction` appears only in an answer that has
 a denominator: an entry of the Gram of a rational compound, a value of
 `evaluate`, or an image coefficient.  Tangency and singularity ask only
 whether something vanishes, which scaling q, u or v by a positive number
@@ -47,8 +51,8 @@ from itertools import chain
 from math import gcd
 from operator import itemgetter, mul
 
-from ._linalg import (SingularMatrixError, _eliminate, bilinear, congruence,
-                      dot, mat_det, mat_rank, mat_vec, require_symmetric,
+from ._linalg import (SingularMatrixError, bilinear, congruence, dot,
+                      int_rank, mat_det, mat_rank, mat_vec, require_symmetric,
                       scaled, solve)
 from ._record import Record, _set
 
@@ -125,7 +129,7 @@ class SymmetricForm(Record):
         return self.evaluate(u, u)
 
     def rank(self) -> int:
-        return len(_eliminate([list(row) for row in self._ints])[0])
+        return int_rank(self._ints)
 
 
 def _ratio(n: int, d: int):

@@ -34,16 +34,22 @@ class SchubertCycle(Record):
     `terms` maps partitions (a, b) to coefficients.  It is stored as a
     read-only mapping of nonzero ints, so `==`, `hash` and `is_zero`
     compare values; any other coefficient type (a bool, a float, a
-    Fraction) raises ``TypeError``.
+    Fraction) raises ``TypeError``, as does any but an int for n or for
+    a partition index.
     """
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms):
+        if type(n) is not int:
+            raise TypeError(f"n must be int, not {type(n).__name__}")
         if n < 3:
             raise ValueError("G(2, n) needs n >= 3")
         kept = {}
         for (a, b), c in terms.items():
+            if type(a) is not int or type(b) is not int:
+                raise TypeError(f"partition indices must be int, "
+                                f"not {(a, b)!r}")
             if not (n - 2 >= a >= b >= 0):
                 raise ValueError(f"partition {(a, b)} outside the "
                                  f"2 x {n - 2} box")

@@ -10,9 +10,11 @@ import pytest
 
 from spincalc._linalg import scaled
 from spincalc._record import exact
+from spincalc.curves import SurfacePencilSpec, pencil_curve
 from spincalc.linecomplex import plucker_quadric_rank, symmetric_form
-from spincalc.picard import LAMBDA, brill_noether_g8, divisor_class, mbar
-from spincalc.schubert import sigma
+from spincalc.picard import (BETA0, LAMBDA, brill_noether_g8, divisor_class,
+                             mbar, spin_plus)
+from spincalc.schubert import SchubertCycle, sigma
 
 
 class Small(IntEnum):
@@ -55,3 +57,43 @@ def test_cycles_take_plain_ints_only():
     assert sigma(5, 1) * 2 == 2 * sigma(5, 1) == sigma(5, 1, coefficient=2)
     with pytest.raises(TypeError):
         sigma(5, 1) * Fraction(2)
+
+
+#: each integer count or index as a function of the one value it is given;
+#: these take plain ints only, so a Fraction is refused as well
+COUNTS = {
+    "pencil_chi": lambda x: SurfacePencilSpec(
+        chi=x, k_squared=-14, target=spin_plus(8)),
+    "pencil_k_squared": lambda x: SurfacePencilSpec(
+        chi=2, k_squared=x, target=spin_plus(8)),
+    "pencil_nodes_resolved": lambda x: SurfacePencilSpec(
+        chi=2, k_squared=-14, target=spin_plus(8), nodes_resolved=x),
+    "pencil_base_points": lambda x: SurfacePencilSpec(
+        chi=2, k_squared=-14, target=spin_plus(8), base_points=x),
+    "pencil_reducible_fibre": lambda x: SurfacePencilSpec(
+        chi=2, k_squared=-14, target=spin_plus(8), reducible_fibres=(7, x)),
+    "cycle_n": lambda x: SchubertCycle(x, {(1, 0): 1}),
+    "cycle_first_index": lambda x: sigma(5, x),
+    "cycle_second_index": lambda x: sigma(5, 2, x),
+}
+
+
+@pytest.mark.parametrize("boundary", COUNTS)
+@pytest.mark.parametrize("x", ["1", Decimal(1), 1.0, True, Small.TWO,
+                               Fraction(1)],
+                         ids=["str", "Decimal", "float", "bool", "IntEnum",
+                              "Fraction"])
+def test_counts_and_indices_take_plain_ints_only(boundary, x):
+    with pytest.raises(TypeError):
+        COUNTS[boundary](x)
+
+
+def test_counts_and_indices_pass_as_ints():
+    for name, build in COUNTS.items():
+        build(5 if name == "cycle_n" else 1)
+    spec = SurfacePencilSpec(chi=2, k_squared=-14, target=spin_plus(8),
+                             nodes_resolved=1, reducible_fibres=[7, 7])
+    assert spec.reducible_fibres == (7, 7)
+    assert pencil_curve(spec).pairing(BETA0) == 8
+    assert str(sigma(5, 1)) == "s(1,0)"
+    assert SchubertCycle(5, {(1, 0): 1}) == sigma(5, 1)

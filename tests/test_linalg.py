@@ -118,6 +118,90 @@ def test_rank_of_empty_inputs():
     assert mat_rank([[0], [0], [5]]) == 1
 
 
+def big_factor(rng):
+    """A nonzero int of 10 to 30 digits, of either sign."""
+    digits = rng.randint(10, 30)
+    return rng.choice((-1, 1)) * rng.randint(10 ** (digits - 1),
+                                             10 ** digits - 1)
+
+
+def scale_rows_and_columns(m, rows, cols):
+    return [[r * x * c for x, c in zip(row, cols)]
+            for r, row in zip(rows, m)]
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_rank_of_rows_and_columns_with_large_contents(rational):
+    # scaling a row or a column by a nonzero number keeps the rank, and the
+    # rank routine divides those factors out again before eliminating
+    rng = random.Random(313 + rational)
+    for n in (4, 6, 8):
+        for r in (n, n - 1, n - 3):
+            m = rank_r_matrix(rng, n, n + 1, r, rational)
+            m = scale_rows_and_columns(
+                m, [big_factor(rng) for _ in range(n)],
+                [big_factor(rng) for _ in range(n + 1)])
+            assert gauss(m)[0] == r
+            assert mat_rank(m) == mat_rank(transpose(m)) == r
+            assert mat_rank([tuple(row) for row in m]) == r
+
+
+def test_form_rank_with_large_contents_leaves_its_view_alone():
+    # D G D for a diagonal D of large factors is symmetric with the rank
+    # of G; a rational D gives the view d D G D rows with large contents
+    rng = random.Random(323)
+    for n in (5, 7):
+        for r in (n, n - 1, n - 3):
+            b = rank_r_matrix(rng, n, n, r)
+            g = product(transpose(b), b)
+            for den in (1, big_factor(rng)):
+                f = [Fraction(big_factor(rng), rng.choice((1, den)))
+                     for _ in range(n)]
+                m = scale_rows_and_columns(g, f, f)
+                before = [list(row) for row in m]
+                q = symmetric_form(m)
+                view = [list(row) for row in q._ints]
+                assert q.rank() == gauss(m)[0] == r
+                assert [list(row) for row in q._ints] == view
+                assert m == before
+
+
+def test_rank_with_zero_rows_and_columns():
+    rng = random.Random(333)
+    for _ in range(20):
+        m = rank_r_matrix(rng, 5, 5, rng.randint(1, 5), rational=True)
+        for row in m:
+            row.insert(rng.randint(0, len(row)), 0)
+        m.insert(rng.randint(0, len(m)), [0] * len(m[0]))
+        m.insert(rng.randint(0, len(m)), [0] * len(m[0]))
+        assert mat_rank(m) == mat_rank(transpose(m)) == gauss(m)[0]
+    assert mat_rank([[0, 0], [0, 0], [0, 0]]) == 0
+    assert mat_rank([(0, 6, 0), (0, 0, 0), (0, 10, 0)]) == 1
+    assert symmetric_form([[0, 0], [0, 0]]).rank() == 0
+
+
+def test_rank_of_empty_shapes_and_tuple_rows():
+    for m in ([], [[]], [()], [[]] * 4, [()] * 3):
+        assert mat_rank(m) == 0
+    assert symmetric_form([]).rank() == 0
+    m = ((4, 6, 2), (6, 9, 3), (Fraction(1, 2), 0, 1))
+    assert mat_rank(m) == gauss(m)[0] == 2
+
+
+def test_rank_leaves_its_input_alone():
+    m = [[6, 4, 2], [9, 6, 3], [0, 0, 0], [Fraction(1, 3), 5, 7]]
+    before = [list(row) for row in m]
+    assert mat_rank(m) == 2
+    assert m == before
+
+
+def test_rank_refuses_ragged_rows():
+    with pytest.raises(ValueError):
+        mat_rank([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        mat_rank([[0], [1, 2]])
+
+
 # --- solve ------------------------------------------------------------------
 
 @pytest.mark.parametrize("rational", [False, True])
