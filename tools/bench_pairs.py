@@ -51,6 +51,10 @@ TRACE_COUNTS = ("linalg.mat_rank.cells",
                 "linecomplex.random_invertible_matrix.det_per_accept")
 
 
+def log(text: str) -> None:
+    print(text, file=sys.stderr, flush=True)
+
+
 def end_to_end(root: Path) -> dict:
     """{metric name: its BENCHMARK.json record} of the checkout at root."""
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -104,7 +108,7 @@ def summarise(parent: list, change: list, spec: dict) -> dict:
 def claim_record(workload: str, metric: str, record: dict,
                  direction: str) -> dict:
     iqr = record["parent_q3"] - record["parent_q1"]
-    pairs = len(record["parent_runs"])
+    runs = len(record["parent_runs"])
     gain = record["parent_median"] - record["change_median"]
     if direction == "higher":
         gain = -gain
@@ -115,12 +119,12 @@ def claim_record(workload: str, metric: str, record: dict,
         "relative_change": record["relative_change"],
         "change_better_pairs": record["change_better_pairs"],
         "parent_iqr": iqr,
-        "met": 10 * record["change_better_pairs"] >= 9 * pairs and gain > iqr,
+        "met": 10 * record["change_better_pairs"] >= 9 * runs and gain > iqr,
     }
 
 
 def pairs(parent: Path, change: Path, workload: str, seeds: list,
-          seconds: float, specs: dict, log) -> tuple[dict, dict]:
+          seconds: float, specs: dict) -> tuple[dict, dict]:
     """Run the pairs of one workload; returns its BENCH record and the
     environment record of the parent's last run."""
     runs = {"parent": [], "change": []}
@@ -180,14 +184,11 @@ def main(argv=None) -> int:
                      "metric")
     seeds = list(range(args.first_seed, args.first_seed + args.pairs))
 
-    def log(text):
-        print(text, file=sys.stderr, flush=True)
-
     workloads = {}
     try:
         for workload in args.workload:
             workloads[workload], env = pairs(parent, change, workload, seeds,
-                                             args.seconds, specs, log)
+                                             args.seconds, specs)
         if args.trace_seed is not None:
             counts = (trace_counts(parent, args.trace_seed),
                       trace_counts(change, args.trace_seed))
