@@ -18,18 +18,16 @@ elsewhere in the package is decided with zero tolerance by the same
 code.  Only the answers of `mat_det` and
 `solve` are built as ``fractions.Fraction``.
 
-The products `dot`, `mat_vec`, `bilinear` (u^T G v) and `congruence`
-(P^T G P) are sums of products of the entries, so they keep the exact
-type of their inputs (ints stay ints, rationals stay rationals).  Each
-checks its lengths, and that its result holds only ints and Fractions,
-once for the whole matrix rather than row by row; `congruence`, which
-forms G P from the nonzero entries of G alone, checks its inputs.
+The products `dot`, `mat_vec` and `bilinear` (u^T G v) are sums of
+products of the entries, so they keep the exact type of their inputs
+(ints stay ints, rationals stay rationals).  Each checks its lengths,
+and that its result holds only ints and Fractions, once for the whole
+matrix rather than row by row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
@@ -213,22 +211,3 @@ def bilinear(gram, u, v):
     _require_exact((total,))
     return total
 
-
-def congruence(p, gram) -> list:
-    """The congruent Gram matrix P^T G P.  Row k of G P sums g P[l] over
-    the nonzero entries g = G[k][l] alone (a sampled Gram is diagonal, or
-    diagonal plus a hyperbolic plane), so both inputs are checked first:
-    a skipped 0.0 would otherwise pass unseen."""
-    n = len(gram)
-    if len(p) != n or set(map(len, gram)) - {n} or len(set(map(len, p))) > 1:
-        raise ValueError("congruence needs a square G and n equal rows of P")
-    _require_exact(chain(*gram, *p))
-    gp = []
-    for row in gram:
-        acc = [0] * len(p[0])
-        for g, pl in zip(row, p):
-            if g:
-                acc = [a + g * x for a, x in zip(acc, pl)]
-        gp.append(acc)
-    gp_cols = list(zip(*gp))
-    return [[sum(map(mul, ci, gj)) for gj in gp_cols] for ci in zip(*p)]

@@ -37,6 +37,17 @@ class UsageError(ValueError):
     """Arguments the command line accepts but the query cannot use."""
 
 
+_INT_FACTOR = re.compile(r"^-?\d+$", re.ASCII)
+
+
+def _integer(text: str) -> int:
+    """The `type=` of the integer options, which int() alone would also
+    read in other scripts' digits, with underscores or with spaces."""
+    if _INT_FACTOR.fullmatch(text):
+        return int(text)
+    raise argparse.ArgumentTypeError(f"expected ASCII digits, not {text!r}")
+
+
 def _require_genus_cap(genus) -> None:
     if genus is not None and genus > MAX_GENUS:
         raise UsageError(f"--genus must be at most {MAX_GENUS}, not {genus}")
@@ -146,7 +157,6 @@ def _cmd_lattice(args) -> tuple[int, str]:
     return 0 if ok else 1, "\n".join(lines)
 
 
-_INT_FACTOR = re.compile(r"^-?\d+$", re.ASCII)
 #: s(a,b), s(a) or sa, each with an optional power ^k
 _FACTOR = re.compile(r"^s(?:\((\d+)(?:,(\d+))?\)|(\d+))(?:\^(\d+))?$",
                      re.ASCII)
@@ -309,29 +319,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pair", help="pair a test curve with a divisor")
     p.add_argument("--curve", required=True,
                    choices=["xi", "gamma", "r", "septic", "btilde"])
-    p.add_argument("--genus", type=int)
+    p.add_argument("--genus", type=_integer)
     p.add_argument("--divisor", required=True)
-    p.add_argument("--param", type=int)
+    p.add_argument("--param", type=_integer)
     p.set_defaults(fn=_cmd_pair)
 
     p = sub.add_parser("class", help="print a named divisor class")
     p.add_argument("--space", required=True, choices=_KINDS)
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=_integer, required=True)
     p.add_argument("--name", required=True)
-    p.add_argument("--param", type=int)
+    p.add_argument("--param", type=_integer)
     p.set_defaults(fn=_cmd_class)
 
     p = sub.add_parser("lattice", help="Gram matrices and lattice checks")
     p.add_argument("--name", required=True,
                    choices=["nikulin", "lambda_g", "u", "e8"])
-    p.add_argument("--genus", type=int)
-    p.add_argument("--scale", type=int)
+    p.add_argument("--genus", type=_integer)
+    p.add_argument("--scale", type=_integer)
     p.add_argument("--check",
                    choices=["identities", "cs", "doubly-elliptic"])
     p.set_defaults(fn=_cmd_lattice)
 
     p = sub.add_parser("schubert", help="Schubert-class expressions")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--expr", required=True)
     p.add_argument("--degree", action="store_true")
     p.set_defaults(fn=_cmd_schubert)
@@ -345,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run the full check registry")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_integer)
     p.set_defaults(fn=_cmd_verify_all)
     return parser
 

@@ -18,29 +18,22 @@ rank of B is 6, 10 or 15 according to the wedge-rank of psi.
 
 Everything is exact rational arithmetic, done in Python ints.  A form
 keeps only its integer view (d G, d), d the lcm of the denominators of
-its Gram G, and reads G back from it.  Compounds, evaluations and
-gradients run on that view.  A compound is built as the symmetric matrix
-it is: each 2x2 minor on or above the diagonal is computed once and read
-again below it.  A derived form (a compound, a sampled form) is built
-from its own view, so the rank of a compound never builds a `Fraction`.
-A bivector transform clears the denominators of the matrix and of the
-bivector once and divides each image coefficient once, and the Pluecker
-rank eliminates int rows.  Every rank, of a form or of the Pluecker
-matrix, is taken on content-free rows and columns (`_linalg.int_rank`):
-row i of the view d G of a rational form is divisible by d / d_i, d_i
-the lcm of the denominators of row i of G, and those factors would grow
-every minor of the elimination.  `Fraction` appears only in an answer that has
-a denominator: an entry of the Gram of a rational compound, a value of
-`evaluate`, or an image coefficient.  Tangency and singularity ask only
-whether something vanishes, which scaling q, u or v by a positive number
-does not change, so they never build a `Fraction`.  Both, and the
-tangency oracle `discriminant_tangency`, check u and v in one gate,
-which scales them to ints once; the oracle then reads Qt(u, v) on the
-view of q and forms no compound.  Integer input stays integer.  One
-exactness rule holds throughout, that of `_linalg.scaled`: a number is
-an int or a Fraction, and anything else raises ``TypeError``.
-The random samplers draw integer entries in [-9, 9] from a
-caller-supplied seeded generator.
+its Gram G, and reads G back from it.  Compounds, evaluations, gradients
+and ranks run on that view, and a derived form (a compound, a sampled
+form) is built from its own view.  Every rank is taken on content-free
+rows and columns (`_linalg.int_rank`): row i of the view of a rational
+form carries the factor d / d_i, d_i the lcm of the denominators of its
+row, which would grow every minor of the elimination.  `Fraction`
+appears only in an answer that has a denominator: an entry of the Gram
+of a rational compound, a value of `evaluate`, or an image coefficient.
+Tangency and singularity ask only whether something vanishes, which
+scaling q, u or v by a positive number does not change, so they never
+build a `Fraction`.  Integer input stays integer.  One exactness rule
+holds throughout, that of `_linalg.scaled`: a number is an int or a
+Fraction, and anything else raises ``TypeError``.  The random samplers
+draw integer entries in [-9, 9] from a caller-supplied seeded generator;
+a sampled form is conjugated step by step along its drawn shears and
+swaps, with no dense P^T G P.
 """
 
 from __future__ import annotations
@@ -51,9 +44,8 @@ from itertools import chain
 from math import gcd
 from operator import itemgetter, mul
 
-from ._linalg import (SingularMatrixError, bilinear, congruence, dot,
-                      int_rank, mat_det, mat_rank, mat_vec, require_symmetric,
-                      scaled, solve)
+from ._linalg import (SingularMatrixError, bilinear, dot, int_rank, mat_det,
+                      mat_rank, mat_vec, require_symmetric, scaled, solve)
 from ._record import Record, _set
 
 
@@ -149,6 +141,8 @@ def wedge_pairs(n: int) -> tuple:
 
 def wedge_coordinates(u, v) -> list:
     """Pluecker coordinates of u ^ v in the lexicographic pair basis."""
+    if len(u) != len(v):
+        raise ValueError("the two vectors must have the same length")
     return [u[i] * v[j] - u[j] * v[i] for i, j in wedge_pairs(len(u))]
 
 
@@ -200,8 +194,6 @@ def _line(q: SymmetricForm, u, v, off_quadric) -> tuple:
     the quadric, and `DependentVectorsError` unless u and v span a line."""
     if len(u) != q.dim:
         raise ValueError("vector length must match the form dimension")
-    if len(v) != len(u):
-        raise ValueError("the two vectors must have the same length")
     (iu, iv), _ = scaled((u, v))
     if bilinear(q._ints, iu, iu) != 0:
         raise off_quadric("base point is not on the quadric")
@@ -356,34 +348,45 @@ def random_invertible_matrix(rng, dim: int) -> list:
             return m
 
 
-def random_unimodular_pair(rng, dim: int):
-    """Random integer change of basis P together with the transpose of
-    its integer inverse, whose row k is P^-1 e_k.
-
-    Built as a product of ten row shears and swaps (determinant +-1), so
-    the inverse stays integral and entries stay small in the samplers.
-    """
+def _draw_steps(rng, dim: int) -> list:
+    """The ten steps of a random change of basis P = S_10 ... S_1 in draw
+    order: (i, j, c) is the shear I + c E_ij and (i, j, None) the swap of
+    e_i and e_j; a drawn i == j is a swap that draws nothing more."""
     randrange, random, randint = rng.randrange, rng.random, rng.randint
-    m = [[0] * i + [1] + [0] * (dim - 1 - i) for i in range(dim)]
-    inv_t = [row[:] for row in m]
+    steps = []
     for _ in range(10):
-        i = randrange(dim)
-        j = randrange(dim)
-        if i == j:
-            m[i], m[j] = m[j], m[i]
-            continue
-        if random() < 0.2:
-            # swap: self-inverse, applied on the left of m and the
-            # right of the inverse, i.e. to the rows of its transpose
-            m[i], m[j] = m[j], m[i]
-            inv_t[i], inv_t[j] = inv_t[j], inv_t[i]
-            continue
-        c = randint(-3, 3)
-        # m <- S m with S = I + c E_ij; inverse <- inverse S^{-1}, whose
-        # column j loses c times column i
-        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
-        inv_t[j] = [a - c * b for a, b in zip(inv_t[j], inv_t[i])]
-    return m, inv_t
+        i, j = randrange(dim), randrange(dim)
+        steps.append((i, j, None if i == j or random() < 0.2
+                      else randint(-3, 3)))
+    return steps
+
+
+def _row_ops(steps, dim: int) -> list:
+    """The identity after the steps as row operations, in order: (i, j,
+    None) swaps rows i and j, and (i, j, c) adds c times row j to row i."""
+    rows = [[0] * k + [1] + [0] * (dim - 1 - k) for k in range(dim)]
+    for i, j, c in steps:
+        if c is None:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif c:
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+def _images(steps, dim: int) -> list:
+    """Row k is P^-1 e_k.  For a shear S = I + c E_ij, P^-1 S^-1 loses c
+    times column i in column j, so the transpose of P^-1 takes the row
+    operation (j, i, -c), in draw order; a swap is its own inverse."""
+    return _row_ops([(i, j, c) if c is None else (j, i, -c)
+                     for i, j, c in steps], dim)
+
+
+def random_unimodular_pair(rng, dim: int):
+    """Random integer change of basis P, a product of ten row shears and
+    swaps (determinant +-1), together with the transpose of its integer
+    inverse, whose row k is P^-1 e_k; entries stay small in the samplers."""
+    steps = _draw_steps(rng, dim)
+    return _row_ops(steps, dim), _images(steps, dim)
 
 
 def random_symmetric_form_of_rank(rng, dim: int, rank: int) -> SymmetricForm:
@@ -399,9 +402,22 @@ def random_symmetric_form_of_rank(rng, dim: int, rank: int) -> SymmetricForm:
 
 def _conjugated(rng, g0) -> tuple:
     """(the form P^T g0 P, P^-1 e_k for each k) for the integer Gram g0
-    and a random unimodular P."""
-    p, images = random_unimodular_pair(rng, len(g0))
-    return SymmetricForm._from_view(congruence(p, g0), 1), images
+    and a random unimodular P, whose steps S act on a copy of g0 as
+    S^T g S, the last drawn first: a swap exchanges two rows and the same
+    two columns; the shear I + c E_ij adds c times column i to column j,
+    then c times row i to row j."""
+    steps = _draw_steps(rng, len(g0))
+    g = [list(row) for row in g0]
+    for i, j, c in reversed(steps):
+        if c is None:
+            g[i], g[j] = g[j], g[i]
+            for row in g:
+                row[i], row[j] = row[j], row[i]
+        elif c:
+            for row in g:
+                row[j] += c * row[i]
+            g[j] = [a + c * b for a, b in zip(g[j], g[i])]
+    return SymmetricForm._from_view(g, 1), _images(steps, len(g0))
 
 
 def _nonzero(rng):

@@ -459,6 +459,8 @@ def named_divisor(name: str, space: ModuliSpace | None = None,
     """
     if space is not None and genus is not None and space.genus != genus:
         raise BadParamError("genus does not match the requested space")
+    if param is not None and name not in ("prym_green", "hodge_c1"):
+        raise BadParamError(f"{name!r} takes no index parameter")
     if space is not None:
         genus = space.genus
     if name == "canonical":
@@ -485,7 +487,8 @@ def named_divisor(name: str, space: ModuliSpace | None = None,
     elif name == "hodge_c1":
         if param is None:
             raise BadParamError("hodge_c1 needs an index parameter")
-        d = twisted_hodge_c1(param, genus if genus is not None else 5)
+        d = (twisted_hodge_c1(param) if genus is None
+             else twisted_hodge_c1(param, genus))
     else:
         raise BadParamError(f"unknown divisor name {name!r}")
     if space is not None and d.space != space:

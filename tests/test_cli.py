@@ -131,6 +131,23 @@ def test_class_hodge_needs_param(capsys):
     assert out.startswith("37*lambda")
 
 
+@pytest.mark.parametrize("argv", [
+    ("class", "--space", "mbar", "--genus", "8", "--name", "bn8"),
+    ("class", "--space", "spin", "--genus", "8", "--name", "theta_null"),
+    ("class", "--space", "rbar", "--genus", "7", "--name", "canonical"),
+    ("pair", "--curve", "xi", "--genus", "6", "--divisor", "nikulin_N6"),
+    ("pair", "--curve", "r", "--divisor", "bn8"),
+], ids=["class-bn8", "class-theta", "class-canonical", "pair-nikulin",
+        "pair-pulled-back"])
+def test_param_the_name_does_not_take_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    code, out, err = run(capsys, *argv, "--param", "3")
+    assert code == 2
+    assert out == ""
+    assert "takes no index parameter" in err
+
+
 # --- lattice ----------------------------------------------------------------
 
 def test_lattice_gram_output(capsys):
@@ -655,6 +672,38 @@ def test_verify_all_exit_one_on_failure(monkeypatch, capsys):
                         lambda seed=0, perturb=None, quick=False: failing)
     code, out, _ = run(capsys, "verify-all")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-all", "--seed"),
+    ("pair", "--curve", "xi", "--divisor", "canonical", "--genus"),
+    ("class", "--space", "rbar", "--genus", "5", "--name", "hodge_c1",
+     "--param"),
+    ("lattice", "--name", "e8", "--scale"),
+    ("schubert", "--expr", "s1", "--n"),
+], ids=["seed", "genus", "param", "scale", "n"])
+@pytest.mark.parametrize("value", ["\u0661\u0662", "1_0", " 5", "5 ", "+5",
+                                   "0x5", "5.0", ""])
+def test_integer_options_read_ascii_digits_only(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "ASCII digits" in captured.err
+
+
+@pytest.mark.parametrize("argv, value", [
+    (("class", "--space", "rbar", "--name", "hodge_c1", "--param", "3",
+      "--genus"), "5"),
+    (("class", "--space", "rbar", "--genus", "5", "--name", "hodge_c1",
+      "--param"), "3"),
+    (("lattice", "--name", "e8", "--scale"), "-2"),
+    (("schubert", "--expr", "s1", "--n"), "05"),
+])
+def test_integer_options_take_a_sign_and_ascii_digits(capsys, argv, value):
+    code, out, _ = run(capsys, *argv, value)
+    assert code == 0 and out
 
 
 def test_usage_error_exit_two():

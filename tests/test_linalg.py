@@ -8,8 +8,8 @@ from math import prod
 
 import pytest
 
-from spincalc._linalg import (SingularMatrixError, bilinear, congruence, dot,
-                              mat_det, mat_rank, mat_vec, scaled, solve)
+from spincalc._linalg import (SingularMatrixError, bilinear, dot, mat_det,
+                              mat_rank, mat_vec, scaled, solve)
 from spincalc.linecomplex import second_compound, symmetric_form
 
 
@@ -237,27 +237,20 @@ def test_solve_empty_system():
 # --- products ---------------------------------------------------------------
 
 @pytest.mark.parametrize("rational", [False, True])
-def test_bilinear_and_congruence_match_double_sums(rational):
+def test_bilinear_and_mat_vec_match_double_sums(rational):
     rng = random.Random(606 + rational)
     for n in range(1, 6):
         g = random_matrix(rng, n, n, rational)
-        p = random_matrix(rng, n, n, rational)
         u = [entry(rng, rational) for _ in range(n)]
         v = [entry(rng, rational) for _ in range(n)]
         assert bilinear(g, u, v) == sum(u[i] * g[i][j] * v[j]
                                         for i in range(n) for j in range(n))
         assert mat_vec(g, v) == [sum(g[i][j] * v[j] for j in range(n))
                                  for i in range(n)]
-        want = [[sum(p[k][i] * g[k][l] * p[l][j]
-                     for k in range(n) for l in range(n))
-                 for j in range(n)] for i in range(n)]
-        assert congruence(p, g) == want
 
 
 def test_integer_inputs_stay_integers():
     assert type(bilinear([[1, 2], [2, 3]], [1, 1], [1, -1])) is int
-    assert congruence([[1, 1], [0, 1]], [[1, 0], [0, -1]]) == [[1, 1],
-                                                               [1, 0]]
 
 
 def test_dot_rejects_floats_and_ragged_vectors():
@@ -276,16 +269,9 @@ def test_products_refuse_a_float_in_either_argument(bad):
         rows[i][j] = bad
         return rows
     g = [[2, 0, 0], [0, 0, 1], [0, 1, 0]]
-    p = [[1, 2, 0], [0, 1, 0], [3, 0, 1]]
     u, v = [1, 2, 3], [0, 1, 0]
     for i in range(3):
         for j in range(3):
-            # a 0.0 where G has a zero is an entry that a loop over the
-            # nonzero entries of G never multiplies
-            with pytest.raises(TypeError):
-                congruence(p, with_bad(g, i, j))
-            with pytest.raises(TypeError):
-                congruence(with_bad(p, i, j), g)
             with pytest.raises(TypeError):
                 mat_vec(with_bad(g, i, j), v)
             with pytest.raises(TypeError):
@@ -311,12 +297,6 @@ def test_products_refuse_ragged_rows():
         bilinear(square, [1, 1], [1, 1, 1])
     with pytest.raises(ValueError):
         bilinear(square, [1, 1, 1], [1, 1])
-    with pytest.raises(ValueError):
-        congruence(square, g)
-    with pytest.raises(ValueError):
-        congruence(g, square)
-    with pytest.raises(ValueError):
-        congruence([[1, 0], [0, 1]], square)
 
 
 def test_kernel_rejects_floats():

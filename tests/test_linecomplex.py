@@ -638,6 +638,50 @@ def test_wedge_coordinates_antisymmetric():
     assert all(x == 0 for x in wedge_coordinates(u, u))
 
 
+def test_wedge_coordinates_refuse_vectors_of_unequal_length():
+    with pytest.raises(ValueError, match="same length"):
+        wedge_coordinates([1, 2, 3], [1, 2, 3, 4])
+    with pytest.raises(ValueError, match="same length"):
+        wedge_coordinates([1, 2, 3, 4], [1, 2, 3])
+
+
+def sample_grams(rng, dim):
+    """A diagonal, a split (hyperbolic plane plus diagonal, from dim 2)
+    and a dense symmetric integer Gram of the given size."""
+    grams = [[[rng.randint(-9, 9) * (i == j) for j in range(dim)]
+              for i in range(dim)]]
+    if dim >= 2:
+        split = [row[:] for row in grams[0]]
+        split[0][0] = split[1][1] = 0
+        split[0][1] = split[1][0] = 1
+        grams.append(split)
+    dense = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1):
+            dense[i][j] = dense[j][i] = rng.randint(-9, 9)
+    grams.append(dense)
+    return grams
+
+
+def test_conjugated_forms_are_the_definition():
+    # the step-by-step conjugation against the double sum over the pair's
+    # own P, from the same seed: same form, same images, same draws
+    for seed in range(200):
+        dim = 1 + seed % 7
+        for g0 in sample_grams(random.Random(-seed), dim):
+            before = [row[:] for row in g0]
+            rng, ref = random.Random(seed), random.Random(seed)
+            form, images = linecomplex._conjugated(rng, g0)
+            p, inv_t = random_unimodular_pair(ref, dim)
+            assert g0 == before
+            assert form.gram == tuple(
+                tuple(sum(p[k][i] * g0[k][l] * p[l][j]
+                          for k in range(dim) for l in range(dim))
+                      for j in range(dim)) for i in range(dim))
+            assert images == inv_t
+            assert rng.random() == ref.random()
+
+
 def test_unimodular_pair_inverts():
     # the second matrix is the transpose of the inverse: row j is P^-1 e_j
     rng = random.Random(31)

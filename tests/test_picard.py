@@ -388,6 +388,22 @@ def test_named_divisor_bad_params():
         named_divisor("no_such_class", genus=8)
 
 
+@pytest.mark.parametrize("name, where", [
+    ("bn8", {"genus": 8}), ("nikulin_N6", {"genus": 6}),
+    ("canonical", {"space": mbar(8)}), ("theta_null", {"genus": 8}),
+    ("no_such_class", {"genus": 8})])
+def test_named_divisor_refuses_a_param_the_name_does_not_take(name, where):
+    with pytest.raises(BadParamError, match="takes no index parameter"):
+        named_divisor(name, param=3, **where)
+
+
+def test_named_divisor_hodge_c1_defaults_to_genus_five():
+    assert named_divisor("hodge_c1", param=3) == twisted_hodge_c1(3)
+    assert named_divisor("hodge_c1", param=3).space == rbar(5)
+    assert named_divisor("hodge_c1", genus=7, param=3) == \
+        twisted_hodge_c1(3, 7)
+
+
 def test_named_divisor_needs_a_consistent_home():
     with pytest.raises(BadParamError, match="needs a genus"):
         named_divisor("theta_null")
