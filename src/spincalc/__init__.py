@@ -38,7 +38,7 @@ _EXPORTS = {
     "picard": ("DivisorClass", "ModuliSpace", "brill_noether_g8",
                "canonical_class", "divisor_class", "format_class", "mbar",
                "named_divisor", "non_very_ample_g5", "prym_green",
-               "prym_nikulin_g6", "pullback_to_prym", "pullback_to_spin",
+               "prym_nikulin_g6", "pullback_to_spin",
                "rbar", "slope", "spin_plus", "sym_power_c1", "theta_null",
                "twisted_hodge_c1"),
     "schubert": ("SchubertCycle", "catalan_degree", "degree",

@@ -2,27 +2,29 @@
 
 Denominators are cleared in one place, `scaled`, which multiplies a
 matrix by the lcm d of all its denominators and returns Python int rows
-together with d; it also refuses any entry but an int or a Fraction.
-Every elimination in the package runs through `_eliminate`, a single
-fraction-free Bareiss elimination of such int rows (Bareiss, "Sylvester's
-identity and multistep integer-preserving Gaussian elimination", Math.
-Comp. 22, 1968): every entry is an integer minor of the cleared matrix
-and every division is exact.  A rank is taken on content-free rows and
-columns: `int_rank` divides each row, then each column, by the gcd of
-its entries (its content), drops those that vanish, and counts the
-pivots; scaling by a nonzero int keeps the rank and shrinks every minor
-the elimination builds.  The determinant is the signed last pivot
-divided by d ** n, and a square solve eliminates the augmented matrix
-and back-substitutes, so every vanishing or rank statement made
-elsewhere in the package is decided with zero tolerance by the same
-code.  Only the answers of `mat_det` and
-`solve` are built as ``fractions.Fraction``.
+together with d; any entry but an int or a Fraction raises ``TypeError``
+through `_record.exact`.  The package's two exact-number rules, `exact`
+and `require_int`, live in `_record` alone.  Every elimination in the
+package runs through `_eliminate`, a single fraction-free Bareiss
+elimination of such int rows (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+1968): every entry is an integer minor of the cleared matrix and every
+division is exact.  A rank is taken on content-free rows and columns:
+`int_rank` divides each row, then each column, by the gcd of its
+entries (its content), drops those that vanish, and counts the pivots;
+scaling by a nonzero int keeps the rank and shrinks every minor the
+elimination builds.  The determinant is the signed last pivot divided by
+d ** n, and a square solve eliminates the augmented matrix and
+back-substitutes, so every vanishing or rank statement made elsewhere in
+the package is decided with zero tolerance by the same code.  Only the
+answers of `mat_det` and `solve` are built as ``fractions.Fraction``.
 
 The products `dot`, `mat_vec` and `bilinear` (u^T G v) are sums of
 products of the entries, so they keep the exact type of their inputs
 (ints stay ints, rationals stay rationals).  Each checks its lengths,
 and that its result holds only ints and Fractions, once for the whole
-matrix rather than row by row.
+matrix rather than row by row: a scan of the set of entry types is the
+fast path, and `exact` is called only to raise once that scan fails.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+
+from ._record import exact
 
 
 class SingularMatrixError(ValueError):
@@ -43,15 +47,14 @@ _RATIONALS = frozenset((int, Fraction))
 
 def scaled(mat) -> tuple[list, int]:
     """The matrix times the lcm d of all its denominators, as lists of
-    ints, and d.  This is the one exactness check of the kernel: an entry
-    that is not an int or a Fraction, such as a float or a bool, raises
-    ``TypeError``."""
+    ints, and d.  An entry that is not an int or a Fraction, such as a
+    float or a bool, raises ``TypeError`` through `exact`."""
     kinds = {type(x) for row in mat for x in row}
     if kinds <= _INTS:
         return [list(row) for row in mat], 1
     if not kinds <= _RATIONALS:
-        raise TypeError("matrix entries must be int or Fraction; floats "
-                        "and bools are not exact rationals")
+        for row in mat:
+            _require_exact(row)
     d = lcm(*{x.denominator for row in mat for x in row})
     return [[x.numerator * (d // x.denominator) for x in row]
             for row in mat], d
@@ -177,10 +180,12 @@ def solve(mat, rhs) -> list[Fraction]:
 
 
 def _require_exact(values) -> None:
-    """Raise ``TypeError`` unless each of `values` is an int or a Fraction;
-    a float anywhere in a product makes its sum a float."""
+    """Raise ``TypeError``, through `exact`, unless each of `values` is
+    an int or a Fraction; a float anywhere in a product makes its sum a
+    float."""
     if not _RATIONALS.issuperset(map(type, values)):
-        raise TypeError("float entries are not exact; use int or Fraction")
+        for x in values:
+            exact(x)
 
 
 def dot(u, v):

@@ -15,10 +15,11 @@ only), hashing and `repr` all read one key tuple, `_key()`: every field
 in slot order, unless the subclass narrows it.  Copying and pickling
 rebuild an instance through its `__init__` from its fields.
 
-Two helpers serve the value types: `exact`, the one exact-scalar rule
-(an int or a ``Fraction``, by exact type, as `_linalg.scaled` takes;
-anything else raises ``TypeError``), and `signed_sum`, the one renderer
-of sums such as ``2*lambda + ?*delta_1``, an unknown coefficient `None`.
+The package's two exact-number rules live here alone, each with one
+``TypeError`` text: `exact` takes a rational (an int or a ``Fraction``,
+by exact type), and `require_int` a genus, count, index, lattice Gram
+entry or scale (a plain int).  `signed_sum` is the one renderer of sums
+such as ``2*lambda + ?*delta_1``, an unknown coefficient `None`.
 
 Building a class costs no more than any class statement, and importing
 this module loads nothing that interpreter start-up has not loaded:
@@ -76,13 +77,21 @@ class Record:
 def exact(x):
     """`x` as an int when integral, else as the Fraction it is; any type
     but int and Fraction (a float, a bool, text, a ``Decimal``, an int
-    subclass) raises ``TypeError``, as in `_linalg.scaled`."""
+    subclass) raises ``TypeError``."""
     if type(x) is int:
         return x
     import fractions  # here, not at the top: a `schubert` query needs none
     if type(x) is not fractions.Fraction:
         raise TypeError(f"{type(x).__name__} is inexact; use int or Fraction")
     return x.numerator if x.denominator == 1 else x
+
+
+def require_int(what: str, *values) -> None:
+    """Raise ``TypeError``, ``<what> must be int, not <type>``, unless
+    each of `values` is a plain int (a bool or a Fraction is not)."""
+    for x in values:
+        if type(x) is not int:
+            raise TypeError(f"{what} must be int, not {type(x).__name__}")
 
 
 def signed_sum(terms) -> str:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._record import Record, _set
+from ._record import Record, _set, require_int
 from .picard import (ALPHA0, BETA0, D0P, D0RAM, DELTA0, LAMBDA, MBAR, SPIN,
                      DivisorClass, ModuliSpace, SpaceMismatchError,
                      _coefficients, _entries, _require_basis, basis_symbols,
@@ -106,10 +106,9 @@ class SurfacePencilSpec(Record):
     def __init__(self, *args, **kwargs):
         Record.__init__(self, *args, **kwargs)
         _set(self, "reducible_fibres", tuple(self.reducible_fibres))
-        counts = (self.chi, self.k_squared, self.nodes_resolved,
-                  self.base_points, *self.reducible_fibres)
-        if any(type(n) is not int for n in counts):
-            raise TypeError("surface pencil counts must be int")
+        require_int("a surface pencil count", self.chi, self.k_squared,
+                    self.nodes_resolved, self.base_points,
+                    *self.reducible_fibres)
         if noether_c2(self.chi, self.k_squared) < 0:
             raise ValueError("negative c_2: inconsistent surface invariants")
         if self.nodes_resolved < 0 or self.base_points < 0:

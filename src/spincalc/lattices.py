@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import isqrt
 
 from ._linalg import bilinear, mat_det, require_symmetric
-from ._record import Record
+from ._record import Record, require_int
 
 
 class DimensionMismatchError(ValueError):
@@ -33,9 +33,7 @@ class IntegerLattice(Record):
         gram, basis_names = tuple(map(tuple, gram)), tuple(basis_names)
         if len(basis_names) != len(gram):
             raise ValueError("one basis name per Gram row")
-        if any(type(x) is not int for row in gram for x in row):
-            raise TypeError("Gram entries must be int; a Fraction, float "
-                            "or bool is refused, not truncated")
+        require_int("a Gram entry", *(x for row in gram for x in row))
         require_symmetric(gram)
         Record.__init__(self, gram, basis_names)
 
@@ -47,8 +45,7 @@ class IntegerLattice(Record):
         if len(v) != self.rank:
             raise DimensionMismatchError(
                 f"vector of length {len(v)} in a rank-{self.rank} lattice")
-        if any(type(x) is not int for x in v):
-            raise TypeError("lattice coordinates must be ints")
+        require_int("a lattice coordinate", *v)
 
     def inner(self, v, w) -> int:
         """Bilinear product v . w = v^T G w."""
@@ -69,14 +66,10 @@ class IntegerLattice(Record):
         d = mat_det(self.gram)
         return int(d)
 
-    def basis_vector(self, name) -> tuple:
-        """Coordinate vector of a named basis element, or of one indexed
-        in range(rank); a bool is refused, not read as index 0 or 1."""
-        if type(name) is bool:
-            raise TypeError("a basis index must be an int, not a bool")
-        idx = name if isinstance(name, int) else self.basis_names.index(name)
-        if not 0 <= idx < self.rank:
-            raise IndexError(f"no basis index {idx} in rank {self.rank}")
+    def basis_vector(self, name: str) -> tuple:
+        """Coordinate vector of a named basis element; any other key, an
+        int included, raises ``ValueError``."""
+        idx = self.basis_names.index(name)
         return tuple(int(i == idx) for i in range(self.rank))
 
     def direct_sum(self, other: "IntegerLattice") -> "IntegerLattice":
@@ -87,7 +80,11 @@ class IntegerLattice(Record):
         return IntegerLattice(gram, self.basis_names + other.basis_names)
 
     def scaled(self, c: int) -> "IntegerLattice":
-        """Same module with the form multiplied by the integer c."""
+        """Same module with the form multiplied by the nonzero int c."""
+        require_int("a scale", c)
+        if not c:
+            raise ValueError("a lattice scale must be nonzero: a zero "
+                             "form is no lattice")
         return IntegerLattice([[c * x for x in row] for row in self.gram],
                               self.basis_names)
 

@@ -46,7 +46,7 @@ from operator import itemgetter, mul
 
 from ._linalg import (SingularMatrixError, bilinear, dot, int_rank, mat_det,
                       mat_rank, mat_vec, require_symmetric, scaled, solve)
-from ._record import Record, _set
+from ._record import Record, _set, require_int
 
 
 class BasePointNotOnQuadricError(ValueError):
@@ -281,10 +281,11 @@ def _volume_signs() -> tuple:
 
 
 def _require_pairs(psi, n: int) -> None:
-    """Raise ``ValueError`` unless each key of `psi` is a pair (i, j) of
-    ints, not bools, with 0 <= i < j < n."""
+    """Raise ``TypeError`` unless each key of `psi` is a pair (i, j) of
+    plain ints, and ``ValueError`` unless 0 <= i < j < n."""
     for i, j in psi:
-        if type(i) is not int or type(j) is not int or not 0 <= i < j < n:
+        require_int("a pair index", i, j)
+        if not 0 <= i < j < n:
             raise ValueError(f"bad index pair {(i, j)}")
 
 

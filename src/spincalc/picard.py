@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import comb
 from types import MappingProxyType
 
-from ._record import Record, _set, exact, signed_sum
+from ._record import Record, _set, exact, require_int, signed_sum
 
 MBAR = "mbar"
 RBAR = "rbar"
@@ -82,13 +82,14 @@ class BadParamError(ValueError):
 
 
 class ModuliSpace(Record):
-    """One of the three moduli spaces, at a fixed genus >= 2."""
+    """One of the three moduli spaces, at a fixed int genus >= 2."""
 
     __slots__ = ("kind", "genus")
 
     def __init__(self, kind: str, genus: int):
         if kind not in (MBAR, RBAR, SPIN):
             raise ValueError(f"unknown moduli-space kind {kind!r}")
+        require_int("a genus", genus)
         if genus < 2:
             raise ValueError("genus must be at least 2")
         _set(self, "kind", kind)
@@ -260,10 +261,6 @@ def divisor_class(space: ModuliSpace, entries=(), opaque=()) -> DivisorClass:
     return DivisorClass(space, _entries(entries), frozenset(opaque))
 
 
-def zero_class(space: ModuliSpace) -> DivisorClass:
-    return DivisorClass(space, {}, frozenset())
-
-
 def covering_images(target: ModuliSpace) -> tuple:
     """Image of each stable-curve basis symbol under pullback along the
     covering of the stable-curve space by `target`, as
@@ -302,12 +299,6 @@ def pullback(d: DivisorClass, target: ModuliSpace) -> DivisorClass:
         opaque.update(img for img, _ in images[sym])
     coeffs = {s: v for s, v in coeffs.items() if s not in opaque}
     return DivisorClass(target, coeffs, frozenset(opaque))
-
-
-def pullback_to_prym(d: DivisorClass) -> DivisorClass:
-    """Pullback along the Prym covering of the stable-curve space
-    (see `covering_images`)."""
-    return pullback(d, rbar(d.space.genus))
 
 
 def pullback_to_spin(d: DivisorClass) -> DivisorClass:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import comb
 from types import MappingProxyType
 
-from ._record import Record, _set, signed_sum
+from ._record import Record, _set, require_int, signed_sum
 
 
 class AmbientMismatchError(ValueError):
@@ -41,21 +41,16 @@ class SchubertCycle(Record):
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms):
-        if type(n) is not int:
-            raise TypeError(f"n must be int, not {type(n).__name__}")
+        require_int("n", n)
         if n < 3:
             raise ValueError("G(2, n) needs n >= 3")
         kept = {}
         for (a, b), c in terms.items():
-            if type(a) is not int or type(b) is not int:
-                raise TypeError(f"partition indices must be int, "
-                                f"not {(a, b)!r}")
+            require_int("a partition index", a, b)
             if not (n - 2 >= a >= b >= 0):
                 raise ValueError(f"partition {(a, b)} outside the "
                                  f"2 x {n - 2} box")
-            if type(c) is not int:
-                raise TypeError(f"coefficients must be int, "
-                                f"not {type(c).__name__}")
+            require_int("a coefficient", c)
             if c:
                 kept[(a, b)] = c
         _set(self, "n", n)
@@ -89,8 +84,7 @@ class SchubertCycle(Record):
         ``TypeError``, as a coefficient of the constructor does."""
         if isinstance(other, SchubertCycle):
             return multiply(self, other)
-        if type(other) is not int:
-            return NotImplemented
+        require_int("a scalar", other)
         return SchubertCycle(self.n,
                              {p: other * c for p, c in self.terms.items()})
 

@@ -187,6 +187,8 @@ def test_lattice_cs_check(capsys):
     ["--name", "nikulin", "--scale", "2"],
     ["--name", "u", "--scale", "-1"],
     ["--name", "lambda_g", "--genus", "7", "--scale", "2"],
+    # the zero form used to print as an 8x8 Gram with exit 0
+    ["--name", "e8", "--scale", "0"],
 ])
 def test_lattice_rejects_bad_check_before_printing(capsys, argv):
     code, out, err = run(capsys, "lattice", *argv)

@@ -19,8 +19,8 @@ from spincalc.picard import (ALPHA0, BETA0, D0P, D0PP, D0RAM, DELTA0, LAMBDA,
                              basis_symbols, beta, brill_noether_g8,
                              canonical_class, delta, divisor_class, mbar,
                              pi_delta, prym_green, prym_nikulin_g6,
-                             pullback_to_prym, pullback_to_spin, rbar,
-                             spin_plus, theta_null)
+                             pullback, pullback_to_spin, rbar, spin_plus,
+                             theta_null)
 
 
 def fr(a, b=1):
@@ -308,7 +308,7 @@ def curves_on(draw, space):
 
 @given(curves_on(rbar(8)), mbar_classes())
 def test_projection_formula_prym(c, d):
-    assert pair(c, pullback_to_prym(d)) == pair(pushforward_to_mbar(c), d)
+    assert pair(c, pullback(d, rbar(8))) == pair(pushforward_to_mbar(c), d)
 
 
 @given(curves_on(spin_plus(8)), mbar_classes())
@@ -318,7 +318,7 @@ def test_projection_formula_spin(c, d):
 
 def test_projection_formula_xi_concrete():
     d0 = divisor_class(mbar(9), [(DELTA0, 1)])
-    assert pair(xi_curve(9), pullback_to_prym(d0)) == 6 * 9 + 18
+    assert pair(xi_curve(9), pullback(d0, rbar(9))) == 6 * 9 + 18
 
 
 def test_pair_is_linear_in_the_genus():

@@ -1,6 +1,8 @@
 """One exactness rule at every boundary that takes a rational number: an
 int or a Fraction, by exact type, passes, and anything else raises
-``TypeError``."""
+``TypeError``; and one int rule at every boundary that takes a genus, a
+count, an index, a lattice Gram entry or a scale: a plain int passes, and
+anything else raises ``TypeError``."""
 
 from decimal import Decimal
 from enum import IntEnum
@@ -8,9 +10,10 @@ from fractions import Fraction
 
 import pytest
 
-from spincalc._linalg import scaled
+from spincalc._linalg import bilinear, scaled
 from spincalc._record import exact
 from spincalc.curves import SurfacePencilSpec, pencil_curve
+from spincalc.lattices import IntegerLattice, e8, hyperbolic_u
 from spincalc.linecomplex import plucker_quadric_rank, symmetric_form
 from spincalc.picard import (BETA0, LAMBDA, brill_noether_g8, divisor_class,
                              mbar, spin_plus)
@@ -30,6 +33,22 @@ BOUNDARIES = {
     "class_times": lambda x: brill_noether_g8() * x,
     "plucker_quadric_rank": lambda x: plucker_quadric_rank({(0, 1): x}),
     "cycle_times": lambda x: sigma(5, 1) * x,
+}
+
+#: each int-only boundary as a function of the one value it is given;
+#: each takes the plain int 3
+INT_BOUNDARIES = {
+    "schubert_n": lambda x: SchubertCycle(x, {(1, 0): 1}),
+    "partition_index": lambda x: sigma(5, x),
+    "cycle_coefficient": lambda x: sigma(5, 1, coefficient=x),
+    "cycle_scalar": lambda x: sigma(5, 1) * x,
+    "pencil_count": lambda x: SurfacePencilSpec(
+        chi=x, k_squared=-14, target=spin_plus(8)),
+    "gram_entry": lambda x: IntegerLattice([[2, x], [x, 2]], ["a", "b"]),
+    "coordinate": lambda x: hyperbolic_u().norm((1, x)),
+    "scale": e8,
+    "genus": mbar,
+    "index_pair": lambda x: plucker_quadric_rank({(0, x): 1}),
 }
 
 
@@ -97,3 +116,34 @@ def test_counts_and_indices_pass_as_ints():
     assert pencil_curve(spec).pairing(BETA0) == 8
     assert str(sigma(5, 1)) == "s(1,0)"
     assert SchubertCycle(5, {(1, 0): 1}) == sigma(5, 1)
+
+
+@pytest.mark.parametrize("boundary", INT_BOUNDARIES)
+@pytest.mark.parametrize("x", ["3", Decimal(3), 3.0, True, Small.TWO,
+                               Fraction(3)],
+                         ids=["str", "Decimal", "float", "bool", "IntEnum",
+                              "Fraction"])
+def test_int_boundaries_raise_the_int_rule(boundary, x):
+    with pytest.raises(TypeError, match="must be int, not "):
+        INT_BOUNDARIES[boundary](x)
+
+
+def test_int_boundaries_pass_a_plain_int():
+    for build in INT_BOUNDARIES.values():
+        build(3)
+
+
+@pytest.mark.parametrize("x", ["1/2", Decimal("0.5"), 0.5, True, Small.TWO],
+                         ids=["str", "Decimal", "float", "bool", "IntEnum"])
+def test_the_kernel_raises_the_text_of_exact(x):
+    with pytest.raises(TypeError, match=f"^{type(x).__name__} is inexact; "
+                                        f"use int or Fraction$"):
+        scaled([[1, Fraction(1, 2)], [x, 2]])
+
+
+@pytest.mark.parametrize("x", [Decimal("0.5"), 0.5])
+def test_bilinear_raises_the_text_of_exact(x):
+    # only a total that is not exact is seen: a bool times an int is an int
+    with pytest.raises(TypeError, match=f"^{type(x).__name__} is inexact; "
+                                        f"use int or Fraction$"):
+        bilinear([[1, 0], [0, 1]], [x, 1], [1, 1])

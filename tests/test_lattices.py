@@ -35,23 +35,28 @@ def test_lattice_refuses_coordinates_that_are_not_int(coordinate):
         lat.norm(v)
 
 
-def test_basis_vector_by_name_and_by_index():
+def test_basis_vector_takes_a_basis_name_only():
     lat = nikulin_lattice()
-    assert lat.basis_vector("n1") == lat.basis_vector(0) == (1,) + (0,) * 7
-    assert lat.basis_vector("e") == lat.basis_vector(7) == (0,) * 7 + (1,)
+    assert lat.basis_vector("n1") == (1,) + (0,) * 7
+    assert lat.basis_vector("e") == (0,) * 7 + (1,)
+    # an int names no basis vector, even one in range(rank), and neither
+    # does a name outside the basis
+    for key in (0, 7, "n8", "N1"):
+        with pytest.raises(ValueError):
+            lat.basis_vector(key)
 
 
 @pytest.mark.parametrize("index", [8, 99, -1, -8])
 def test_basis_vector_refuses_an_index_out_of_range(index):
     # an index past either end names no basis vector, not the zero vector
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError):
         nikulin_lattice().basis_vector(index)
 
 
 @pytest.mark.parametrize("index", [True, False])
 def test_basis_vector_refuses_a_bool_index(index):
     # True is the int 1 to Python, but not a basis index
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         nikulin_lattice().basis_vector(index)
 
 
@@ -162,6 +167,16 @@ def test_e8_scaled_by_two():
     for _ in range(50):
         v = [rng.randint(-4, 4) for _ in range(8)]
         assert lat.norm(v) % 4 == 0
+
+
+def test_scaling_by_zero_or_by_a_bool_is_refused():
+    # a zero form is no lattice, and True used to be read as the scale 1
+    with pytest.raises(ValueError, match="nonzero"):
+        e8(0)
+    with pytest.raises(ValueError, match="nonzero"):
+        hyperbolic_u().scaled(0)
+    with pytest.raises(TypeError, match="scale must be int, not bool"):
+        e8(True)
 
 
 def test_evenness_preserved_by_sum_and_scaling():

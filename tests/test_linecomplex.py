@@ -303,10 +303,8 @@ def test_plucker_rank_errors():
         plucker_quadric_rank({(1, 0): 1})
 
 
-@pytest.mark.parametrize("pair", [(1, 0), (0, 0), (0, 6), (-1, 2),
-                                  (False, True), (0, True)])
+@pytest.mark.parametrize("pair", [(1, 0), (0, 0), (0, 6), (-1, 2)])
 def test_plucker_rank_refuses_bad_index_pairs(pair):
-    # (False, True) is equal to (0, 1) as a key, but it is no index pair
     with pytest.raises(ValueError, match="bad index pair"):
         plucker_quadric_rank({pair: 1})
     # a zero coefficient does not excuse its key
@@ -314,11 +312,22 @@ def test_plucker_rank_refuses_bad_index_pairs(pair):
         plucker_quadric_rank({(2, 3): 1, pair: 0})
 
 
-@pytest.mark.parametrize("pair", [(0, 5), (1, 0), (1, 1), (-1, 1),
-                                  (False, True), (0, True)])
+@pytest.mark.parametrize("pair", [(0, 5), (1, 0), (1, 1), (-1, 1)])
 def test_transform_bivector_refuses_bad_index_pairs(pair):
     # (0, 5) is out of range for a 2x2 matrix, and (1, 0) is not -(0, 1)
     with pytest.raises(ValueError, match="bad index pair"):
+        transform_bivector([[1, 0], [0, 1]], {pair: 1})
+
+
+@pytest.mark.parametrize("pair", [(False, True), (0, True)])
+def test_bool_index_pairs_raise_type_error(pair):
+    # (False, True) is equal to (0, 1) as a key, but it is no index pair
+    with pytest.raises(TypeError, match="pair index must be int, not bool"):
+        plucker_quadric_rank({pair: 1})
+    # a zero coefficient does not excuse its key
+    with pytest.raises(TypeError, match="pair index must be int"):
+        plucker_quadric_rank({(2, 3): 1, pair: 0})
+    with pytest.raises(TypeError, match="pair index must be int"):
         transform_bivector([[1, 0], [0, 1]], {pair: 1})
 
 

@@ -60,7 +60,7 @@ def test_value_type_is_slotted_read_only_and_hashable(name):
 def test_equality_needs_the_same_class():
     assert picard.mbar(8) != picard.spin_plus(8)
     assert picard.mbar(8) != ("mbar", 8)
-    assert picard.zero_class(picard.mbar(4)) != curves.curve_class(
+    assert picard.divisor_class(picard.mbar(4)) != curves.curve_class(
         picard.mbar(4))
 
 
