@@ -145,37 +145,37 @@ def sum_square_solution_exists(slots: int, target_sum: int,
     """Decide whether integers b_1..b_slots satisfy sum b_i = target_sum
     and sum b_i^2 = target_norm.
 
-    Exhaustive bitset dynamic program over (slots used, norm spent,
-    running sum); the only pruning is the cap |b_i| <= sqrt(target_norm)
-    forced by the norm equation itself.  Each step tries |b_i| = v up to
-    the square root of the norm still unspent and adds both signs at once;
-    the last slot must spend exactly the norm that is left, so it has one
-    candidate |b_i|.
+    Exhaustive meet-in-the-middle search over tables that map each norm
+    m <= target_norm reached by k integers to the bitmask of their sums;
+    the only pruning is the cap |b_i| <= sqrt(target_norm) forced by the
+    norm equation itself.  A step to k + 1 adds +-v for each |b_i| = v up
+    to the square root of the unspent norm, so every mask is symmetric
+    under negation.  The table for ceil(slots/2) slots is built through
+    the one for floor(slots/2); a solution exists when some left mask at
+    norm m meets the right mask at target_norm - m moved by |target_sum|.
     """
+    require_int("a search argument", slots, target_sum, target_norm)
+    if slots < 0:
+        raise ValueError("a slot count must be at least 0")
     if target_norm < 0:
         return False
-    if slots == 0:
-        return target_sum == 0 and target_norm == 0
     bound = isqrt(target_norm)
-    offset = slots * bound
-    if abs(target_sum) > offset:
+    if abs(target_sum) > slots * bound:
         return False
-    # reachable[m] = bitmask over sums s (bit index s + offset)
-    reachable = {0: 1 << offset}
-    for _ in range(slots - 1):
+    half = slots // 2
+    # table[m] = bitmask over sums s, bit s + offset in both halves
+    left = right = {0: 1 << (slots - half) * bound}
+    for k in range(1, slots - half + 1):
         nxt: dict = {}
-        for m, mask in reachable.items():
+        for m, mask in right.items():
             for v in range(isqrt(target_norm - m) + 1):
                 m2 = m + v * v
                 nxt[m2] = nxt.get(m2, 0) | (mask << v) | (mask >> v)
-        reachable = nxt
-    target_bit = 1 << (target_sum + offset)
-    for m, mask in reachable.items():
-        room = target_norm - m
-        v = isqrt(room)
-        if v * v == room and ((mask << v) | (mask >> v)) & target_bit:
-            return True
-    return False
+        right = nxt
+        if k == half:
+            left = right
+    return any(mask & (right.get(target_norm - m, 0) << abs(target_sum))
+               for m, mask in left.items())
 
 
 class CsEntry(Record):
@@ -209,6 +209,7 @@ class CsCertificate(Record):
 
 def cs_obstruction(g: int, a_bound: int) -> CsCertificate:
     """Run both obstruction routes for a = 1..a_bound at genus g >= 7."""
+    require_int("a genus or bound", g, a_bound)
     if g < 7:
         raise ValueError("the obstruction argument applies from genus 7 on")
     if a_bound < 1:

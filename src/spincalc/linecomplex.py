@@ -31,9 +31,9 @@ scaling q, u or v by a positive number does not change, so they never
 build a `Fraction`.  Integer input stays integer.  One exactness rule
 holds throughout, that of `_linalg.scaled`: a number is an int or a
 Fraction, and anything else raises ``TypeError``.  The random samplers
-draw integer entries in [-9, 9] from a caller-supplied seeded generator;
-a sampled form is conjugated step by step along its drawn shears and
-swaps, with no dense P^T G P.
+draw integer entries in [-9, 9] from a caller-supplied seeded generator
+by `_below`, conjugate a form along its drawn shears and swaps and pull
+its vectors back along them, with no dense P^T G P and no images matrix.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain
 from math import gcd
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from ._linalg import (SingularMatrixError, bilinear, dot, int_rank, mat_det,
                       mat_rank, mat_vec, require_symmetric, scaled, solve)
@@ -337,13 +337,24 @@ def transform_bivector(matrix, psi) -> dict:
 # ---------------------------------------------------------------------------
 # seeded samplers for the property suites
 
-_ENTRY_RANGE = (-9, 9)
+_ENTRY_MIN, _ENTRY_WIDTH = -9, 19  #: a sampled entry is in [-9, 9]
+
+
+def _below(bits, n: int) -> int:
+    """`randrange(n)`, n > 0, drawn from the generator's `getrandbits` by
+    the loop of CPython's `Random._randbelow_with_getrandbits`."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
 
 
 def random_invertible_matrix(rng, dim: int) -> list:
     """Random integer matrix with nonzero determinant."""
+    bits = rng.getrandbits
     while True:
-        m = [[rng.randint(*_ENTRY_RANGE) for _ in range(dim)]
+        m = [[_ENTRY_MIN + _below(bits, _ENTRY_WIDTH) for _ in range(dim)]
              for _ in range(dim)]
         if mat_det(m) != 0:
             return m
@@ -353,12 +364,12 @@ def _draw_steps(rng, dim: int) -> list:
     """The ten steps of a random change of basis P = S_10 ... S_1 in draw
     order: (i, j, c) is the shear I + c E_ij and (i, j, None) the swap of
     e_i and e_j; a drawn i == j is a swap that draws nothing more."""
-    randrange, random, randint = rng.randrange, rng.random, rng.randint
+    bits, random = rng.getrandbits, rng.random
     steps = []
     for _ in range(10):
-        i, j = randrange(dim), randrange(dim)
+        i, j = _below(bits, dim), _below(bits, dim)
         steps.append((i, j, None if i == j or random() < 0.2
-                      else randint(-3, 3)))
+                      else _below(bits, 7) - 3))
     return steps
 
 
@@ -374,12 +385,16 @@ def _row_ops(steps, dim: int) -> list:
     return rows
 
 
-def _images(steps, dim: int) -> list:
-    """Row k is P^-1 e_k.  For a shear S = I + c E_ij, P^-1 S^-1 loses c
-    times column i in column j, so the transpose of P^-1 takes the row
-    operation (j, i, -c), in draw order; a swap is its own inverse."""
-    return _row_ops([(i, j, c) if c is None else (j, i, -c)
-                     for i, j, c in steps], dim)
+def _pull_back(steps, x) -> list:
+    """P^-1 x for the P of `steps`: their inverses act on a copy of x,
+    the last drawn first; I - c E_ij undoes a shear, a swap itself."""
+    x = list(x)
+    for i, j, c in reversed(steps):
+        if c is None:
+            x[i], x[j] = x[j], x[i]
+        else:
+            x[i] -= c * x[j]
+    return x
 
 
 def random_unimodular_pair(rng, dim: int):
@@ -387,7 +402,8 @@ def random_unimodular_pair(rng, dim: int):
     swaps (determinant +-1), together with the transpose of its integer
     inverse, whose row k is P^-1 e_k; entries stay small in the samplers."""
     steps = _draw_steps(rng, dim)
-    return _row_ops(steps, dim), _images(steps, dim)
+    return _row_ops(steps, dim), [_pull_back(steps, e)
+                                  for e in _row_ops((), dim)]
 
 
 def random_symmetric_form_of_rank(rng, dim: int, rank: int) -> SymmetricForm:
@@ -397,16 +413,17 @@ def random_symmetric_form_of_rank(rng, dim: int, rank: int) -> SymmetricForm:
         raise ValueError("rank out of range")
     g0 = [[0] * dim for _ in range(dim)]
     for i in range(rank):
-        g0[i][i] = _nonzero(rng)
+        g0[i][i] = _nonzero(rng.getrandbits)
     return _conjugated(rng, g0)[0]
 
 
 def _conjugated(rng, g0) -> tuple:
-    """(the form P^T g0 P, P^-1 e_k for each k) for the integer Gram g0
+    """(the form P^T g0 P, the drawn steps of P) for the integer Gram g0
     and a random unimodular P, whose steps S act on a copy of g0 as
     S^T g S, the last drawn first: a swap exchanges two rows and the same
     two columns; the shear I + c E_ij adds c times column i to column j,
-    then c times row i to row j."""
+    then c times row i to row j.  A sampler pulls its vectors back along
+    the steps (`_pull_back`), so no images matrix is built."""
     steps = _draw_steps(rng, len(g0))
     g = [list(row) for row in g0]
     for i, j, c in reversed(steps):
@@ -418,19 +435,19 @@ def _conjugated(rng, g0) -> tuple:
             for row in g:
                 row[j] += c * row[i]
             g[j] = [a + c * b for a, b in zip(g[j], g[i])]
-    return SymmetricForm._from_view(g, 1), _images(steps, len(g0))
+    return SymmetricForm._from_view(g, 1), steps
 
 
-def _nonzero(rng):
+def _nonzero(bits):
     d = 0
     while d == 0:
-        d = rng.randint(*_ENTRY_RANGE)
+        d = _ENTRY_MIN + _below(bits, _ENTRY_WIDTH)
     return d
 
 
 def _conjugated_split_sample(rng, diag_tail):
     """Split form (hyperbolic plane + diagonal tail) pushed through a
-    random change of basis; returns (form, image of each basis vector)."""
+    random change of basis; returns (form, the drawn steps)."""
     dim = 2 + len(diag_tail)
     g0 = [[0] * dim for _ in range(dim)]
     g0[0][1] = g0[1][0] = 1
@@ -442,12 +459,13 @@ def _conjugated_split_sample(rng, diag_tail):
 def tangency_samples(rng, count: int):
     """Yield (q, u, v) with q of full rank on a 5-space, [u] on the
     quadric, v generic."""
+    bits = rng.getrandbits
     for _ in range(count):
-        q, images = _conjugated_split_sample(
-            rng, [_nonzero(rng) for _ in range(3)])
-        u = images[0]
+        q, steps = _conjugated_split_sample(
+            rng, [_nonzero(bits) for _ in range(3)])
+        u = _pull_back(steps, (1, 0, 0, 0, 0))
         while True:
-            v = [rng.randint(*_ENTRY_RANGE) for _ in range(5)]
+            v = [_ENTRY_MIN + _below(bits, _ENTRY_WIDTH) for _ in range(5)]
             if any(wedge_coordinates(u, v)):
                 break
         yield q, u, v
@@ -460,24 +478,25 @@ def complex_point_samples(rng, count: int):
 
     Construction on the split model U + diag(d, -d, d'): u0 = e_1 is
     isotropic and everything orthogonal to e_2 pairs to zero with it;
-    v0 = (a, 0, t, t, 0) is isotropic, v0 = (a, 0, b, c, f) generic.
+    v0 = (a, 0, t, t, 0) is isotropic, v0 = (a, 0, b, c, f) generic; the
+    sample is u = P^-1 u0, v = P^-1 v0.
     """
+    bits = rng.getrandbits
     made = 0
     while made < count:
-        d = _nonzero(rng)
-        tail = [d, -d, _nonzero(rng)]
-        q, images = _conjugated_split_sample(rng, tail)
+        d = _nonzero(bits)
+        tail = [d, -d, _nonzero(bits)]
+        q, steps = _conjugated_split_sample(rng, tail)
         inside = made % 2 == 0
         if inside:
-            t = _nonzero(rng)
-            coeffs = [rng.randint(*_ENTRY_RANGE), 0, t, t, 0]
+            t = _nonzero(bits)
+            coeffs = (_ENTRY_MIN + _below(bits, _ENTRY_WIDTH), 0, t, t, 0)
         else:
-            coeffs = [rng.randint(*_ENTRY_RANGE), 0,
-                      rng.randint(*_ENTRY_RANGE),
-                      rng.randint(*_ENTRY_RANGE),
-                      rng.randint(*_ENTRY_RANGE)]
-        v = [sum(map(mul, coeffs, col)) for col in zip(*images)]
-        u = images[0]
+            a, b, c, f = (_ENTRY_MIN + _below(bits, _ENTRY_WIDTH)
+                          for _ in range(4))
+            coeffs = (a, 0, b, c, f)
+        v = _pull_back(steps, coeffs)
+        u = _pull_back(steps, (1, 0, 0, 0, 0))
         if not any(wedge_coordinates(u, v)):
             continue
         if not inside and q.quadratic(v) == 0:

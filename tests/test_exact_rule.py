@@ -1,8 +1,9 @@
 """One exactness rule at every boundary that takes a rational number: an
 int or a Fraction, by exact type, passes, and anything else raises
 ``TypeError``; and one int rule at every boundary that takes a genus, a
-count, an index, a lattice Gram entry or a scale: a plain int passes, and
-anything else raises ``TypeError``."""
+count, an index, a lattice Gram entry, a scale or an argument of the
+sum-of-squares search: a plain int passes, and anything else raises
+``TypeError``."""
 
 from decimal import Decimal
 from enum import IntEnum
@@ -13,7 +14,8 @@ import pytest
 from spincalc._linalg import bilinear, scaled
 from spincalc._record import exact
 from spincalc.curves import SurfacePencilSpec, pencil_curve
-from spincalc.lattices import IntegerLattice, e8, hyperbolic_u
+from spincalc.lattices import (IntegerLattice, cs_obstruction, e8,
+                               hyperbolic_u, sum_square_solution_exists)
 from spincalc.linecomplex import plucker_quadric_rank, symmetric_form
 from spincalc.picard import (BETA0, LAMBDA, brill_noether_g8, divisor_class,
                              mbar, spin_plus)
@@ -49,6 +51,10 @@ INT_BOUNDARIES = {
     "scale": e8,
     "genus": mbar,
     "index_pair": lambda x: plucker_quadric_rank({(0, x): 1}),
+    "slot_count": lambda x: sum_square_solution_exists(x, 3, 3),
+    "search_sum": lambda x: sum_square_solution_exists(3, x, 3),
+    "search_norm": lambda x: sum_square_solution_exists(3, 3, x),
+    "multiple_bound": lambda x: cs_obstruction(7, x),
 }
 
 
@@ -131,6 +137,17 @@ def test_int_boundaries_raise_the_int_rule(boundary, x):
 def test_int_boundaries_pass_a_plain_int():
     for build in INT_BOUNDARIES.values():
         build(3)
+
+
+@pytest.mark.parametrize("x", ["7", Decimal(7), 7.0, True, Small.TWO,
+                               Fraction(7)],
+                         ids=["str", "Decimal", "float", "bool", "IntEnum",
+                              "Fraction"])
+def test_the_obstruction_genus_raises_the_int_rule(x):
+    # apart from INT_BOUNDARIES, whose plain int 3 is below the genera
+    # the obstruction takes
+    with pytest.raises(TypeError, match="^a genus or bound must be int, "):
+        cs_obstruction(x, 1)
 
 
 @pytest.mark.parametrize("x", ["1/2", Decimal("0.5"), 0.5, True, Small.TWO],

@@ -190,14 +190,16 @@ def test_evenness_preserved_by_sum_and_scaling():
 # --- the exhaustive search --------------------------------------------------
 
 def test_search_against_literal_enumeration():
-    for slots in range(6):
+    # |b_i| <= 4 covers every norm up to 16, the perfect squares 0, 1, 4,
+    # 9 and 16 included, and |b_i| <= 2 every norm up to 4; 6 and 7 slots
+    # split into equal and unequal halves
+    cases = [(slots, 4, 16) for slots in range(6)] + [(6, 2, 4), (7, 2, 4)]
+    for slots, b, top in cases:
         reachable = set()
-        for tup in product(range(-4, 5), repeat=slots):
+        for tup in product(range(-b, b + 1), repeat=slots):
             reachable.add((sum(tup), sum(x * x for x in tup)))
-        # |b_i| <= 4 covers every norm up to 16, the perfect squares
-        # 0, 1, 4, 9 and 16 included
-        for m in range(-1, 17):
-            for s in range(-4 * slots - 2, 4 * slots + 3):
+        for m in range(-1, top + 1):
+            for s in range(-b * slots - 2, b * slots + 3):
                 assert sum_square_solution_exists(slots, s, m) == \
                     ((s, m) in reachable), (slots, s, m)
 
@@ -213,6 +215,20 @@ def test_search_finds_known_solutions():
 def test_search_rejects_parity_impossible():
     # sum of 8 integers with all squares summing to 4 cannot reach 9
     assert not sum_square_solution_exists(8, 9, 4)
+
+
+def test_search_decides_the_witness_targets():
+    # 1^6 0^2 and 1^8, the Cauchy-Schwarz equality case, are found; at
+    # (13, 24) the gap 13^2 - 8 * 24 = -23 is negative, yet no 8 integers
+    # reach it
+    assert sum_square_solution_exists(8, 6, 6)
+    assert sum_square_solution_exists(8, 8, 8)
+    assert not sum_square_solution_exists(8, 13, 24)
+
+
+def test_search_refuses_a_negative_slot_count():
+    with pytest.raises(ValueError, match="slot count must be at least 0"):
+        sum_square_solution_exists(-1, 0, 0)
 
 
 # --- obstruction certificate ------------------------------------------------

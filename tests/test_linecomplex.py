@@ -632,6 +632,21 @@ def test_samplers_keep_their_draws():
     }
 
 
+def test_bounded_draws_are_those_of_randrange_and_randint():
+    # the pinned draws above rest on this: `_below` is the loop of
+    # CPython's `Random._randbelow_with_getrandbits`, behind `randrange`
+    # and `randint`, and it takes as many bits from the generator
+    for seed in range(50):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for n in range(1, 41):
+            assert linecomplex._below(ours.getrandbits, n) == ref.randrange(n)
+        for a, b in ((-9, 9), (-3, 3)):
+            for _ in range(10):
+                assert (a + linecomplex._below(ours.getrandbits, b - a + 1)
+                        == ref.randint(a, b))
+        assert ours.random() == ref.random()
+
+
 # --- wedge bookkeeping ------------------------------------------------------
 
 def test_wedge_pairs_lexicographic():
@@ -672,20 +687,23 @@ def sample_grams(rng, dim):
 
 def test_conjugated_forms_are_the_definition():
     # the step-by-step conjugation against the double sum over the pair's
-    # own P, from the same seed: same form, same images, same draws
+    # own P, from the same seed: same form, the pair's P^-1 e_k pulled
+    # back along the returned steps, same draws
     for seed in range(200):
         dim = 1 + seed % 7
         for g0 in sample_grams(random.Random(-seed), dim):
             before = [row[:] for row in g0]
             rng, ref = random.Random(seed), random.Random(seed)
-            form, images = linecomplex._conjugated(rng, g0)
+            form, steps = linecomplex._conjugated(rng, g0)
             p, inv_t = random_unimodular_pair(ref, dim)
             assert g0 == before
             assert form.gram == tuple(
                 tuple(sum(p[k][i] * g0[k][l] * p[l][j]
                           for k in range(dim) for l in range(dim))
                       for j in range(dim)) for i in range(dim))
-            assert images == inv_t
+            assert [linecomplex._pull_back(steps, [int(i == k)
+                                                   for i in range(dim)])
+                    for k in range(dim)] == inv_t
             assert rng.random() == ref.random()
 
 
