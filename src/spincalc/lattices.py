@@ -150,9 +150,9 @@ def sum_square_solution_exists(slots: int, target_sum: int,
     the only pruning is the cap |b_i| <= sqrt(target_norm) forced by the
     norm equation itself.  A step to k + 1 adds +-v for each |b_i| = v up
     to the square root of the unspent norm, so every mask is symmetric
-    under negation.  The table for ceil(slots/2) slots is built through
-    the one for floor(slots/2); a solution exists when some left mask at
-    norm m meets the right mask at target_norm - m moved by |target_sum|.
+    under negation.  The right table (ceil(slots/2) slots) is built via
+    the left (floor(slots/2)); a solution exists when a left mask at norm
+    m meets the right mask at target_norm - m moved by |target_sum|.
     """
     require_int("a search argument", slots, target_sum, target_norm)
     if slots < 0:
@@ -163,7 +163,7 @@ def sum_square_solution_exists(slots: int, target_sum: int,
     if abs(target_sum) > slots * bound:
         return False
     half = slots // 2
-    # table[m] = bitmask over sums s, bit s + offset in both halves
+    # table[m] = bitmask over sums s, bit s + (slots - half) * bound
     left = right = {0: 1 << (slots - half) * bound}
     for k in range(1, slots - half + 1):
         nxt: dict = {}
