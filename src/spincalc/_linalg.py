@@ -8,8 +8,9 @@ and `require_int`, live in `_record` alone.  Every elimination in the
 package runs through `_eliminate`, a single fraction-free Bareiss
 elimination of such int rows (Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 22,
-1968): every entry is an integer minor of the cleared matrix and every
-division is exact.  A rank is taken on content-free rows and columns:
+1968): every pivot row is a row of integer minors of the cleared
+matrix, a row below the pivots holds its minors times at / prev for the
+pivot `at` it was last brought up to with, and every division is exact.  A rank is taken on content-free rows and columns:
 `int_rank` divides each row, then each column, by the gcd of its
 entries (its content), drops those that vanish, and counts the pivots;
 scaling by a nonzero int keeps the rank and shrinks every minor the
@@ -65,14 +66,19 @@ def _eliminate(rows):
     elimination.
 
     Returns (pivots, sign): the pivot column of each leading row and
-    (-1) ** (number of row swaps).  Entry (i, j) of row i below the k-th
-    step is the minor of the input on the first k pivot rows and columns
-    plus row i and column j; in particular the last pivot of a square
-    nonsingular input is its determinant up to `sign`.
+    (-1) ** (number of row swaps).  Entry (i, j) of pivot row i, once
+    chosen at the k-th step, is the minor of the input on the first k
+    pivot rows and columns plus row i and column j; in particular the
+    last pivot of a square nonsingular input is its determinant up to
+    `sign`.  A row with a 0 under the pivot is left as it is, not scaled
+    by pivot / prev: row r holds its minors times at[r] / prev, at[r]
+    being the pivot it was last updated with (1 at the start), so its
+    next update divides by at[r], and a pivot row is brought up to date.
     """
     pivots = []
     sign = 1
     prev = 1
+    at = [1] * len(rows)
     for col in range(len(rows[0]) if rows else 0):
         top = len(pivots)
         if top == len(rows):
@@ -82,19 +88,21 @@ def _eliminate(rows):
             continue
         if pivot != top:
             rows[top], rows[pivot] = rows[pivot], rows[top]
+            at[top], at[pivot] = at[pivot], at[top]
             sign = -sign
+        s = at[top]
+        if s != prev:
+            rows[top][col:] = [a * prev // s for a in rows[top][col:]]
         head = rows[top][col:]
         p = head[0]
         for r in range(top + 1, len(rows)):
             row = rows[r]
             f = row[col]
             if f:
-                row[col:] = [(p * a - f * b) // prev
+                s = at[r]
+                row[col:] = [(p * a - f * b) // s
                              for a, b in zip(row[col:], head)]
-            else:
-                # the row still takes the factor p / prev, or later
-                # divisions by the pivot would not be exact
-                row[col:] = [p * a // prev for a in row[col:]]
+                at[r] = p
         prev = p
         pivots.append(col)
     return pivots, sign

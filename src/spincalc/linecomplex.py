@@ -373,18 +373,6 @@ def _draw_steps(rng, dim: int) -> list:
     return steps
 
 
-def _row_ops(steps, dim: int) -> list:
-    """The identity after the steps as row operations, in order: (i, j,
-    None) swaps rows i and j, and (i, j, c) adds c times row j to row i."""
-    rows = [[0] * k + [1] + [0] * (dim - 1 - k) for k in range(dim)]
-    for i, j, c in steps:
-        if c is None:
-            rows[i], rows[j] = rows[j], rows[i]
-        elif c:
-            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-    return rows
-
-
 def _pull_back(steps, x) -> list:
     """P^-1 x for the P of `steps`: their inverses act on a copy of x,
     the last drawn first; I - c E_ij undoes a shear, a swap itself."""
@@ -395,15 +383,6 @@ def _pull_back(steps, x) -> list:
         else:
             x[i] -= c * x[j]
     return x
-
-
-def random_unimodular_pair(rng, dim: int):
-    """Random integer change of basis P, a product of ten row shears and
-    swaps (determinant +-1), together with the transpose of its integer
-    inverse, whose row k is P^-1 e_k; entries stay small in the samplers."""
-    steps = _draw_steps(rng, dim)
-    return _row_ops(steps, dim), [_pull_back(steps, e)
-                                  for e in _row_ops((), dim)]
 
 
 def random_symmetric_form_of_rank(rng, dim: int, rank: int) -> SymmetricForm:

@@ -8,8 +8,8 @@ from math import prod
 
 import pytest
 
-from spincalc._linalg import (SingularMatrixError, bilinear, dot, mat_det,
-                              mat_rank, mat_vec, scaled, solve)
+from spincalc._linalg import (SingularMatrixError, _eliminate, bilinear, dot,
+                              mat_det, mat_rank, mat_vec, scaled, solve)
 from spincalc.linecomplex import second_compound, symmetric_form
 
 
@@ -453,6 +453,64 @@ def test_rows_with_zero_in_pivot_column_are_rescaled():
     m = [[Fraction(2, 3), 1, 0, 0], [0, 0, 3, 1], [0, 5, 0, 0],
          [1, 0, 5, Fraction(1, 7)]]
     assert mat_det(m) == gauss(m)[1]
+
+
+def full_rescale_bareiss(rows):
+    """Textbook Bareiss elimination in place, the reference for
+    `_eliminate`: every row below the pivot is updated at every step, so
+    a row with a 0 under the pivot p is multiplied by p / prev at once."""
+    pivots, sign, prev = [], 1, 1
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        if top == len(rows):
+            break
+        pivot = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != top:
+            rows[top], rows[pivot] = rows[pivot], rows[top]
+            sign = -sign
+        head = rows[top][col:]
+        p = head[0]
+        for r in range(top + 1, len(rows)):
+            row = rows[r]
+            f = row[col]
+            row[col:] = [(p * a - f * b) // prev
+                         for a, b in zip(row[col:], head)]
+        prev = p
+        pivots.append(col)
+    return pivots, sign
+
+
+def test_eliminate_matches_the_full_rescale_bareiss():
+    # every shape up to 9 x 10; the n x (n + 1) ones are the augmented
+    # square systems that `solve` eliminates.  Rows below the last pivot
+    # are zero on both sides, so the whole matrices agree
+    rng = random.Random(1212)
+    for n_rows in range(1, 10):
+        for n_cols in range(1, 11):
+            for density in (0.2, 0.5, 0.9):
+                for _ in range(4):
+                    m = [[rng.randint(-9, 9) if rng.random() < density else 0
+                          for _ in range(n_cols)] for _ in range(n_rows)]
+                    got, want = [row[:] for row in m], [row[:] for row in m]
+                    assert _eliminate(got) == full_rescale_bareiss(want)
+                    assert got == want
+
+
+def test_rows_that_skip_steps_are_updated_and_chosen_as_pivots():
+    # rows 1 and 2 are updated at step 0 and then skip steps 1 and 2, in
+    # which rows 3 and 4 are swapped up past them as pivot rows; at step 3
+    # row 1 is the pivot row and row 2 is updated
+    m = [[2, 0, 0, 1, 0], [-1, 0, 0, 2, 0], [2, 0, 0, 0, -1],
+         [0, 3, 0, 0, -2], [0, -1, 3, 0, 1]]
+    got, want = [row[:] for row in m], [row[:] for row in m]
+    assert _eliminate(got) == full_rescale_bareiss(want) == ([0, 1, 2, 3, 4],
+                                                             1)
+    assert got == want
+    assert mat_det(m) == gauss(m)[1] == -45
+    b = [1, -2, 3, 0, 5]
+    assert solve(m, b) == gauss_jordan_solve(m, b)
 
 
 def test_solve_matches_gauss_jordan():

@@ -21,7 +21,7 @@ from spincalc.linecomplex import (BasePointNotOnQuadricError,
                                   plucker_quadric_rank,
                                   random_invertible_matrix,
                                   random_symmetric_form_of_rank,
-                                  random_unimodular_pair, second_compound,
+                                  second_compound,
                                   solve_in_basis, symmetric_form, tangency,
                                   tangency_samples, transform_bivector,
                                   wedge_coordinates, wedge_pairs,
@@ -595,6 +595,29 @@ def test_rational_compound_rank_and_plucker_rank_build_no_fraction(
 
 
 # --- sampler draws ----------------------------------------------------------
+
+def random_unimodular_pair(rng, dim):
+    """A random integer change of basis P, drawn by the samplers' own
+    `_draw_steps` (determinant +-1), together with the transpose of its
+    inverse, whose row k is P^-1 e_k pulled back along the steps."""
+    steps = linecomplex._draw_steps(rng, dim)
+    identity = [[int(i == k) for i in range(dim)] for k in range(dim)]
+    return (row_ops(steps, identity),
+            [linecomplex._pull_back(steps, e) for e in identity])
+
+
+def row_ops(steps, rows):
+    """A copy of the rows after the steps as row operations, in order:
+    (i, j, None) swaps rows i and j, and (i, j, c) adds c times row j to
+    row i."""
+    rows = [list(row) for row in rows]
+    for i, j, c in steps:
+        if c is None:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif c:
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
 
 def sha256_of(samples):
     return hashlib.sha256(repr(list(samples)).encode()).hexdigest()
