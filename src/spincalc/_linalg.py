@@ -8,10 +8,11 @@ and `require_int`, live in `_record` alone.  Every elimination in the
 package runs through `_eliminate`, a single fraction-free Bareiss
 elimination of such int rows (Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 22,
-1968): every pivot row is a row of integer minors of the cleared
-matrix, a row below the pivots holds its minors times at / prev for the
-pivot `at` it was last brought up to with, and every division is exact.  A rank is taken on content-free rows and columns:
-`int_rank` divides each row, then each column, by the gcd of its
+1968): every pivot row holds integer minors of the cleared matrix, a
+row below the pivots holds its Bareiss row times at / prev, where `at`
+is the pivot it was last updated with and `prev` the last pivot, and
+every division is exact.  A rank is taken on content-free rows and
+columns: `int_rank` divides each row, then each column, by the gcd of its
 entries (its content), drops those that vanish, and counts the pivots;
 scaling by a nonzero int keeps the rank and shrinks every minor the
 elimination builds.  The determinant is the signed last pivot divided by

@@ -21,8 +21,8 @@ from spincalc.linecomplex import (BasePointNotOnQuadricError,
                                   plucker_quadric_rank,
                                   random_invertible_matrix,
                                   random_symmetric_form_of_rank,
-                                  second_compound,
-                                  solve_in_basis, symmetric_form, tangency,
+                                  second_compound, solve_in_basis,
+                                  symmetric_form, tangency,
                                   tangency_samples, transform_bivector,
                                   wedge_coordinates, wedge_pairs,
                                   _volume_signs)
