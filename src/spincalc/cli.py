@@ -17,11 +17,16 @@ error leaves stdout empty.
 
 Each handler imports the modules it runs, so a query loads only those:
 `schubert` loads `spincalc.schubert` alone, `verify-all` the whole package.
+
+The parser is built once per process and parses every argv `main` is
+given.  Its handlers are bound when it is built, so a test patches what a
+handler calls (as tests patch `checks.verify_all`), not a `_cmd_*`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -309,6 +314,7 @@ def _cmd_verify_all(args) -> tuple[int, str]:
     return 0 if report.all_passed else 1, render(report)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spincalc",

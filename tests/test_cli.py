@@ -712,3 +712,40 @@ def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["pair", "--curve", "unknown", "--divisor", "bn8"])
     assert exc.value.code == 2
+
+
+# --- the shared parser ------------------------------------------------------
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+#: the README's four queries that print one number, with that number
+README_NUMBERS = [
+    (["pair", "--curve", "xi", "--genus", "6", "--divisor", "nikulin_N6"],
+     "-1"),
+    (["pair", "--curve", "gamma", "--genus", "5", "--divisor", "theta_null"],
+     "-2"),
+    (["pair", "--curve", "btilde", "--genus", "8", "--divisor", "bn8"],
+     "-32896"),
+    (["schubert", "--n", "5", "--expr", "4*s(2,1)*s1^3", "--degree"], "8"),
+]
+
+
+def test_no_state_leaks_through_the_shared_parser(capsys):
+    def readme_round():
+        return [run(capsys, *argv)[:2] for argv, _ in README_NUMBERS]
+
+    first = readme_round()
+    with pytest.raises(SystemExit) as exc:
+        main(["pair", "--curve", "unknown", "--divisor", "bn8"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["pair", "--help"])
+    assert exc.value.code == 0
+    assert "--curve" in capsys.readouterr().out
+    code, out, err = run(capsys, "pair", "--curve", "xi", "--divisor",
+                         "nikulin_N6")
+    assert (code, out) == (2, "") and "--genus is required" in err
+    assert readme_round() == first == [(0, value + "\n")
+                                       for _, value in README_NUMBERS]

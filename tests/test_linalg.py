@@ -445,8 +445,10 @@ def test_kernel_matches_gauss_when_pivot_columns_are_skipped():
 
 
 def test_rows_with_zero_in_pivot_column_are_rescaled():
-    # after the first step the middle row has a 0 under the pivot 2; unless
-    # it is multiplied by 2 / 1, the next exact division by 2 truncates
+    # after the first step the middle row has a 0 under the pivot 2, so it
+    # is left as it is with at[r] = 1; its next update divides by at[r] (here
+    # it becomes the pivot row and is brought up to date by 2 / 1), and a
+    # kernel that divided it by the last pivot 2 instead would truncate
     m = [[2, 1, 0], [0, 3, 1], [1, 0, 5]]
     assert mat_det(m) == gauss(m)[1] == 31
     assert solve(m, [1, 2, 3]) == gauss_jordan_solve(m, [1, 2, 3])
