@@ -145,14 +145,23 @@ def sum_square_solution_exists(slots: int, target_sum: int,
     """Decide whether integers b_1..b_slots satisfy sum b_i = target_sum
     and sum b_i^2 = target_norm.
 
-    Exhaustive meet-in-the-middle search over tables that map each norm
-    m <= target_norm reached by k integers to the bitmask of their sums;
-    the only pruning is the cap |b_i| <= sqrt(target_norm) forced by the
-    norm equation itself.  A step to k + 1 adds +-v for each |b_i| = v up
-    to the square root of the unspent norm, so every mask is symmetric
-    under negation.  The right table (ceil(slots/2) slots) is built via
-    the left (floor(slots/2)); a solution exists when a left mask at norm
-    m meets the right mask at target_norm - m moved by |target_sum|.
+    Exhaustive meet-in-the-middle search; the only pruning is the cap
+    |b_i| <= bound = isqrt(target_norm) forced by the norm equation
+    itself.  The table of j integers is one int, a bit grid: row m holds
+    bits m * width to (m + 1) * width - 1, and the sum s of j integers
+    with norm m is bit s + k * bound of it, with k = ceil(slots/2);
+    width is a whole number of bytes and at least 2 * k * bound + 1.  A
+    step to j + 1 <= k integers ORs in the table shifted by
+    v * v * width +- v for v = 1..bound and drops the rows above
+    target_norm.  The sums of j < k integers lie in [-j * bound,
+    j * bound], so a shift by +-v never carries a sum into another row,
+    and every row is symmetric under negation.  The right table (k
+    slots) is built via the left (floor(slots/2)); both are read back
+    once as bytes, and a solution exists when a left row m meets the
+    right row target_norm - m moved by |target_sum|.  The grid holds
+    about 2k * target_norm^1.5 bits, and a step is bound shift-ORs of
+    it, so memory grows as target_norm^1.5 and time as target_norm^2
+    bit operations.
     """
     require_int("a search argument", slots, target_sum, target_norm)
     if slots < 0:
@@ -163,19 +172,29 @@ def sum_square_solution_exists(slots: int, target_sum: int,
     if abs(target_sum) > slots * bound:
         return False
     half = slots // 2
-    # table[m] = bitmask over sums s, bit s + (slots - half) * bound
-    left = right = {0: 1 << (slots - half) * bound}
-    for k in range(1, slots - half + 1):
-        nxt: dict = {}
-        for m, mask in right.items():
-            for v in range(isqrt(target_norm - m) + 1):
-                m2 = m + v * v
-                nxt[m2] = nxt.get(m2, 0) | (mask << v) | (mask >> v)
-        right = nxt
-        if k == half:
+    k = slots - half
+    row_bytes = 2 * k * bound // 8 + 1
+    width = 8 * row_bytes
+    size = (target_norm + 1) * row_bytes
+    grid = (1 << 8 * size) - 1
+    left = right = 1 << k * bound
+    for j in range(1, k + 1):
+        nxt = right
+        for v in range(1, bound + 1):
+            nxt |= ((right << 2 * v) | right) << v * v * width - v
+        right = nxt & grid
+        if j == half:
             left = right
-    return any(mask & (right.get(target_norm - m, 0) << abs(target_sum))
-               for m, mask in left.items())
+    left_rows = left.to_bytes(size, "little")
+    right_rows = right.to_bytes(size, "little")
+    shift = abs(target_sum)
+    for at in range(0, size, row_bytes):
+        top = size - row_bytes - at
+        if int.from_bytes(left_rows[at:at + row_bytes], "little") & (
+                int.from_bytes(right_rows[top:top + row_bytes], "little")
+                << shift):
+            return True
+    return False
 
 
 class CsEntry(Record):

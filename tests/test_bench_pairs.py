@@ -3,6 +3,7 @@ stand-in checkouts whose perfbench/run.py prints fixed metrics."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,8 @@ bench_pairs = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(bench_pairs)
 
 #: a stand-in run.py: wall_s is WALL plus the seed / 1000, every other
-#: metric of BENCHMARK.json is 1, and each run appends "<side> <seed>" to
-#: the shared log one directory up
+#: metric of BENCHMARK.json is 1, each run appends "<side> <seed>" to the
+#: shared log one directory up, and the sha it reports is GIT_SHA
 FAKE_RUN = '''
 import json, sys
 from pathlib import Path
@@ -27,20 +28,20 @@ names = [m["name"] for m in
          json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]]
 metrics = {name: {"value": 1.0, "unit": "x"} for name in names}
 metrics["wall_s"]["value"] = WALL + int(args["--seed"]) / 1000
-print(json.dumps({"env": {"git_sha": root.name}}))
+print(json.dumps({"env": {"git_sha": GIT_SHA}}))
 print(json.dumps({"correct": CORRECT, "attempted": 3, "failed": 0,
                   "metrics": metrics}))
 '''
 
 
-def checkout(tmp_path, name, wall, correct=True):
+def checkout(tmp_path, name, wall, correct=True, git_sha="root.name"):
     root = tmp_path / name
     (root / "perfbench").mkdir(parents=True)
     (root / "BENCHMARK.json").write_text(
         (ROOT / "BENCHMARK.json").read_text())
     (root / "perfbench" / "run.py").write_text(
-        FAKE_RUN.replace("WALL", repr(wall)).replace("CORRECT",
-                                                     repr(correct)))
+        FAKE_RUN.replace("WALL", repr(wall))
+        .replace("CORRECT", repr(correct)).replace("GIT_SHA", git_sha))
     return root
 
 
@@ -85,6 +86,27 @@ def test_a_wrong_answer_stops_the_pairs(tmp_path, capsys):
         "--seconds", "0", "--out", str(out)]) == 1
     assert "change certificate seed 5" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_parent_sha_falls_back_to_the_checkout_head(tmp_path):
+    # a run from a worktree or an exported tree reports no sha; the
+    # driver then asks git for the HEAD of the parent checkout itself
+    parent = checkout(tmp_path, "parent", 0.010, git_sha="None")
+    change = checkout(tmp_path, "change", 0.008, git_sha="None")
+    git = ["git", "-C", str(parent), "-c", "user.name=t",
+           "-c", "user.email=t@t"]
+    for argv in (["init", "-q"], ["add", "-A"],
+                 ["commit", "-q", "-m", "parent"]):
+        subprocess.run(git + argv, check=True, capture_output=True)
+    sha = subprocess.run(git + ["rev-parse", "HEAD"], check=True,
+                         capture_output=True, text=True).stdout.strip()
+    assert bench_pairs.head_sha(change, None) is None
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([
+        "--parent", str(parent), "--change", str(change),
+        "--workload", "certificate", "--first-seed", "1", "--pairs", "1",
+        "--seconds", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["parent_sha"] == sha
 
 
 def test_quartiles_of_a_single_run():

@@ -6,7 +6,8 @@ end with exit 0 or 2 (a `lattice` check may also fail with 1), through a
 return value or argparse's `SystemExit`; any other exception escaping
 `main` is a traceback the user would see.  Sizes stay small: n <= 12,
 powers <= 3, dimensions <= 7.  Apart from that, `pair` and `class` run
-with genera around and far above the `--genus` cap, each under a deadline.
+with genera around and far above the `--genus` cap, and the `lattice`
+checks `cs` and `identities` with the same genera, each under a deadline.
 """
 
 import contextlib
@@ -169,5 +170,23 @@ def test_large_genera_exit_in_time():
         assert code in {0, 2}, argv
         if genus > MAX_GENUS:
             assert code == 2 and out.getvalue() == "", argv
+
+    check()
+
+
+def test_lattice_checks_at_large_genera_exit_in_time():
+    # `lattice` has no genus cap: from genus 19 on the sum-of-squares
+    # search rules out every multiple by |s| > 8 * isqrt(norm) before it
+    # builds a table, which would hold (norm + 1) * width bits at once
+    @settings(max_examples=60, deadline=1000)
+    @given(st.sampled_from(["cs", "identities"]), LARGE_GENUS)
+    def check(battery, genus):
+        argv = ["lattice", "--name", "lambda_g", "--genus", str(genus),
+                "--check", battery]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code == 0 and out.getvalue().splitlines()[-1] == "ok", argv
 
     check()

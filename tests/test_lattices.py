@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 import pytest
 
@@ -224,6 +225,54 @@ def test_search_decides_the_witness_targets():
     assert sum_square_solution_exists(8, 6, 6)
     assert sum_square_solution_exists(8, 8, 8)
     assert not sum_square_solution_exists(8, 13, 24)
+
+
+def dict_table_search(slots, target_sum, target_norm):
+    """The meet-in-the-middle search with one dict a table, mapping each
+    norm m <= target_norm reached by j integers to the bitmask of their
+    sums (bit s + ceil(slots/2) * bound): an oracle for the bit-grid
+    search, with the same pruning and join."""
+    if target_norm < 0:
+        return False
+    bound = isqrt(target_norm)
+    if abs(target_sum) > slots * bound:
+        return False
+    half = slots // 2
+    left = right = {0: 1 << (slots - half) * bound}
+    for j in range(1, slots - half + 1):
+        nxt = {}
+        for m, mask in right.items():
+            for v in range(isqrt(target_norm - m) + 1):
+                m2 = m + v * v
+                nxt[m2] = nxt.get(m2, 0) | (mask << v) | (mask >> v)
+        right = nxt
+        if j == half:
+            left = right
+    return any(mask & (right.get(target_norm - m, 0) << abs(target_sum))
+               for m, mask in left.items())
+
+
+def test_search_agrees_with_the_dict_table_search():
+    # every slot count 0-9, norm -1..40 and sum up to two past the cap
+    # slots * isqrt(norm): both early exits, odd and even splits and
+    # both sides of every parity and Cauchy-Schwarz boundary
+    for slots in range(10):
+        for norm in range(-1, 41):
+            top = slots * isqrt(max(norm, 0)) + 2
+            for s in range(-top, top + 1):
+                assert sum_square_solution_exists(slots, s, norm) == \
+                    dict_table_search(slots, s, norm), (slots, s, norm)
+
+
+@pytest.mark.parametrize("g", range(7, 18))
+def test_search_and_dict_table_search_find_nothing_at_the_cs_targets(g):
+    # genus 17 is the last at which every multiple a = 1..5 builds a
+    # table; at 18 only a = 1 does, and from 19 on the cap
+    # |s| <= 8 * isqrt(m) rules out all five before any table is built
+    for a in range(1, 6):
+        s, m = 2 * a * g - 2 * a - 3, a * a * (g - 1)
+        assert not sum_square_solution_exists(8, s, m), (a, s, m)
+        assert not dict_table_search(8, s, m), (a, s, m)
 
 
 def test_search_refuses_a_negative_slot_count():

@@ -18,9 +18,11 @@ median and quartiles (`statistics.quantiles(n=4)`; with one run both
 quartiles are that run), `relative_change` of the medians, the number of
 pairs in which the change is strictly better, the bound and the runs in
 seed order; it also gives the failed ops of each side, and as
-`parent_sha` the git sha the parent's runs report (null when the parent
-directory is not a git checkout, so clone it rather than export it).
-A run that
+`parent_sha` the git sha the parent's runs report or, where they report
+none (`perfbench/run.py` reads `.git/HEAD`, which a worktree lacks),
+`git -C PARENT rev-parse HEAD`; it is null only when the parent
+directory is the top of no git checkout, so clone it rather than export
+it.  A run that
 reports a wrong answer or misses a declared metric stops the script with
 exit status 1.
 
@@ -74,6 +76,23 @@ def run_once(root: Path, workload: str, seed: int, seconds: float,
         raise RuntimeError(f"{' '.join(argv)} in {root} exited "
                            f"{done.returncode}:\n{done.stderr}")
     return json.loads(lines[-2])["env"], json.loads(lines[-1])
+
+
+def head_sha(root: Path, reported):
+    """The sha a run reported, else the HEAD of the git checkout whose top
+    is root, else None."""
+    if reported:
+        return reported
+    try:
+        done = subprocess.run(["git", "-C", str(root), "rev-parse",
+                               "--show-toplevel", "HEAD"],
+                              capture_output=True, text=True, check=False)
+    except OSError:
+        return None
+    lines = done.stdout.split("\n")
+    if done.returncode or Path(lines[0]).resolve() != root.resolve():
+        return None
+    return lines[1]
 
 
 def quartiles(runs: list) -> tuple[float, float]:
@@ -206,7 +225,7 @@ def main(argv=None) -> int:
                 "order",
         "command": "python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {args.seconds:g} --trace 0",
-        "parent_sha": env["git_sha"],
+        "parent_sha": head_sha(parent, env["git_sha"]),
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "machine": f"{platform.machine()} {platform.system()}, "
