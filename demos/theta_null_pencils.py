@@ -33,5 +33,5 @@ for g in range(4, 10):
 print()
 print("rigidity verdicts (negative self-pairing, zero higher boundary):")
 for g in range(4, 10):
-    report = theta_rigidity_report(g)
-    print(f"  genus {g}: {'rigid' if report.verdict else 'NOT CERTIFIED'}")
+    row = theta_rigidity_report(g)
+    print(f"  genus {g}: {'rigid' if row.rigid else 'NOT CERTIFIED'}")

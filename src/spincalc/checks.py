@@ -86,7 +86,7 @@ class _Provider:
     @cached_property
     def rigidity_g8(self):
         """The genus-8 rigidity rows, built once from the classes above."""
-        return kodaira.rigidity_report_g8(self.divisor).rows
+        return kodaira.rigidity_report_g8(self.divisor)
 
 
 class Check(Record):
@@ -127,28 +127,27 @@ def _prym_green_check(i):
 
 
 def _theta_rigidity_check(g):
-    lam, a0, b0 = {4: (4, 32, 1), 5: (10, 72, 4), 6: (12, 80, 6)}.get(
-        g, (g + 7, 4 * g + 60, 8))
-    theta_expected = kodaira.theta_null_pencil_pairing(g)
+    theta, lam, a0, b0 = {4: (-1, 4, 32, 1), 5: (-2, 10, 72, 4),
+                          6: (-2, 12, 80, 6)}.get(
+        g, (-2, g + 7, 4 * g + 60, 8))
     def run(ctx):
         c = curves.gamma_curve(g)
-        report = kodaira.theta_rigidity_report(g, ctx.divisor)
-        row = report.rows[0]
+        row = kodaira.theta_rigidity_report(g, ctx.divisor)
         higher = "0" if all(v == 0 for _, v in row.cross_pairings) \
             else "nonzero"
         computed = (f"theta={row.self_pairing} "
                     f"lambda={c.pairing(picard.LAMBDA)} "
                     f"alpha_0={c.pairing(picard.ALPHA0)} "
                     f"beta_0={c.pairing(picard.BETA0)} higher={higher} "
-                    f"verdict={'yes' if report.verdict else 'no'}")
-        expected = (f"theta={theta_expected} lambda={lam} alpha_0={a0} "
+                    f"verdict={'yes' if row.rigid else 'no'}")
+        expected = (f"theta={theta} lambda={lam} alpha_0={a0} "
                     f"beta_0={b0} higher=0 verdict=yes")
         return computed, expected
     note = ("surface data frozen from the 6-nodal (2,2,3) complete "
             "intersection" if g == 6 else None)
     return Check(f"theta-rigidity-g{g}",
                  f"covering pencil of the theta-null divisor at genus {g}: "
-                 f"pairing {theta_expected}, disjoint from higher boundary",
+                 f"pairing {theta}, disjoint from higher boundary",
                  run, note)
 
 
@@ -199,7 +198,7 @@ def _decomposition(ctx):
     a = ",".join(str(r.a[i]) for i in range(1, 5))
     b = ",".join(str(r.b[i]) for i in range(1, 5))
     positive = all(v > 0 for v in list(r.a.values()) + list(r.b.values()))
-    computed = (f"residual={'0' if r.residual.is_zero() else 'nonzero'} "
+    computed = (f"residual={r.residual} "
                 f"a=({a}) b=({b}) positive={'yes' if positive else 'no'}")
     return computed, "residual=0 a=(4,10,13,14) b=(8,14,17,18) positive=yes"
 

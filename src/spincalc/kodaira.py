@@ -1,4 +1,4 @@
-"""Canonical-class decomposition and rigidity bookkeeping at genus 8.
+"""Canonical-class decomposition and rigidity rows at genus 8.
 
 On the even-spin moduli space of genus 8 the canonical class decomposes
 exactly as
@@ -11,7 +11,8 @@ with strictly positive coefficients (a_i, b_i) = (4,8), (10,14), (13,17),
 (14,18).  Each summand is covered by a pencil pairing negatively with it
 and zero with the others, which certifies that the whole class is rigid.
 This module replays exactly that numeric skeleton; the bridging geometric
-steps are quoted, not recomputed.  Each function reads the pinned classes
+steps are quoted, not recomputed.  It returns what it computes; the rows
+of `checks.REGISTRY` judge it.  Each function reads the pinned classes
 through its argument `divisor`, which defaults to `picard.named_divisor`.
 """
 
@@ -21,25 +22,17 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from ._record import Record
-from .curves import (btilde_curve, covering_degree, gamma_curve, pair,
-                     r_curve_g8, septic_pencil_curve)
+from .curves import (btilde_curve, gamma_curve, pair, r_curve_g8,
+                     septic_pencil_curve)
 from .picard import (DivisorClass, alpha, beta, divisor_class,
                      higher_boundary, named_divisor, pullback_to_spin,
                      spin_plus)
 
 
-class ResidualNonzeroError(ValueError):
-    """The decomposition does not close on the pinned part."""
-
-
-class NonPositiveCoefficientError(ValueError):
-    """A boundary coefficient of the decomposition fails positivity."""
-
-
 class DecompositionResult(Record):
     """Boundary coefficients of the canonical decomposition, as read-only
     mappings i -> a_i and i -> b_i; `residual` is what is left after
-    removing all three pinned pieces and must be the zero class."""
+    removing all three pinned pieces (zero when the decomposition closes)."""
 
     __slots__ = ("a", "b", "residual")
 
@@ -57,9 +50,9 @@ def canonical_decomposition_g8(divisor=named_divisor) -> DecompositionResult:
 
     Subtracts half the spin pullback of the Brill-Noether class and eight
     times the theta-null class from the canonical class, reads off the
-    alpha_i / beta_i coefficients, and demands an exactly zero residual
-    and strict positivity.  The eight coefficients are derived values:
-    they follow from the three pinned classes.
+    alpha_i / beta_i coefficients and returns them with the residual, as
+    computed.  The eight coefficients are derived values: they follow
+    from the three pinned classes.
     """
     k = divisor("canonical", space=spin_plus(8))
     d = (k - Fraction(1, 2) * pullback_to_spin(divisor("bn8"))
@@ -69,34 +62,21 @@ def canonical_decomposition_g8(divisor=named_divisor) -> DecompositionResult:
     boundary = [(alpha(i), a[i]) for i in range(1, 5)]
     boundary += [(beta(i), b[i]) for i in range(1, 5)]
     residual = d - divisor_class(d.space, boundary)
-    if not residual.is_zero():
-        raise ResidualNonzeroError(f"residual {residual}")
-    if any(v <= 0 for v in a.values()) or any(v <= 0 for v in b.values()):
-        raise NonPositiveCoefficientError(f"a={a}, b={b}")
     return DecompositionResult(a=a, b=b, residual=residual)
 
 
 class RigidityRow(Record):
     """One component of an effective decomposition, its covering curve,
-    the (negative) self-pairing and the (zero) cross-pairings."""
+    the self-pairing and the (symbol, pairing) cross-pairings."""
 
     __slots__ = ("component", "curve", "self_pairing", "cross_pairings")
 
-
-class RigidityReport(Record):
-    """Rows of a rigidity certificate.  `extra_conditions` holds the
-    exact-value conditions imposed by the constructing operation, on top
-    of the sign pattern (negative self, vanishing cross) in `verdict`."""
-
-    __slots__ = ("rows", "notes", "extra_conditions")
-    _defaults = ((), True)
-
     @property
-    def verdict(self) -> bool:
-        signs = all(r.self_pairing < 0 and
-                    all(v == 0 for _, v in r.cross_pairings)
-                    for r in self.rows)
-        return signs and self.extra_conditions
+    def rigid(self) -> bool:
+        """The sign pattern of a rigid component: a negative self-pairing
+        and every cross-pairing 0."""
+        return self.self_pairing < 0 and all(
+            v == 0 for _, v in self.cross_pairings)
 
 
 def _higher_crosses(c) -> list:
@@ -105,9 +85,9 @@ def _higher_crosses(c) -> list:
     return [(sym, c.pairing(sym)) for sym in higher_boundary(c.space)]
 
 
-def rigidity_report_g8(divisor=named_divisor) -> RigidityReport:
+def rigidity_report_g8(divisor=named_divisor) -> tuple:
     """Pair every component of the canonical decomposition with its
-    covering curve.
+    covering curve: the (theta-null row, Brill-Noether row).
 
     The doubly-elliptic pencil covers the theta-null divisor (pairing -1,
     zero against the Brill-Noether pullback and the higher boundary); the
@@ -125,32 +105,15 @@ def rigidity_report_g8(divisor=named_divisor) -> RigidityReport:
     lift = btilde_curve(septic_pencil_curve())
     row_bn = RigidityRow("pullback of bn8", lift.label, pair(lift, bn_pull),
                          ())
-    notes = (
-        "the Brill-Noether self-pairing is the coefficient of the positive "
-        "normalization constant of that divisor",
-        f"covering degree of the lift: {covering_degree(8)}",
-        "theta-null pairing of the lift is undefined (its alpha_0/beta_0 "
-        "split is not determined) and is not needed",
-        "rigidity of the higher boundary components alpha_i, beta_i: "
-        "cited, not replayed",
-    )
-    return RigidityReport(rows=(row_theta, row_bn), notes=notes)
+    return row_theta, row_bn
 
 
-def theta_null_pencil_pairing(g: int) -> Fraction:
-    """Pairing of the theta-null covering pencil with the theta-null
-    class: -1 at genus 4, -2 for genus 5..9."""
-    return Fraction(-1 if g == 4 else -2)
-
-
-def theta_rigidity_report(g: int, divisor=named_divisor) -> RigidityReport:
-    """Covering-curve certificate for the theta-null divisor, genus 4..9:
-    the pencil must pair `theta_null_pencil_pairing(g)` with the
-    theta-null class and zero with every higher boundary class.  Its
-    lambda, alpha_0 and beta_0 pairings are read by the check row."""
+def theta_rigidity_report(g: int, divisor=named_divisor) -> RigidityRow:
+    """Covering-curve row for the theta-null divisor, genus 4..9: the
+    pencil's pairing with the theta-null class and with every higher
+    boundary class.  Its lambda, alpha_0 and beta_0 pairings are read by
+    the check row."""
     c = gamma_curve(g)
-    row = RigidityRow("theta_null", c.label,
-                      pair(c, divisor("theta_null", genus=g)),
-                      tuple(_higher_crosses(c)))
-    return RigidityReport(rows=(row,), extra_conditions=(
-        row.self_pairing == theta_null_pencil_pairing(g)))
+    return RigidityRow("theta_null", c.label,
+                       pair(c, divisor("theta_null", genus=g)),
+                       tuple(_higher_crosses(c)))

@@ -44,8 +44,8 @@ from itertools import chain
 from math import gcd
 from operator import itemgetter
 
-from ._linalg import (SingularMatrixError, bilinear, dot, int_rank, mat_det,
-                      mat_rank, mat_vec, require_symmetric, scaled, solve)
+from ._linalg import (bilinear, dot, int_rank, mat_det, mat_rank, mat_vec,
+                      require_symmetric, scaled, solve)
 from ._record import Record, _set, require_int
 
 

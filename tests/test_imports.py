@@ -5,6 +5,8 @@ The footprint is read from `sys.modules` in a fresh interpreter, since
 this test process has long since imported the whole package.
 """
 
+import ast
+import glob
 import importlib
 import json
 import os
@@ -168,3 +170,28 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         spincalc.no_such_name
     assert not hasattr(spincalc, "no_such_name")
+
+
+
+def _unused_imports(source: str) -> list:
+    """Names bound by a top-level import of `source`, `__future__` aside,
+    that no name in it reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in bound.items()
+                  if name not in read)
+
+
+@pytest.mark.parametrize("path", sorted(
+    glob.glob(os.path.join(SRC, "spincalc", "*.py"))), ids=os.path.basename)
+def test_no_unused_top_level_import(path):
+    with open(path) as f:
+        assert _unused_imports(f.read()) == []

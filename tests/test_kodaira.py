@@ -7,10 +7,8 @@ import pytest
 
 from spincalc import checks, picard
 from spincalc.curves import BadGenusError
-from spincalc.kodaira import (NonPositiveCoefficientError,
-                              ResidualNonzeroError,
-                              canonical_decomposition_g8,
-                              rigidity_report_g8, theta_rigidity_report)
+from spincalc.kodaira import (canonical_decomposition_g8, rigidity_report_g8,
+                              theta_rigidity_report)
 from spincalc.picard import (ALPHA0, LAMBDA, alpha, beta, divisor_class,
                              named_divisor, spin_plus, theta_null)
 
@@ -48,8 +46,8 @@ def test_decomposition_linear_equations():
 
 def test_decomposition_detects_broken_theta():
     broken = theta_null(8) + divisor_class(spin_plus(8), [(LAMBDA, 1)])
-    with pytest.raises(ResidualNonzeroError):
-        canonical_decomposition_g8(_reader("theta_null", broken))
+    r = canonical_decomposition_g8(_reader("theta_null", broken))
+    assert not r.residual.is_zero()
 
 
 def test_decomposition_detects_sign_flip():
@@ -57,27 +55,39 @@ def test_decomposition_detects_sign_flip():
     t = theta_null(8)
     flipped = t + divisor_class(
         spin_plus(8), [(beta(i), 5) for i in range(1, 5)])
-    with pytest.raises(NonPositiveCoefficientError):
-        canonical_decomposition_g8(_reader("theta_null", flipped))
+    r = canonical_decomposition_g8(_reader("theta_null", flipped))
+    assert min(r.b.values()) <= 0
 
 
-# --- rigidity reports -------------------------------------------------------
+@pytest.mark.parametrize("perturb,computed", [
+    (("theta_null", LAMBDA, Fraction(-1, 2)),
+     "residual=4*lambda a=(4,10,13,14) b=(8,14,17,18) positive=yes"),
+    (("bn8", "delta_1", 20),
+     "residual=0 a=(-6,10,13,14) b=(-2,14,17,18) positive=no"),
+], ids=["residual", "positivity"])
+def test_decomposition_row_prints_what_was_computed(perturb, computed):
+    report = checks.verify_all(quick=True, perturb=perturb)
+    row = {c.id: c for c in report.checks}["canonical-decomposition-g8"]
+    assert (row.computed, row.status) == (computed, "fail")
+
+
+# --- rigidity rows ----------------------------------------------------------
 
 def test_rigidity_report_g8():
-    report = rigidity_report_g8()
-    assert report.verdict
-    by_component = {row.component: row for row in report.rows}
-    assert by_component["theta_null"].self_pairing == -1
-    assert by_component["pullback of bn8"].self_pairing == -32896
-    assert all(v == 0 for _, v in by_component["theta_null"].cross_pairings)
-    assert any("cited" in note for note in report.notes)
+    theta, bn = rigidity_report_g8()
+    assert theta.rigid and bn.rigid
+    assert (theta.component, bn.component) == ("theta_null",
+                                               "pullback of bn8")
+    assert theta.self_pairing == -1
+    assert bn.self_pairing == -32896
+    assert all(v == 0 for _, v in theta.cross_pairings)
+    assert bn.cross_pairings == ()
 
 
 @pytest.mark.parametrize("g", range(4, 10))
 def test_theta_rigidity_reports(g):
-    report = theta_rigidity_report(g)
-    assert report.verdict
-    row = report.rows[0]
+    row = theta_rigidity_report(g)
+    assert row.rigid
     assert row.self_pairing == (-1 if g == 4 else -2)
     assert all(v == 0 for _, v in row.cross_pairings)
 
@@ -89,7 +99,8 @@ def test_theta_rigidity_bad_genus():
 
 def test_theta_rigidity_flags_wrong_value():
     bad = theta_null(8) + divisor_class(spin_plus(8), [(ALPHA0, 1)])
-    assert not theta_rigidity_report(8, _reader("theta_null", bad)).verdict
+    row = theta_rigidity_report(8, _reader("theta_null", bad))
+    assert row.self_pairing != -2 and not row.rigid
 
 
 # --- the harness ------------------------------------------------------------

@@ -11,9 +11,9 @@ def test_positional_keyword_and_default_arguments_bind_in_slot_order():
                            citation="c", id="i")
     assert a == b and a.note is None
     assert checks.CheckRecord("i", "c", "1", "1", "pass", "n").note == "n"
-    report = kodaira.RigidityReport((), extra_conditions=False)
-    assert (report.rows, report.notes, report.extra_conditions) == (
-        (), (), False)
+    spec = curves.SurfacePencilSpec(2, -14, picard.mbar(8), base_points=3)
+    assert (spec.nodes_resolved, spec.base_points,
+            spec.reducible_fibres) == (0, 3, ())
     entry = lattices.CsEntry(1, 9, 6, 33, False)
     assert (entry.a, entry.target_sum, entry.target_norm, entry.cs_gap,
             entry.solution_found) == (1, 9, 6, 33, False)
