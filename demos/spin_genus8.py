@@ -8,10 +8,11 @@ the canonical class can move: the numeric skeleton of Kodaira dimension
 zero.
 """
 
-from spincalc import (brill_noether_g8, canonical_class,
+from spincalc import (brill_noether_g8, btilde_curve, canonical_class,
                       canonical_decomposition_g8, covering_degree,
-                      format_class, pullback_to_spin, rigidity_report_g8,
-                      slope, spin_plus, theta_null)
+                      format_class, pair, pullback_to_spin, r_curve_g8,
+                      septic_pencil_curve, slope, spin_plus, theta_null)
+from spincalc.picard import higher_boundary
 
 k = canonical_class(spin_plus(8))
 print(f"canonical class:   {format_class(k)}")
@@ -29,13 +30,20 @@ print(f"residual: {format_class(result.residual)} "
       "(exactly zero, coefficients all positive)")
 
 print()
-rows = rigidity_report_g8()
+bn_pull = pullback_to_spin(bn)
+r = r_curve_g8()
+lift = btilde_curve(septic_pencil_curve())
+# (component, covering curve, self-pairing, cross-pairings)
+rows = [("theta_null", r.label, pair(r, theta_null(8)),
+         [("pullback of bn8", pair(r, bn_pull)),
+          *((sym, r.pairing(sym)) for sym in higher_boundary(r.space))]),
+        ("pullback of bn8", lift.label, pair(lift, bn_pull), [])]
 print("rigidity certificates:")
-for row in rows:
+for component, curve, self_pairing, cross_pairings in rows:
     crosses = ", ".join(f"{name}={value}" for name, value
-                        in row.cross_pairings) or "none needed"
-    print(f"  {row.component}  <-  {row.curve}")
-    print(f"    self-pairing {row.self_pairing}, cross-pairings: {crosses}")
+                        in cross_pairings) or "none needed"
+    print(f"  {component}  <-  {curve}")
+    print(f"    self-pairing {self_pairing}, cross-pairings: {crosses}")
 for note in (
         "the Brill-Noether self-pairing is the coefficient of the positive "
         "normalization constant of that divisor",
@@ -45,4 +53,6 @@ for note in (
         "rigidity of the higher boundary components alpha_i, beta_i: "
         "cited, not replayed"):
     print(f"  note: {note}")
-print(f"verdict: {'rigid' if all(r.rigid for r in rows) else 'NOT CERTIFIED'}")
+rigid = all(self_pairing < 0 and all(v == 0 for _, v in cross_pairings)
+            for _, _, self_pairing, cross_pairings in rows)
+print(f"verdict: {'rigid' if rigid else 'NOT CERTIFIED'}")

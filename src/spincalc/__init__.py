@@ -25,8 +25,7 @@ _EXPORTS = {
                "gamma_curve", "noether_c2", "pair", "pencil_curve",
                "pushforward_to_mbar", "r_curve_g8", "septic_pencil_curve",
                "xi_curve"),
-    "kodaira": ("DecompositionResult", "canonical_decomposition_g8",
-                "rigidity_report_g8", "theta_rigidity_report"),
+    "kodaira": ("DecompositionResult", "canonical_decomposition_g8"),
     "lattices": ("CsCertificate", "IntegerLattice", "cs_obstruction",
                  "doubly_elliptic_identities", "e8", "hyperbolic_u",
                  "lambda_identities", "lambda_lattice", "nikulin_lattice"),

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from functools import cached_property
 from itertools import cycle, islice
 from math import comb
 
@@ -63,8 +62,8 @@ class Report(Record):
 
 class _Provider:
     """What a check may draw on: the seeded generator, the property-suite
-    sample counts, the named classes with an optional single-coefficient
-    perturbation, and the genus-8 rigidity rows built from those."""
+    sample counts and the named classes with an optional single-coefficient
+    perturbation."""
 
     def __init__(self, rng, samples, perturb=None):
         self.rng = rng
@@ -83,11 +82,6 @@ class _Provider:
         self.perturbed = True
         return d + picard.divisor_class(d.space, [(symbol, delta)])
 
-    @cached_property
-    def rigidity_g8(self):
-        """The genus-8 rigidity rows, built once from the classes above."""
-        return kodaira.rigidity_report_g8(self.divisor)
-
 
 class Check(Record):
     """One row of the registry.  `run(ctx)` returns (computed, expected)
@@ -96,6 +90,13 @@ class Check(Record):
 
     __slots__ = ("id", "citation", "run", "note")
     _defaults = (None, None)
+
+
+def _higher(c) -> str:
+    """The `higher=` field of a row: "0" when the curve `c` pairs 0 with
+    every higher boundary class alpha_1, beta_1, ..., else "nonzero"."""
+    return "0" if all(c.pairing(sym) == 0 for sym in
+                      picard.higher_boundary(c.space)) else "nonzero"
 
 
 def _xi_check(g):
@@ -132,14 +133,12 @@ def _theta_rigidity_check(g):
         g, (-2, g + 7, 4 * g + 60, 8))
     def run(ctx):
         c = curves.gamma_curve(g)
-        row = kodaira.theta_rigidity_report(g, ctx.divisor)
-        higher = "0" if all(v == 0 for _, v in row.cross_pairings) \
-            else "nonzero"
-        computed = (f"theta={row.self_pairing} "
-                    f"lambda={c.pairing(picard.LAMBDA)} "
+        t = pair(c, ctx.divisor("theta_null", genus=g))
+        higher = _higher(c)
+        computed = (f"theta={t} lambda={c.pairing(picard.LAMBDA)} "
                     f"alpha_0={c.pairing(picard.ALPHA0)} "
                     f"beta_0={c.pairing(picard.BETA0)} higher={higher} "
-                    f"verdict={'yes' if row.rigid else 'no'}")
+                    f"verdict={'yes' if t < 0 and higher == '0' else 'no'}")
         expected = (f"theta={theta} lambda={lam} alpha_0={a0} "
                     f"beta_0={b0} higher=0 verdict=yes")
         return computed, expected
@@ -214,18 +213,20 @@ def _r_invariants(ctx):
 
 
 def _r_theta(ctx):
-    return str(ctx.rigidity_g8[0].self_pairing), "-1"
+    theta = ctx.divisor("theta_null", genus=8)
+    return str(pair(curves.r_curve_g8(), theta)), "-1"
 
 
 def _r_disjoint(ctx):
-    (_, bn_pull), *higher = ctx.rigidity_g8[0].cross_pairings
-    computed = (f"bn8-pullback={bn_pull} higher="
-                f"{'0' if all(v == 0 for _, v in higher) else 'nonzero'}")
-    return computed, "bn8-pullback=0 higher=0"
+    r = curves.r_curve_g8()
+    bn_pull = pair(r, picard.pullback_to_spin(ctx.divisor("bn8")))
+    return (f"bn8-pullback={bn_pull} higher={_higher(r)}",
+            "bn8-pullback=0 higher=0")
 
 
 def _btilde(ctx):
-    value = ctx.rigidity_g8[1].self_pairing
+    lift = curves.btilde_curve(curves.septic_pencil_curve())
+    value = pair(lift, picard.pullback_to_spin(ctx.divisor("bn8")))
     computed = (f"degree={curves.covering_degree(8)} pairing={value} "
                 f"negative={'yes' if value < 0 else 'no'}")
     return computed, "degree=32896 pairing=-32896 negative=yes"

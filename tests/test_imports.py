@@ -32,6 +32,7 @@ print(json.dumps(sorted(m for m in sys.modules
 """
 
 SRC = os.path.dirname(os.path.dirname(spincalc.__file__))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 TANGENCY_INPUT = ("5\n1 0 0 0 0\n0 1 0 0 0\n0 0 -1 0 0\n"
                   "0 0 0 0 0\n0 0 0 0 0\n1 0 1 0 0\n0 1 0 0 0\n")
@@ -190,8 +191,15 @@ def _unused_imports(source: str) -> list:
                   if name not in read)
 
 
-@pytest.mark.parametrize("path", sorted(
-    glob.glob(os.path.join(SRC, "spincalc", "*.py"))), ids=os.path.basename)
+#: the package, the demos and the tools, whose top-level imports are linted
+LINTED = [os.path.join(SRC, "spincalc"), os.path.join(ROOT, "demos"),
+          os.path.join(ROOT, "tools")]
+
+
+@pytest.mark.parametrize("path", [
+    path for folder in LINTED
+    for path in sorted(glob.glob(os.path.join(folder, "*.py")))],
+    ids=os.path.basename)
 def test_no_unused_top_level_import(path):
     with open(path) as f:
         assert _unused_imports(f.read()) == []

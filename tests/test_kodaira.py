@@ -1,14 +1,12 @@
-"""Canonical decomposition, rigidity reports, and the check harness."""
+"""Canonical decomposition, rigidity rows, and the check harness."""
 
 import json
 from fractions import Fraction
 
 import pytest
 
-from spincalc import checks, picard
-from spincalc.curves import BadGenusError
-from spincalc.kodaira import (canonical_decomposition_g8, rigidity_report_g8,
-                              theta_rigidity_report)
+from spincalc import checks, curves, picard
+from spincalc.kodaira import canonical_decomposition_g8
 from spincalc.picard import (ALPHA0, LAMBDA, alpha, beta, divisor_class,
                              named_divisor, spin_plus, theta_null)
 
@@ -71,36 +69,73 @@ def test_decomposition_row_prints_what_was_computed(perturb, computed):
     assert (row.computed, row.status) == (computed, "fail")
 
 
-# --- rigidity rows ----------------------------------------------------------
+# --- rigidity rows ---------------------------------------------------------
 
-def test_rigidity_report_g8():
-    theta, bn = rigidity_report_g8()
-    assert theta.rigid and bn.rigid
-    assert (theta.component, bn.component) == ("theta_null",
-                                               "pullback of bn8")
-    assert theta.self_pairing == -1
-    assert bn.self_pairing == -32896
-    assert all(v == 0 for _, v in theta.cross_pairings)
-    assert bn.cross_pairings == ()
+def _rows(**kwargs):
+    return {c.id: c for c in checks.verify_all(quick=True, **kwargs).checks}
 
 
-@pytest.mark.parametrize("g", range(4, 10))
-def test_theta_rigidity_reports(g):
-    row = theta_rigidity_report(g)
-    assert row.rigid
-    assert row.self_pairing == (-1 if g == 4 else -2)
-    assert all(v == 0 for _, v in row.cross_pairings)
+def _with_pairing(build, sym, value):
+    """`build`, with the curve it returns also pairing `value` with `sym`."""
+    def bent(*args):
+        c = build(*args)
+        return curves.CurveClass(c.space, {**c.pairings, sym: value},
+                                 c.label)
+    return bent
 
 
-def test_theta_rigidity_bad_genus():
-    with pytest.raises(BadGenusError):
-        theta_rigidity_report(10)
+def test_zero_self_pairing_is_not_rigid():
+    row = _rows(perturb=("theta_null", LAMBDA, Fraction(2, 15)))[
+        "theta-rigidity-g8"]
+    assert row.computed == ("theta=0 lambda=15 alpha_0=92 beta_0=8 "
+                            "higher=0 verdict=no")
+    assert row.status == "fail"
 
 
-def test_theta_rigidity_flags_wrong_value():
-    bad = theta_null(8) + divisor_class(spin_plus(8), [(ALPHA0, 1)])
-    row = theta_rigidity_report(8, _reader("theta_null", bad))
-    assert row.self_pairing != -2 and not row.rigid
+def test_nonzero_cross_on_a_gamma_pencil_is_not_rigid(monkeypatch):
+    monkeypatch.setattr(curves, "gamma_curve", _with_pairing(
+        curves.gamma_curve, "alpha_1", Fraction(1, 2)))
+    rows = _rows()
+    for g in range(4, 10):
+        row = rows[f"theta-rigidity-g{g}"]
+        assert row.computed == row.expected.replace(
+            "higher=0 verdict=yes", "higher=nonzero verdict=no")
+        assert row.status == "fail"
+
+
+def test_nonzero_cross_on_the_r_curve_shows_in_its_rows(monkeypatch):
+    monkeypatch.setattr(curves, "r_curve_g8", _with_pairing(
+        curves.r_curve_g8, "beta_2", 1))
+    rows = _rows()
+    assert rows["r-curve-disjointness"].computed \
+        == "bn8-pullback=-24 higher=nonzero"
+    assert rows["r-curve-theta"].computed == "-3/2"
+    assert {i for i, c in rows.items() if c.status == "fail"} \
+        == {"r-curve-disjointness", "r-curve-theta"}
+
+
+def test_each_pencil_row_reads_only_the_class_it_pairs(monkeypatch):
+    # the names `picard.named_divisor` serves while each row runs
+    reads, running, resolve = {}, [None], picard.named_divisor
+
+    def recording(name, **where):
+        reads.setdefault(running[0], set()).add(name)
+        return resolve(name, **where)
+
+    def tracked(check):
+        def run(ctx):
+            running[0] = check.id
+            return check.run(ctx)
+        return checks.Check(check.id, check.citation, run, check.note)
+    monkeypatch.setattr(picard, "named_divisor", recording)
+    monkeypatch.setattr(checks, "REGISTRY", tuple(
+        tracked(c) if c.run else c for c in checks.REGISTRY))
+    assert checks.verify_all(quick=True).all_passed
+    expected = {"r-curve-theta": {"theta_null"},
+                "r-curve-disjointness": {"bn8"},
+                "btilde-covering": {"bn8"}}
+    expected |= {f"theta-rigidity-g{g}": {"theta_null"} for g in range(4, 10)}
+    assert {i: reads.get(i, set()) for i in expected} == expected
 
 
 # --- the harness ------------------------------------------------------------

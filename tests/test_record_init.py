@@ -2,7 +2,7 @@
 
 import pytest
 
-from spincalc import checks, curves, kodaira, lattices, picard
+from spincalc import checks, curves, lattices, picard
 
 
 def test_positional_keyword_and_default_arguments_bind_in_slot_order():
@@ -26,11 +26,10 @@ def test_positional_keyword_and_default_arguments_bind_in_slot_order():
     lambda: checks.Report((), 1, 2),
     lambda: checks.Report((), seed=1, extra=2),
     lambda: checks.Report((), 1, seed=2),
-    lambda: kodaira.RigidityRow("theta_null", "r", -1),
     lambda: lattices.CsCertificate(genus=7),
     lambda: curves.SurfacePencilSpec(1, -19),
     lambda: curves.SurfacePencilSpec(1, -19, picard.mbar(8), label="x"),
-], ids=["missing", "too-many", "unknown-keyword", "repeated", "row-missing",
+], ids=["missing", "too-many", "unknown-keyword", "repeated",
         "keyword-only-missing", "spec-missing", "spec-unknown"])
 def test_missing_extra_or_repeated_arguments_raise_type_error(build):
     with pytest.raises(TypeError):

@@ -19,7 +19,6 @@ BUILDERS = {
     "LiftedSpinCurve": lambda: curves.btilde_curve(
         curves.septic_pencil_curve()),
     "DecompositionResult": kodaira.canonical_decomposition_g8,
-    "RigidityRow": lambda: kodaira.rigidity_report_g8()[0],
     "IntegerLattice": lambda: lattices.lambda_lattice(7),
     "CsEntry": lambda: lattices.cs_obstruction(7, 2).entries[0],
     "CsCertificate": lambda: lattices.cs_obstruction(7, 2),
@@ -72,16 +71,6 @@ def test_constructors_keep_keywords_and_defaults():
     assert picard.DivisorClass(picard.mbar(4), {}).opaque == frozenset()
     with pytest.raises(TypeError):
         picard.ModuliSpace("mbar")
-
-
-@pytest.mark.parametrize("self_pairing,crosses,rigid", [
-    (-1, (("alpha_1", 0), ("beta_1", 0)), True),
-    (-1, (("alpha_1", 0), ("beta_1", Fraction(1, 2))), False),
-    (0, (("alpha_1", 0),), False),
-], ids=["negative-self-zero-crosses", "nonzero-cross", "zero-self"])
-def test_rigidity_row_reads_the_sign_pattern(self_pairing, crosses, rigid):
-    row = kodaira.RigidityRow("theta_null", "r", self_pairing, crosses)
-    assert row.rigid is rigid
 
 
 def test_mappings_are_read_only():
