@@ -34,8 +34,7 @@ print("the two constraint equations force eight integers whose sum is")
 print("large and whose squares are small; Cauchy-Schwarz forbids it, and")
 print("an exhaustive search double-checks that no tuple exists.")
 for g in (7, 9, 12):
-    cert = cs_obstruction(g, a_bound=3)
-    for e in cert.entries:
+    for e in cs_obstruction(g, a_bound=3):
         print(f"  g={g} a={e.a}: sum={e.target_sum:>3} "
               f"norm={e.target_norm:>3} gap={e.cs_gap:>5} "
               f"solutions={'none' if not e.solution_found else 'FOUND'}")

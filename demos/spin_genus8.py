@@ -12,7 +12,7 @@ from spincalc import (brill_noether_g8, btilde_curve, canonical_class,
                       canonical_decomposition_g8, covering_degree,
                       format_class, pair, pullback_to_spin, r_curve_g8,
                       septic_pencil_curve, slope, spin_plus, theta_null)
-from spincalc.picard import higher_boundary
+from spincalc.picard import alpha, beta, divisor_class, higher_boundary
 
 k = canonical_class(spin_plus(8))
 print(f"canonical class:   {format_class(k)}")
@@ -22,11 +22,14 @@ print(f"Brill-Noether:     {format_class(bn)}   (slope {slope(bn)})")
 print(f"its spin pullback: {format_class(pullback_to_spin(bn))}")
 
 print()
-result = canonical_decomposition_g8()
+d = canonical_decomposition_g8()
 print("decomposition K = 1/2 pullback(bn8) + 8 theta + boundary:")
 for i in range(1, 5):
-    print(f"  a_{i} = {str(result.a[i]):>2}   b_{i} = {str(result.b[i]):>2}")
-print(f"residual: {format_class(result.residual)} "
+    print(f"  a_{i} = {str(d.coeff(alpha(i))):>2}   "
+          f"b_{i} = {str(d.coeff(beta(i))):>2}")
+residual = d - divisor_class(d.space, [(sym, d.coeff(sym))
+                                       for sym in higher_boundary(d.space)])
+print(f"residual: {format_class(residual)} "
       "(exactly zero, coefficients all positive)")
 
 print()

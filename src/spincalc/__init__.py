@@ -20,13 +20,12 @@ from importlib import import_module
 #: the public names, by the module that defines them
 _EXPORTS = {
     "checks": ("DEFAULT_SEED", "CheckRecord", "Report", "verify_all"),
-    "curves": ("CurveClass", "LiftedSpinCurve", "SurfacePencilSpec",
-               "btilde_curve", "covering_degree", "curve_class",
-               "gamma_curve", "noether_c2", "pair", "pencil_curve",
-               "pushforward_to_mbar", "r_curve_g8", "septic_pencil_curve",
-               "xi_curve"),
-    "kodaira": ("DecompositionResult", "canonical_decomposition_g8"),
-    "lattices": ("CsCertificate", "IntegerLattice", "cs_obstruction",
+    "curves": ("CurveClass", "LiftedSpinCurve", "btilde_curve",
+               "covering_degree", "curve_class", "gamma_curve",
+               "noether_c2", "pair", "pencil_curve", "pushforward_to_mbar",
+               "r_curve_g8", "septic_pencil_curve", "xi_curve"),
+    "kodaira": ("canonical_decomposition_g8",),
+    "lattices": ("IntegerLattice", "cs_obstruction",
                  "doubly_elliptic_identities", "e8", "hyperbolic_u",
                  "lambda_identities", "lambda_lattice", "nikulin_lattice"),
     "linecomplex": ("SymmetricForm", "discriminant_tangency",

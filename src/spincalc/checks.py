@@ -9,7 +9,8 @@ than computation, have no `run` and the status ``cited-not-replayed``.
 The order is fixed, so reports are deterministic; the only randomness is
 in the property-suite samplers, driven by an explicit seed.
 Checks read their pinned divisor classes only through `_Provider.divisor`,
-by name: canonical, theta_null, bn8, prym_green, nikulin_N6, hodge_c1 and
+by name and home space, e.g. ``ctx.divisor("bn8", mbar(8))``:
+canonical, theta_null, bn8, prym_green, nikulin_N6, hodge_c1 and
 d2_nonveryample (see `picard.named_divisor`).  One coefficient of any of
 them can be perturbed through ``verify_all(perturb=...)`` to confirm the
 harness actually depends on it (fault injection).
@@ -26,6 +27,7 @@ from math import comb
 from . import curves, kodaira, lattices, linecomplex, picard, schubert
 from ._record import Record
 from .curves import pair
+from .picard import mbar, rbar, spin_plus
 
 DEFAULT_SEED = 1729
 
@@ -71,10 +73,10 @@ class _Provider:
         self.perturb = perturb
         self.perturbed = False
 
-    def divisor(self, name: str, **where):
-        """`picard.named_divisor(name, **where)`, plus the `perturb` delta
-        when `perturb` names this class and a symbol it pins."""
-        d = picard.named_divisor(name, **where)
+    def divisor(self, name: str, space, param=None):
+        """`picard.named_divisor(name, space, param)`, plus the `perturb`
+        delta when `perturb` names this class and a symbol it pins."""
+        d = picard.named_divisor(name, space, param)
         target, symbol, delta = self.perturb or (None,) * 3
         pins = picard._basis_set(d.space) - d.opaque
         if target != name or symbol not in pins:
@@ -102,7 +104,7 @@ def _higher(c) -> str:
 def _xi_check(g):
     def run(ctx):
         xi = curves.xi_curve(g)
-        k = pair(xi, ctx.divisor("canonical", space=picard.rbar(g)))
+        k = pair(xi, ctx.divisor("canonical", rbar(g)))
         computed = (f"lambda={xi.pairing(picard.LAMBDA)} "
                     f"delta_0'={xi.pairing(picard.D0P)} "
                     f"delta_0''={xi.pairing(picard.D0PP)} "
@@ -119,7 +121,7 @@ def _xi_check(g):
 def _prym_green_check(i):
     g = 2 * i + 6
     def run(ctx):
-        value = pair(curves.xi_curve(g), ctx.divisor("prym_green", param=i))
+        value = pair(curves.xi_curve(g), ctx.divisor("prym_green", rbar(g)))
         return str(value), str(-comb(2 * i + 3, i))
     return Check(f"prym-green-i{i}",
                  f"Nikulin pencil against the Prym-Green virtual class at "
@@ -133,7 +135,7 @@ def _theta_rigidity_check(g):
         g, (-2, g + 7, 4 * g + 60, 8))
     def run(ctx):
         c = curves.gamma_curve(g)
-        t = pair(c, ctx.divisor("theta_null", genus=g))
+        t = pair(c, ctx.divisor("theta_null", spin_plus(g)))
         higher = _higher(c)
         computed = (f"theta={t} lambda={c.pairing(picard.LAMBDA)} "
                     f"alpha_0={c.pairing(picard.ALPHA0)} "
@@ -166,19 +168,20 @@ def _tally(outcomes) -> tuple[str, str]:
 
 
 def _nikulin_g6(ctx):
-    return str(pair(curves.xi_curve(6), ctx.divisor("nikulin_N6"))), "-1"
+    value = pair(curves.xi_curve(6), ctx.divisor("nikulin_N6", rbar(6)))
+    return str(value), "-1"
 
 
 def _hodge3(ctx):
-    return (picard.format_class(ctx.divisor("hodge_c1", param=3)),
+    return (picard.format_class(ctx.divisor("hodge_c1", rbar(5), 3)),
             "37*lambda - 3*delta_0' - 3*delta_0'' - 33/4*delta_0^ram "
             "+ ?*pi_delta_1 + ?*pi_delta_2")
 
 
 def _d1d2(ctx):
-    d1 = ctx.divisor("hodge_c1", param=3) - picard.sym_power_c1(
-        ctx.divisor("hodge_c1", param=1), rank=4, power=3)
-    diff = d1 - ctx.divisor("d2_nonveryample")
+    d1 = ctx.divisor("hodge_c1", rbar(5), 3) - picard.sym_power_c1(
+        ctx.divisor("hodge_c1", rbar(5), 1), rank=4, power=3)
+    diff = d1 - ctx.divisor("d2_nonveryample", rbar(5))
     return (picard.format_class(diff),
             "8*lambda - delta_0' - delta_0'' - 2*delta_0^ram "
             "+ ?*pi_delta_1 + ?*pi_delta_2")
@@ -186,19 +189,21 @@ def _d1d2(ctx):
 
 def _septic(ctx):
     m = curves.septic_pencil_curve()
-    value = pair(m, ctx.divisor("bn8"))
+    value = pair(m, ctx.divisor("bn8", mbar(8)))
     computed = (f"lambda={m.pairing(picard.LAMBDA)} "
                 f"delta_0={m.pairing(picard.DELTA0)} bn8={value}")
     return computed, "lambda=8 delta_0=59 bn8=-1"
 
 
 def _decomposition(ctx):
-    r = kodaira.canonical_decomposition_g8(ctx.divisor)
-    a = ",".join(str(r.a[i]) for i in range(1, 5))
-    b = ",".join(str(r.b[i]) for i in range(1, 5))
-    positive = all(v > 0 for v in list(r.a.values()) + list(r.b.values()))
-    computed = (f"residual={r.residual} "
-                f"a=({a}) b=({b}) positive={'yes' if positive else 'no'}")
+    d = kodaira.canonical_decomposition_g8(ctx.divisor)
+    a = [d.coeff(picard.alpha(i)) for i in range(1, 5)]
+    b = [d.coeff(picard.beta(i)) for i in range(1, 5)]
+    residual = d - picard.divisor_class(d.space, [
+        (sym, d.coeff(sym)) for sym in picard.higher_boundary(d.space)])
+    computed = (f"residual={residual} a=({','.join(map(str, a))}) "
+                f"b=({','.join(map(str, b))}) "
+                f"positive={'yes' if all(v > 0 for v in a + b) else 'no'}")
     return computed, "residual=0 a=(4,10,13,14) b=(8,14,17,18) positive=yes"
 
 
@@ -213,20 +218,20 @@ def _r_invariants(ctx):
 
 
 def _r_theta(ctx):
-    theta = ctx.divisor("theta_null", genus=8)
+    theta = ctx.divisor("theta_null", spin_plus(8))
     return str(pair(curves.r_curve_g8(), theta)), "-1"
 
 
 def _r_disjoint(ctx):
     r = curves.r_curve_g8()
-    bn_pull = pair(r, picard.pullback_to_spin(ctx.divisor("bn8")))
+    bn_pull = pair(r, picard.pullback_to_spin(ctx.divisor("bn8", mbar(8))))
     return (f"bn8-pullback={bn_pull} higher={_higher(r)}",
             "bn8-pullback=0 higher=0")
 
 
 def _btilde(ctx):
     lift = curves.btilde_curve(curves.septic_pencil_curve())
-    value = pair(lift, picard.pullback_to_spin(ctx.divisor("bn8")))
+    value = pair(lift, picard.pullback_to_spin(ctx.divisor("bn8", mbar(8))))
     computed = (f"degree={curves.covering_degree(8)} pairing={value} "
                 f"negative={'yes' if value < 0 else 'no'}")
     return computed, "degree=32896 pairing=-32896 negative=yes"
@@ -253,8 +258,7 @@ def _lattice_l7(ctx):
 def _lattice_cs(ctx):
     total, obstructed, found = 0, 0, 0
     for g in range(7, 13):
-        cert = lattices.cs_obstruction(g, a_bound=5)
-        for e in cert.entries:
+        for e in lattices.cs_obstruction(g, a_bound=5):
             total += 1
             obstructed += e.cs_gap > 0
             found += e.solution_found
@@ -318,7 +322,7 @@ def _eq_solve(ctx):
 
 
 def _slope_bn8(ctx):
-    return str(picard.slope(ctx.divisor("bn8"))), "22/3"
+    return str(picard.slope(ctx.divisor("bn8", mbar(8)))), "22/3"
 
 
 #: every row of the report, in report order; the cited rows come last

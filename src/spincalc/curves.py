@@ -2,8 +2,8 @@
 
 A one-parameter family of curves sweeping a moduli space is recorded here
 purely as a vector of pairings against the Picard basis.  Where the family
-comes from a pencil on a surface, the pairings are derived from surface
-invariants:
+comes from a pencil on a surface, `pencil_curve` derives the pairings
+from the surface invariants it is given:
 
     (pencil) . lambda  =  chi(O_S) + g - 1,
     total boundary budget  =  c_2 + (blown-up base points) + 4(g - 1),
@@ -87,65 +87,48 @@ def curve_class(space, entries=(), label="") -> CurveClass:
     return CurveClass(space, _entries(entries), label)
 
 
-class SurfacePencilSpec(Record):
-    """Invariants of a pencil of genus-g curves on a surface.
-
-    chi and k_squared are chi(O) and K^2 of the resolved surface fibred
-    over the pencil; base_points counts blown-up pencil base points when
-    chi/k_squared quote a minimal model instead.  nodes_resolved counts
-    fibres meeting the exceptional locus with multiplicity one, and
-    reducible_fibres, kept as a tuple, lists the node count of each fibre
-    that contributes half-integrally.  Every count is a plain int; any
-    other type (a bool, a float, a Fraction) raises ``TypeError``.
-    """
-
-    __slots__ = ("chi", "k_squared", "target", "nodes_resolved",
-                 "base_points", "reducible_fibres")
-    _defaults = (0, 0, ())
-
-    def __init__(self, *args, **kwargs):
-        Record.__init__(self, *args, **kwargs)
-        _set(self, "reducible_fibres", tuple(self.reducible_fibres))
-        require_int("a surface pencil count", self.chi, self.k_squared,
-                    self.nodes_resolved, self.base_points,
-                    *self.reducible_fibres)
-        if noether_c2(self.chi, self.k_squared) < 0:
-            raise ValueError("negative c_2: inconsistent surface invariants")
-        if self.nodes_resolved < 0 or self.base_points < 0:
-            raise ValueError("counts must be nonnegative")
-
-    @property
-    def genus(self) -> int:
-        return self.target.genus
-
-
 def noether_c2(chi: int, k_squared: int) -> int:
     """Second Chern number 12*chi - K^2 of a smooth projective surface."""
     return 12 * chi - k_squared
 
 
-def pencil_curve(spec: SurfacePencilSpec, label: str = "") -> CurveClass:
-    """Curve class of the moduli image of a surface pencil.
+def pencil_curve(target: ModuliSpace, chi: int, k_squared: int,
+                 nodes_resolved: int = 0, base_points: int = 0,
+                 reducible_fibres=(), label: str = "") -> CurveClass:
+    """Curve class of the moduli image of a pencil of genus-g curves on a
+    surface, g the genus of `target`.
 
-    lambda = chi + g - 1; the boundary budget T = c_2 + base_points +
-    4(g-1) lands entirely on delta_0 for a stable-curve target, and splits
-    as alpha_0 + 2*beta_0 on the even-spin target with beta_0 read off the
-    fibre geometry.  The curve carries `label`.
+    chi and k_squared are chi(O) and K^2 of the resolved surface fibred
+    over the pencil; base_points counts blown-up pencil base points when
+    chi/k_squared quote a minimal model instead.  nodes_resolved counts
+    fibres meeting the exceptional locus with multiplicity one, and
+    reducible_fibres lists the node count of each fibre that contributes
+    half-integrally.  Every count is a plain int; any other type (a bool,
+    a float, a Fraction) raises ``TypeError``, and a negative count or
+    c_2 raises ``ValueError``.  The boundary budget lands on delta_0 for
+    a stable-curve target and splits as alpha_0 + 2*beta_0 on an even-spin
+    one (see the module docstring).  The curve carries `label`.
     """
-    g = spec.genus
-    lam = spec.chi + g - 1
-    total = noether_c2(spec.chi, spec.k_squared) + spec.base_points + 4 * (g - 1)
-    if spec.target.kind == MBAR:
-        return curve_class(spec.target, [(LAMBDA, lam), (DELTA0, total)],
-                           label)
-    if spec.target.kind != SPIN:
+    reducible_fibres = tuple(reducible_fibres)
+    require_int("a surface pencil count", chi, k_squared, nodes_resolved,
+                base_points, *reducible_fibres)
+    if noether_c2(chi, k_squared) < 0:
+        raise ValueError("negative c_2: inconsistent surface invariants")
+    if nodes_resolved < 0 or base_points < 0:
+        raise ValueError("counts must be nonnegative")
+    g = target.genus
+    lam = chi + g - 1
+    total = noether_c2(chi, k_squared) + base_points + 4 * (g - 1)
+    if target.kind == MBAR:
+        return curve_class(target, [(LAMBDA, lam), (DELTA0, total)], label)
+    if target.kind != SPIN:
         raise SpaceMismatchError("pencil targets are the stable-curve and "
                                  "even-spin spaces")
-    b0 = Fraction(2 * spec.nodes_resolved + sum(spec.reducible_fibres), 2)
+    b0 = Fraction(2 * nodes_resolved + sum(reducible_fibres), 2)
     a0 = total - 2 * b0
     if a0 < 0:
         raise NegativeBudgetError(f"budget {total} cannot carry beta_0={b0}")
-    return curve_class(spec.target, [(LAMBDA, lam), (ALPHA0, a0), (BETA0, b0)],
+    return curve_class(target, [(LAMBDA, lam), (ALPHA0, a0), (BETA0, b0)],
                        label)
 
 
@@ -185,9 +168,9 @@ def gamma_curve(g: int) -> CurveClass:
     if g not in GAMMA_SURFACE_DATA:
         raise BadGenusError("theta-null covering pencils exist for genus 4..9")
     chi, k2, bp, nodes = GAMMA_SURFACE_DATA[g]
-    spec = SurfacePencilSpec(chi=chi, k_squared=k2, target=spin_plus(g),
-                             nodes_resolved=nodes, base_points=bp)
-    return pencil_curve(spec, f"pencil on a nodal canonical surface, genus {g}")
+    return pencil_curve(
+        spin_plus(g), chi, k2, nodes_resolved=nodes, base_points=bp,
+        label=f"pencil on a nodal canonical surface, genus {g}")
 
 
 def r_curve_g8() -> CurveClass:
@@ -198,9 +181,8 @@ def r_curve_g8() -> CurveClass:
     members each contribute 7/2 to beta_0.  Pairings: lambda = 9,
     alpha_0 = 52, beta_0 = 7.
     """
-    spec = SurfacePencilSpec(chi=2, k_squared=-14, target=spin_plus(8),
-                             reducible_fibres=(7, 7))
-    return pencil_curve(spec, "pencil through two elliptic rulings on a "
+    return pencil_curve(spin_plus(8), 2, -14, reducible_fibres=(7, 7),
+                        label="pencil through two elliptic rulings on a "
                               "doubly-elliptic K3 surface")
 
 
@@ -208,13 +190,14 @@ def septic_pencil_curve() -> CurveClass:
     """Lefschetz pencil of 7-nodal plane septics: the plane blown up at the
     7 assigned nodes and 21 base points gives chi = 1, K^2 = -19, hence
     lambda = 8 and delta_0 = 59."""
-    spec = SurfacePencilSpec(chi=1, k_squared=-19, target=mbar(8))
-    return pencil_curve(spec, "Lefschetz pencil of 7-nodal plane septics")
+    return pencil_curve(mbar(8), 1, -19,
+                        label="Lefschetz pencil of 7-nodal plane septics")
 
 
 def covering_degree(g: int) -> int:
     """Number of even theta-characteristics on a genus-g curve,
     2^(g-1) * (2^g + 1): the degree of the even-spin covering."""
+    require_int("a genus", g)
     return 2 ** (g - 1) * (2 ** g + 1)
 
 

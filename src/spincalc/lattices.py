@@ -3,8 +3,8 @@
 Covers the rank-8 Nikulin lattice (eight orthogonal (-2)-classes together
 with their half-sum), its rank-9 extension by a polarization class of
 square 2g-2, the standard hyperbolic plane and E8, the Cauchy-Schwarz
-obstruction to certain isotropic classes, and the doubly-elliptic K3
-identities.
+obstruction to certain isotropic classes (one `CsEntry` row per
+polarization multiple), and the doubly-elliptic K3 identities.
 
 A lattice is a symmetric integer Gram matrix with named basis vectors;
 vectors are integer coordinate sequences in that basis.  Everything is
@@ -207,27 +207,18 @@ class CsEntry(Record):
                  "solution_found")
 
 
-class CsCertificate(Record):
-    """Certificate that no elliptic class of polarization degree 3 exists.
+def cs_obstruction(g: int, a_bound: int) -> tuple[CsEntry, ...]:
+    """Certificate that no elliptic class of polarization degree 3 exists
+    at genus g >= 7: one `CsEntry` for each a = 1..a_bound.
 
     A class a*c - sum b_i n_i with square 0 and degree 3 against the
     half-polarization forces sum b_i = 2ag - 2a - 3 and
     sum b_i^2 = a^2(g-1) over the eight roots.  For each a the analytic
     route checks that (sum b_i)^2 > 8 * sum b_i^2, contradicting
     Cauchy-Schwarz; the search route independently confirms that no
-    integer 8-tuple satisfies both equations.
+    integer 8-tuple satisfies both equations.  The certificate holds when
+    every entry has a positive `cs_gap` and no `solution_found`.
     """
-
-    __slots__ = ("genus", "entries")
-
-    @property
-    def holds(self) -> bool:
-        return all(e.cs_gap > 0 and not e.solution_found
-                   for e in self.entries)
-
-
-def cs_obstruction(g: int, a_bound: int) -> CsCertificate:
-    """Run both obstruction routes for a = 1..a_bound at genus g >= 7."""
     require_int("a genus or bound", g, a_bound)
     if g < 7:
         raise ValueError("the obstruction argument applies from genus 7 on")
@@ -240,7 +231,7 @@ def cs_obstruction(g: int, a_bound: int) -> CsCertificate:
         gap = s * s - 8 * m
         found = sum_square_solution_exists(8, s, m)
         entries.append(CsEntry(a, s, m, gap, found))
-    return CsCertificate(g, tuple(entries))
+    return tuple(entries)
 
 
 def lambda_identities(g: int):

@@ -347,6 +347,7 @@ def prym_green(i: int) -> DivisorClass:
 
     with the delta_0'' coefficient and the higher boundary terms opaque.
     """
+    require_int("a syzygy index", i)
     if i < 0:
         raise BadParamError("syzygy index must be nonnegative")
     g = 2 * i + 6
@@ -398,6 +399,7 @@ def twisted_hodge_c1(i: int, g: int = 5) -> DivisorClass:
 
     higher boundary terms opaque.
     """
+    require_int("a twist index", i)
     if i < 1:
         raise BadParamError("twist index must be positive")
     c = comb(i, 2)
@@ -411,6 +413,7 @@ def sym_power_c1(c1: DivisorClass, rank: int, power: int) -> DivisorClass:
     """c1 of the `power`-th symmetric power of a bundle of the given rank
     and first Chern class: (power * C(rank+power-1, power) / rank) * c1.
     """
+    require_int("a rank or power", rank, power)
     if rank < 1 or power < 1:
         raise BadParamError("rank and power must be positive")
     return Fraction(power * comb(rank + power - 1, power), rank) * c1
@@ -432,56 +435,41 @@ def slope(d: DivisorClass) -> Fraction:
     return d.coeff(LAMBDA) / (-b)
 
 
-#: the named classes with one fixed home space: description, constructor
-_FIXED_HOME = {
-    "nikulin_N6": ("the Nikulin-section divisor", prym_nikulin_g6),
-    "bn8": ("the plane-septic divisor", brill_noether_g8),
-    "d2_nonveryample": ("the non-very-ample divisor", non_very_ample_g5),
-}
+#: the named classes with one fixed home space, by name
+_FIXED_HOME = {"nikulin_N6": prym_nikulin_g6, "bn8": brill_noether_g8,
+               "d2_nonveryample": non_very_ample_g5}
 
 
-def named_divisor(name: str, space: ModuliSpace | None = None,
-                  genus: int | None = None, param: int | None = None
+def named_divisor(name: str, space: ModuliSpace, param: int | None = None
                   ) -> DivisorClass:
-    """Resolve one of the named divisor classes.
+    """Resolve one of the named divisor classes on `space`.
 
-    Raises ``BadParamError`` when the requested genus, ambient space or
-    index parameter is inconsistent with the name.
+    `param` is the twist index of hodge_c1, which needs one; prym_green
+    takes an optional index i, which must then be (g-6)/2.  Raises
+    ``BadParamError`` when the name is unknown, `space` is not its home,
+    or `param` is missing, not taken or inconsistent with the genus.
     """
-    if space is not None and genus is not None and space.genus != genus:
-        raise BadParamError("genus does not match the requested space")
     if param is not None and name not in ("prym_green", "hodge_c1"):
         raise BadParamError(f"{name!r} takes no index parameter")
-    if space is not None:
-        genus = space.genus
     if name == "canonical":
-        if space is None:
-            raise BadParamError("canonical class needs an ambient space")
         return canonical_class(space)
     if name in _FIXED_HOME:
-        what, build = _FIXED_HOME[name]
-        d = build()
-        if genus not in (None, d.space.genus):
-            raise BadParamError(f"{what} lives in genus {d.space.genus}")
+        d = _FIXED_HOME[name]()
     elif name == "theta_null":
-        if genus is None:
-            raise BadParamError("theta_null needs a genus")
-        d = theta_null(genus)
+        d = theta_null(space.genus)
     elif name == "prym_green":
-        if param is None:
-            if genus is None or genus < 6 or genus % 2:
-                raise BadParamError("prym_green needs genus 2i+6")
-            param = (genus - 6) // 2
-        if genus is not None and genus != 2 * param + 6:
+        if param is not None and space.genus != 2 * param + 6:
             raise BadParamError("prym_green needs genus = 2i+6")
-        d = prym_green(param)
+        if space.genus < 6 or space.genus % 2:
+            raise BadParamError("prym_green needs genus 2i+6")
+        # a given param is passed on itself, so its int rule applies
+        d = prym_green((space.genus - 6) // 2 if param is None else param)
     elif name == "hodge_c1":
         if param is None:
             raise BadParamError("hodge_c1 needs an index parameter")
-        d = (twisted_hodge_c1(param) if genus is None
-             else twisted_hodge_c1(param, genus))
+        d = twisted_hodge_c1(param, space.genus)
     else:
         raise BadParamError(f"unknown divisor name {name!r}")
-    if space is not None and d.space != space:
+    if d.space != space:
         raise BadParamError(f"{name} lives on {d.space}, not {space}")
     return d

@@ -167,6 +167,7 @@ def catalan_degree(n: int) -> int:
 def vq_dimension(n: int) -> int:
     """Dimension 2n-5 of the family of lines on a smooth quadric in
     projective n-space."""
+    require_int("a projective dimension", n)
     if n < 4:
         raise ValueError("need projective dimension at least 4")
     return 2 * n - 5

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from spincalc.curves import (BadGenusError, CurveClass, NegativeBudgetError,
                              NonzeroHigherBoundaryError, OpaquePairingError,
-                             SurfacePencilSpec, UndefinedSplitError,
+                             UndefinedSplitError,
                              btilde_curve, covering_degree, curve_class,
                              gamma_curve, noether_c2, pair, pencil_curve,
                              pushforward_to_mbar, r_curve_g8,
@@ -36,56 +36,53 @@ def test_noether_c2_examples():
 
 
 def test_pencil_curve_canonical_surface_g7():
-    spec = SurfacePencilSpec(chi=8, k_squared=16, target=spin_plus(7),
-                             nodes_resolved=8)
-    c = pencil_curve(spec)
+    c = pencil_curve(spin_plus(7), chi=8, k_squared=16, nodes_resolved=8)
     assert c.pairing(LAMBDA) == 14
     assert c.pairing(ALPHA0) == 88
     assert c.pairing(BETA0) == 8
 
 
 def test_pencil_curve_septic_invariants():
-    spec = SurfacePencilSpec(chi=1, k_squared=-19, target=mbar(8))
-    c = pencil_curve(spec)
+    c = pencil_curve(mbar(8), chi=1, k_squared=-19)
     assert c.pairing(LAMBDA) == 8
     assert c.pairing(DELTA0) == 59
 
 
 def test_pencil_curve_doubly_elliptic():
-    spec = SurfacePencilSpec(chi=2, k_squared=-14, target=spin_plus(8),
-                             reducible_fibres=(7, 7))
-    c = pencil_curve(spec)
+    c = pencil_curve(spin_plus(8), chi=2, k_squared=-14,
+                     reducible_fibres=(7, 7))
     assert c.pairing(LAMBDA) == 9
     assert c.pairing(BETA0) == 7
     assert c.pairing(ALPHA0) == 52
 
 
 def test_pencil_curve_half_integer_single_fibre():
-    spec = SurfacePencilSpec(chi=2, k_squared=-14, target=spin_plus(8),
-                             reducible_fibres=(7,))
-    assert pencil_curve(spec).pairing(BETA0) == fr(7, 2)
+    c = pencil_curve(spin_plus(8), chi=2, k_squared=-14,
+                     reducible_fibres=(7,))
+    assert c.pairing(BETA0) == fr(7, 2)
 
 
 def test_pencil_curve_negative_budget():
-    spec = SurfacePencilSpec(chi=1, k_squared=9, target=spin_plus(2),
-                             reducible_fibres=(100,))
     with pytest.raises(NegativeBudgetError):
-        pencil_curve(spec)
+        pencil_curve(spin_plus(2), chi=1, k_squared=9,
+                     reducible_fibres=(100,))
 
 
 def test_pencil_curve_rejects_prym_target():
-    spec = SurfacePencilSpec(chi=1, k_squared=9, target=rbar(4))
     with pytest.raises(SpaceMismatchError):
-        pencil_curve(spec)
+        pencil_curve(rbar(4), chi=1, k_squared=9)
 
 
 def test_pencil_spec_stores_reducible_fibres_as_a_tuple():
-    given = SurfacePencilSpec(chi=2, k_squared=-14, target=spin_plus(8),
-                              reducible_fibres=[7, 7])
-    spec = SurfacePencilSpec(chi=2, k_squared=-14, target=spin_plus(8),
-                             reducible_fibres=(7, 7))
-    assert given.reducible_fibres == (7, 7)
-    assert given == spec and hash(given) == hash(spec)
+    given = pencil_curve(spin_plus(8), chi=2, k_squared=-14,
+                         reducible_fibres=[7, 7])
+    as_tuple = pencil_curve(spin_plus(8), chi=2, k_squared=-14,
+                            reducible_fibres=(7, 7))
+    as_iterator = pencil_curve(spin_plus(8), chi=2, k_squared=-14,
+                               reducible_fibres=iter([7, 7]))
+    assert given.pairing(BETA0) == 7
+    assert given == as_tuple == as_iterator
+    assert hash(given) == hash(as_tuple)
 
 
 # --- the Nikulin pencil -----------------------------------------------------
@@ -331,8 +328,7 @@ def test_pair_is_linear_in_the_genus():
 
 
 def test_pencil_curve_attaches_the_label():
-    spec = SurfacePencilSpec(chi=1, k_squared=-19, target=mbar(8))
-    c = pencil_curve(spec, "septics")
-    assert c.label == "septics" and c == pencil_curve(spec)
+    c = pencil_curve(mbar(8), 1, -19, label="septics")
+    assert c.label == "septics" and c == pencil_curve(mbar(8), 1, -19)
     assert septic_pencil_curve().label == (
         "Lefschetz pencil of 7-nodal plane septics")

@@ -1,9 +1,9 @@
 """One exactness rule at every boundary that takes a rational number: an
 int or a Fraction, by exact type, passes, and anything else raises
 ``TypeError``; and one int rule at every boundary that takes a genus, a
-count, an index, a lattice Gram entry, a scale or an argument of the
-sum-of-squares search: a plain int passes, and anything else raises
-``TypeError``."""
+count, an index, a rank or power, a lattice Gram entry, a scale or an
+argument of the sum-of-squares search: a plain int passes, and anything
+else raises ``TypeError``."""
 
 from decimal import Decimal
 from enum import IntEnum
@@ -13,13 +13,14 @@ import pytest
 
 from spincalc._linalg import bilinear, scaled
 from spincalc._record import exact
-from spincalc.curves import SurfacePencilSpec, pencil_curve
+from spincalc.curves import covering_degree, pencil_curve
 from spincalc.lattices import (IntegerLattice, cs_obstruction, e8,
                                hyperbolic_u, sum_square_solution_exists)
 from spincalc.linecomplex import plucker_quadric_rank, symmetric_form
 from spincalc.picard import (BETA0, LAMBDA, brill_noether_g8, divisor_class,
-                             mbar, spin_plus)
-from spincalc.schubert import SchubertCycle, sigma
+                             mbar, prym_green, spin_plus, sym_power_c1,
+                             twisted_hodge_c1)
+from spincalc.schubert import SchubertCycle, sigma, vq_dimension
 
 
 class Small(IntEnum):
@@ -38,14 +39,15 @@ BOUNDARIES = {
 }
 
 #: each int-only boundary as a function of the one value it is given;
-#: each takes the plain int 3
+#: each takes the plain int 3, except vq_dimension, which takes 4 (a
+#: projective dimension below 4 raises ``ValueError``)
 INT_BOUNDARIES = {
     "schubert_n": lambda x: SchubertCycle(x, {(1, 0): 1}),
     "partition_index": lambda x: sigma(5, x),
     "cycle_coefficient": lambda x: sigma(5, 1, coefficient=x),
     "cycle_scalar": lambda x: sigma(5, 1) * x,
-    "pencil_count": lambda x: SurfacePencilSpec(
-        chi=x, k_squared=-14, target=spin_plus(8)),
+    "pencil_count": lambda x: pencil_curve(spin_plus(8), chi=x,
+                                           k_squared=-14),
     "gram_entry": lambda x: IntegerLattice([[2, x], [x, 2]], ["a", "b"]),
     "coordinate": lambda x: hyperbolic_u().norm((1, x)),
     "scale": e8,
@@ -55,6 +57,12 @@ INT_BOUNDARIES = {
     "search_sum": lambda x: sum_square_solution_exists(3, x, 3),
     "search_norm": lambda x: sum_square_solution_exists(3, 3, x),
     "multiple_bound": lambda x: cs_obstruction(7, x),
+    "syzygy_index": prym_green,
+    "twist_index": twisted_hodge_c1,
+    "symmetric_rank": lambda x: sym_power_c1(brill_noether_g8(), x, 1),
+    "symmetric_power": lambda x: sym_power_c1(brill_noether_g8(), 1, x),
+    "covering_genus": covering_degree,
+    "vq_dimension": vq_dimension,
 }
 
 
@@ -87,16 +95,15 @@ def test_cycles_take_plain_ints_only():
 #: each integer count or index as a function of the one value it is given;
 #: these take plain ints only, so a Fraction is refused as well
 COUNTS = {
-    "pencil_chi": lambda x: SurfacePencilSpec(
-        chi=x, k_squared=-14, target=spin_plus(8)),
-    "pencil_k_squared": lambda x: SurfacePencilSpec(
-        chi=2, k_squared=x, target=spin_plus(8)),
-    "pencil_nodes_resolved": lambda x: SurfacePencilSpec(
-        chi=2, k_squared=-14, target=spin_plus(8), nodes_resolved=x),
-    "pencil_base_points": lambda x: SurfacePencilSpec(
-        chi=2, k_squared=-14, target=spin_plus(8), base_points=x),
-    "pencil_reducible_fibre": lambda x: SurfacePencilSpec(
-        chi=2, k_squared=-14, target=spin_plus(8), reducible_fibres=(7, x)),
+    "pencil_chi": lambda x: pencil_curve(spin_plus(8), chi=x, k_squared=-14),
+    "pencil_k_squared": lambda x: pencil_curve(spin_plus(8), chi=2,
+                                               k_squared=x),
+    "pencil_nodes_resolved": lambda x: pencil_curve(
+        spin_plus(8), chi=2, k_squared=-14, nodes_resolved=x),
+    "pencil_base_points": lambda x: pencil_curve(
+        spin_plus(8), chi=2, k_squared=-14, base_points=x),
+    "pencil_reducible_fibre": lambda x: pencil_curve(
+        spin_plus(8), chi=2, k_squared=-14, reducible_fibres=(7, x)),
     "cycle_n": lambda x: SchubertCycle(x, {(1, 0): 1}),
     "cycle_first_index": lambda x: sigma(5, x),
     "cycle_second_index": lambda x: sigma(5, 2, x),
@@ -116,10 +123,11 @@ def test_counts_and_indices_take_plain_ints_only(boundary, x):
 def test_counts_and_indices_pass_as_ints():
     for name, build in COUNTS.items():
         build(5 if name == "cycle_n" else 1)
-    spec = SurfacePencilSpec(chi=2, k_squared=-14, target=spin_plus(8),
-                             nodes_resolved=1, reducible_fibres=[7, 7])
-    assert spec.reducible_fibres == (7, 7)
-    assert pencil_curve(spec).pairing(BETA0) == 8
+    c = pencil_curve(spin_plus(8), chi=2, k_squared=-14, nodes_resolved=1,
+                     reducible_fibres=[7, 7])
+    assert c == pencil_curve(spin_plus(8), chi=2, k_squared=-14,
+                             nodes_resolved=1, reducible_fibres=(7, 7))
+    assert c.pairing(BETA0) == 8
     assert str(sigma(5, 1)) == "s(1,0)"
     assert SchubertCycle(5, {(1, 0): 1}) == sigma(5, 1)
 
@@ -135,8 +143,8 @@ def test_int_boundaries_raise_the_int_rule(boundary, x):
 
 
 def test_int_boundaries_pass_a_plain_int():
-    for build in INT_BOUNDARIES.values():
-        build(3)
+    for name, build in INT_BOUNDARIES.items():
+        build(4 if name == "vq_dimension" else 3)
 
 
 @pytest.mark.parametrize("x", ["7", Decimal(7), 7.0, True, Small.TWO,

@@ -191,9 +191,10 @@ def _unused_imports(source: str) -> list:
                   if name not in read)
 
 
-#: the package, the demos and the tools, whose top-level imports are linted
+#: the package, the demos, the tools and the tests, whose top-level imports
+#: are linted
 LINTED = [os.path.join(SRC, "spincalc"), os.path.join(ROOT, "demos"),
-          os.path.join(ROOT, "tools")]
+          os.path.join(ROOT, "tools"), os.path.join(ROOT, "tests")]
 
 
 @pytest.mark.parametrize("path", [

@@ -7,24 +7,45 @@ import pytest
 
 from spincalc import checks, curves, picard
 from spincalc.kodaira import canonical_decomposition_g8
-from spincalc.picard import (ALPHA0, LAMBDA, alpha, beta, divisor_class,
-                             named_divisor, spin_plus, theta_null)
+from spincalc.picard import (ALPHA0, BETA0, LAMBDA, alpha, beta,
+                             divisor_class, higher_boundary, named_divisor,
+                             spin_plus, theta_null)
 
 
 def _reader(name, broken):
     """A divisor reader, called as `named_divisor` is, that returns
     `broken` for `name` and the pinned class for every other name."""
-    return lambda n, **where: broken if n == name else named_divisor(
-        n, **where)
+    return lambda n, *args, **kw: broken if n == name else named_divisor(
+        n, *args, **kw)
+
+
+def _boundary(d):
+    """The a_i and b_i of a decomposition `d`, as i -> coefficient."""
+    return ({i: d.coeff(alpha(i)) for i in range(1, 5)},
+            {i: d.coeff(beta(i)) for i in range(1, 5)})
+
+
+def _residual(d):
+    """`d` minus its alpha_i / beta_i part."""
+    return d - divisor_class(d.space, [(sym, d.coeff(sym))
+                                       for sym in higher_boundary(d.space)])
 
 
 # --- the decomposition ------------------------------------------------------
 
 def test_decomposition_coefficients():
-    r = canonical_decomposition_g8()
-    assert r.a == {1: 4, 2: 10, 3: 13, 4: 14}
-    assert r.b == {1: 8, 2: 14, 3: 17, 4: 18}
-    assert r.residual.is_zero()
+    d = canonical_decomposition_g8()
+    a, b = _boundary(d)
+    assert a == {1: 4, 2: 10, 3: 13, 4: 14}
+    assert b == {1: 8, 2: 14, 3: 17, 4: 18}
+    assert _residual(d).is_zero()
+
+
+def test_decomposition_has_no_lambda_alpha_0_or_beta_0_part():
+    d = canonical_decomposition_g8()
+    assert d.space == spin_plus(8) and not d.opaque
+    assert [d.coeff(sym) for sym in (LAMBDA, ALPHA0, BETA0)] == [0, 0, 0]
+    assert set(d.coeffs) == set(higher_boundary(d.space))
 
 
 def test_decomposition_linear_equations():
@@ -32,20 +53,20 @@ def test_decomposition_linear_equations():
     # pullback-half coefficient, the theta part and the boundary unknown:
     #   alpha_i: -2 (or -3 at i=1) = (bn8 delta_i)/2 + a_i
     #   beta_i:  -2 (or -3 at i=1) = (bn8 delta_i)/2 - 4 + b_i
-    r = canonical_decomposition_g8()
+    a, b = _boundary(canonical_decomposition_g8())
     half_bn = {1: Fraction(-7), 2: Fraction(-12),
                3: Fraction(-15), 4: Fraction(-16)}
     for i in range(1, 5):
         canonical = Fraction(-3 if i == 1 else -2)
-        assert r.a[i] == canonical - half_bn[i]
-        assert r.b[i] == canonical - (half_bn[i] - 4)
-        assert r.a[i] > 0 and r.b[i] > 0
+        assert a[i] == canonical - half_bn[i]
+        assert b[i] == canonical - (half_bn[i] - 4)
+        assert a[i] > 0 and b[i] > 0
 
 
 def test_decomposition_detects_broken_theta():
     broken = theta_null(8) + divisor_class(spin_plus(8), [(LAMBDA, 1)])
-    r = canonical_decomposition_g8(_reader("theta_null", broken))
-    assert not r.residual.is_zero()
+    d = canonical_decomposition_g8(_reader("theta_null", broken))
+    assert not _residual(d).is_zero()
 
 
 def test_decomposition_detects_sign_flip():
@@ -53,8 +74,8 @@ def test_decomposition_detects_sign_flip():
     t = theta_null(8)
     flipped = t + divisor_class(
         spin_plus(8), [(beta(i), 5) for i in range(1, 5)])
-    r = canonical_decomposition_g8(_reader("theta_null", flipped))
-    assert min(r.b.values()) <= 0
+    d = canonical_decomposition_g8(_reader("theta_null", flipped))
+    assert min(_boundary(d)[1].values()) <= 0
 
 
 @pytest.mark.parametrize("perturb,computed", [
@@ -118,9 +139,9 @@ def test_each_pencil_row_reads_only_the_class_it_pairs(monkeypatch):
     # the names `picard.named_divisor` serves while each row runs
     reads, running, resolve = {}, [None], picard.named_divisor
 
-    def recording(name, **where):
+    def recording(name, *args, **kw):
         reads.setdefault(running[0], set()).add(name)
-        return resolve(name, **where)
+        return resolve(name, *args, **kw)
 
     def tracked(check):
         def run(ctx):
@@ -222,8 +243,8 @@ def test_fault_injection_matrix(monkeypatch):
     # every pinned coefficient of every class a quick run reads, +1 each
     read, resolve = {}, picard.named_divisor
 
-    def recording(name, **where):
-        d = resolve(name, **where)
+    def recording(name, *args, **kw):
+        d = resolve(name, *args, **kw)
         read.setdefault(name, set()).update(
             s for s in picard.basis_symbols(d.space) if not d.is_opaque(s))
         return d

@@ -8,7 +8,7 @@ from math import isqrt
 import pytest
 
 from spincalc._linalg import mat_det
-from spincalc.lattices import (CsCertificate, DimensionMismatchError,
+from spincalc.lattices import (CsEntry, DimensionMismatchError,
                                IntegerLattice, cs_obstruction,
                                doubly_elliptic_identities, e8, hyperbolic_u,
                                lambda_identities, lambda_lattice,
@@ -283,20 +283,22 @@ def test_search_refuses_a_negative_slot_count():
 # --- obstruction certificate ------------------------------------------------
 
 def test_cs_obstruction_g7_values():
-    cert = cs_obstruction(7, a_bound=2)
-    assert isinstance(cert, CsCertificate)
-    first, second = cert.entries
+    entries = cs_obstruction(7, a_bound=2)
+    assert type(entries) is tuple
+    assert all(type(e) is CsEntry for e in entries)
+    first, second = entries
     assert (first.target_sum, first.target_norm) == (9, 6)
     assert first.target_sum ** 2 == 81 > 8 * 6 == 48
     assert first.cs_gap == 81 - 48
     assert (second.target_sum ** 2, 8 * second.target_norm) == (441, 192)
     assert not first.solution_found and not second.solution_found
-    assert cert.holds
+    assert first.cs_gap > 0 and second.cs_gap > 0
 
 
 @pytest.mark.parametrize("g", range(7, 13))
 def test_cs_obstruction_holds_through_genus_12(g):
-    assert cs_obstruction(g, a_bound=5).holds
+    assert all(e.cs_gap > 0 and not e.solution_found
+               for e in cs_obstruction(g, a_bound=5))
 
 
 def test_cs_obstruction_rejects_low_genus():

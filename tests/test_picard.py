@@ -388,49 +388,63 @@ def test_slope_errors():
 # --- named dispatch and rendering -------------------------------------------
 
 def test_named_divisor_dispatch():
-    assert named_divisor("bn8", genus=8) == brill_noether_g8()
-    assert named_divisor("theta_null", genus=6) == theta_null(6)
-    assert named_divisor("prym_green", param=2) == prym_green(2)
-    assert named_divisor("prym_green", genus=10) == prym_green(2)
-    assert named_divisor("canonical", space=rbar(7)) == canonical_class(rbar(7))
+    assert named_divisor("bn8", mbar(8)) == brill_noether_g8()
+    assert named_divisor("theta_null", spin_plus(6)) == theta_null(6)
+    assert named_divisor("prym_green", rbar(10), param=2) == prym_green(2)
+    assert named_divisor("prym_green", rbar(10)) == prym_green(2)
+    assert named_divisor("canonical", rbar(7)) == canonical_class(rbar(7))
 
 
 def test_named_divisor_bad_params():
     with pytest.raises(BadParamError):
-        named_divisor("prym_green", genus=3)
+        named_divisor("prym_green", rbar(3))
     with pytest.raises(BadParamError):
-        named_divisor("prym_green", genus=8, param=3)
+        named_divisor("prym_green", rbar(8), param=3)
     with pytest.raises(BadParamError):
-        named_divisor("bn8", genus=7)
+        named_divisor("bn8", mbar(7))
     with pytest.raises(BadParamError):
-        named_divisor("nikulin_N6", space=mbar(6))
+        named_divisor("nikulin_N6", mbar(6))
     with pytest.raises(BadParamError):
-        named_divisor("no_such_class", genus=8)
+        named_divisor("no_such_class", mbar(8))
 
 
 @pytest.mark.parametrize("name, where", [
-    ("bn8", {"genus": 8}), ("nikulin_N6", {"genus": 6}),
-    ("canonical", {"space": mbar(8)}), ("theta_null", {"genus": 8}),
-    ("no_such_class", {"genus": 8})])
+    ("bn8", {"space": mbar(8)}), ("nikulin_N6", {"space": rbar(6)}),
+    ("canonical", {"space": mbar(8)}), ("theta_null", {"space": spin_plus(8)}),
+    ("no_such_class", {"space": mbar(8)})])
 def test_named_divisor_refuses_a_param_the_name_does_not_take(name, where):
     with pytest.raises(BadParamError, match="takes no index parameter"):
         named_divisor(name, param=3, **where)
 
 
 def test_named_divisor_hodge_c1_defaults_to_genus_five():
-    assert named_divisor("hodge_c1", param=3) == twisted_hodge_c1(3)
-    assert named_divisor("hodge_c1", param=3).space == rbar(5)
-    assert named_divisor("hodge_c1", genus=7, param=3) == \
+    # the default genus of `twisted_hodge_c1`; `named_divisor` names it
+    assert named_divisor("hodge_c1", rbar(5), param=3) == twisted_hodge_c1(3)
+    assert twisted_hodge_c1(3).space == rbar(5)
+    assert named_divisor("hodge_c1", rbar(7), param=3) == \
         twisted_hodge_c1(3, 7)
 
 
 def test_named_divisor_needs_a_consistent_home():
-    with pytest.raises(BadParamError, match="needs a genus"):
+    with pytest.raises(TypeError):
         named_divisor("theta_null")
-    with pytest.raises(BadParamError, match="ambient space"):
+    with pytest.raises(TypeError):
         named_divisor("canonical")
-    with pytest.raises(BadParamError, match="does not match"):
-        named_divisor("bn8", space=mbar(8), genus=7)
+    with pytest.raises(BadParamError, match="bn8 lives on Mbar_8, not Mbar_7"):
+        named_divisor("bn8", mbar(7))
+    with pytest.raises(BadParamError, match=r"lives on Sbar\+_8, not Mbar_8"):
+        named_divisor("theta_null", mbar(8))
+
+
+def test_named_divisor_prym_green_param_must_be_the_genus_index():
+    assert named_divisor("prym_green", rbar(6), param=0) == prym_green(0)
+    for space, param in ((rbar(8), 2), (rbar(8), 0), (rbar(7), 0)):
+        with pytest.raises(BadParamError, match=r"needs genus = 2i\+6"):
+            named_divisor("prym_green", space, param=param)
+    with pytest.raises(BadParamError, match=r"needs genus 2i\+6"):
+        named_divisor("prym_green", rbar(4), param=-1)
+    with pytest.raises(TypeError, match="must be int, not bool"):
+        named_divisor("prym_green", rbar(8), param=True)
 
 
 def test_bad_spaces_and_parameters_raise():
