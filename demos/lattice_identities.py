@@ -40,12 +40,11 @@ for g in (7, 9, 12):
               f"solutions={'none' if not e.solution_found else 'FOUND'}")
 
 print()
-de = doubly_elliptic_identities()
+square, dots, pencils = doubly_elliptic_identities()
 print("doubly-elliptic K3 bookkeeping at genus 8:")
-print(f"  (2E + G_1 + ... + G_7)^2 = {de.section_square} = 2*8 - 2")
-print(f"  (C_1 + C_2)^2 with C_1.C_2 = 7: {de.pencil_sum_square}")
-print(f"  section meets each exceptional curve in "
-      f"{set(de.section_dot_exceptional)} points")
+print(f"  (2E + G_1 + ... + G_7)^2 = {square} = 2*8 - 2")
+print(f"  (C_1 + C_2)^2 with C_1.C_2 = 7: {pencils}")
+print(f"  section meets each exceptional curve in {set(dots)} points")
 
 print()
 u = hyperbolic_u()

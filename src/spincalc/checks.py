@@ -7,7 +7,10 @@ canonically (lowest-terms rationals); a check passes iff the two strings
 are identical.  The last rows, steps that rest on quoted results rather
 than computation, have no `run` and the status ``cited-not-replayed``.
 The order is fixed, so reports are deterministic; the only randomness is
-in the property-suite samplers, driven by an explicit seed.
+in the property-suite samplers, driven by an explicit seed.  At the full
+counts, given `os.fork`, two usable CPUs and one thread, a forked child
+judges the odd-indexed samples of the suites; both processes draw them
+all in order, so the draws and bytes are the serial run's.
 Checks read their pinned divisor classes only through `_Provider.divisor`,
 by name and home space, e.g. ``ctx.divisor("bn8", mbar(8))``:
 canonical, theta_null, bn8, prym_green, nikulin_N6, hodge_c1 and
@@ -19,7 +22,9 @@ harness actually depends on it (fault injection).
 from __future__ import annotations
 
 import json
+import os
 import random
+import sys
 from fractions import Fraction
 from itertools import cycle, islice
 from math import comb
@@ -72,6 +77,7 @@ class _Provider:
         self.samples = samples
         self.perturb = perturb
         self.perturbed = False
+        self.split = None  # (part, pipe) while `_split_suites` runs
 
     def divisor(self, name: str, space, param=None):
         """`picard.named_divisor(name, space, param)`, plus the `perturb`
@@ -160,11 +166,19 @@ def _grassmannian_check(n, degree, citation):
     return Check(f"schubert-g2{n}-degree", citation, run)
 
 
-def _tally(outcomes) -> tuple[str, str]:
-    """(computed, expected) of a property suite: how many of the sampled
-    outcomes hold, against all of them."""
-    held = list(outcomes)
-    return f"{sum(held)}/{len(held)}", f"{len(held)}/{len(held)}"
+def _tally(ctx, samples, holds) -> tuple[str, str]:
+    """(computed, expected) of a property suite: for how many sampled
+    argument tuples `holds` is true, against all of them."""
+    part, pipe = ctx.split or (0, None)
+    held = total = 0
+    for total, sample in enumerate(samples, 1):
+        if pipe is None or (total - 1) % 2 == part:
+            held += holds(*sample)
+    if part:
+        pipe.write(b"%d %d\n" % (held, total))
+    elif pipe is not None:  # ValueError unless the child drew `total` too
+        held += int(pipe.readline().removesuffix(b" %d\n" % total))
+    return f"{held}/{total}", f"{total}/{total}"
 
 
 def _nikulin_g6(ctx):
@@ -267,11 +281,10 @@ def _lattice_cs(ctx):
 
 
 def _lattice_de(ctx):
-    r = lattices.doubly_elliptic_identities()
-    dots = "0" if all(x == 0 for x in r.section_dot_exceptional) else "bad"
-    computed = (f"section^2={r.section_square} "
-                f"pencils^2={r.pencil_sum_square} C.G_i={dots}")
-    return computed, "section^2=14 pencils^2=14 C.G_i=0"
+    square, dots, pencils = lattices.doubly_elliptic_identities()
+    return (f"section^2={square} pencils^2={pencils} "
+            f"C.G_i={'bad' if any(dots) else 0}",
+            "section^2=14 pencils^2=14 C.G_i=0")
 
 
 def _schubert_vq(ctx):
@@ -283,23 +296,22 @@ def _wq_degree(ctx):
 
 
 def _compound_law(ctx):
-    return _tally(linecomplex.second_compound(q).rank() == comb(rank, 2)
-                  for q, rank in linecomplex.compound_rank_samples(
-                      ctx.rng, ctx.samples[0]))
+    samples = linecomplex.compound_rank_samples(ctx.rng, ctx.samples[0])
+    return _tally(ctx, samples, lambda q, rank: comb(rank, 2)
+                  == linecomplex.second_compound(q).rank())
 
 
 def _tangency_oracle(ctx):
-    return _tally(linecomplex.tangency(q, u, v)
-                  == linecomplex.discriminant_tangency(q, u, v)
-                  for q, u, v in linecomplex.tangency_samples(
-                      ctx.rng, ctx.samples[1]))
+    return _tally(ctx, linecomplex.tangency_samples(ctx.rng, ctx.samples[1]),
+                  lambda q, u, v: linecomplex.tangency(q, u, v)
+                  == linecomplex.discriminant_tangency(q, u, v))
 
 
 def _singularity(ctx):
-    return _tally(linecomplex.is_singular_point(q, u, v)
-                  == (q.quadratic(v) == 0) == inside
-                  for q, u, v, inside in linecomplex.complex_point_samples(
-                      ctx.rng, ctx.samples[2]))
+    return _tally(ctx, linecomplex.complex_point_samples(ctx.rng,
+                                                         ctx.samples[2]),
+                  lambda q, u, v, inside: linecomplex.is_singular_point(
+                      q, u, v) == (q.quadratic(v) == 0) == inside)
 
 
 def _plucker(ctx):
@@ -308,9 +320,10 @@ def _plucker(ctx):
                  ({(0, 1): 1, (2, 3): 1, (4, 5): 1}, 15)]
     ranks = [linecomplex.plucker_quadric_rank(psi) for psi, _ in canonical]
     got, want = _tally(
-        linecomplex.plucker_quadric_rank(linecomplex.transform_bivector(
-            linecomplex.random_invertible_matrix(ctx.rng, 6), psi)) == rank
-        for psi, rank in islice(cycle(canonical), ctx.samples[3]))
+        ctx, ((linecomplex.random_invertible_matrix(ctx.rng, 6), psi, rank)
+              for psi, rank in islice(cycle(canonical), ctx.samples[3])),
+        lambda m, psi, rank: linecomplex.plucker_quadric_rank(
+            linecomplex.transform_bivector(m, psi)) == rank)
     return (f"{','.join(map(str, ranks))} conjugates={got}",
             f"6,10,15 conjugates={want}")
 
@@ -404,6 +417,10 @@ REGISTRY = (
           "quoted, not recomputed"),
 )
 
+#: the property-suite rows, contiguous in `REGISTRY`; only they draw samples
+_SUITES = tuple(c for c in REGISTRY if c.run in (
+    _compound_law, _tangency_oracle, _singularity, _plucker))
+
 
 def _run_check(check: Check, ctx: _Provider) -> CheckRecord:
     """Run one row against `ctx`.  A cited row is not run; a row that
@@ -423,6 +440,38 @@ def _run_check(check: Check, ctx: _Provider) -> CheckRecord:
                        check.note)
 
 
+def _split_suites(ctx: _Provider) -> dict:
+    """The `_SUITES` records by id, judged in two processes, or {} with
+    `ctx.rng` where it was when the rows are to run serially instead."""
+    cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+            else range(os.cpu_count() or 1))
+    threading = sys.modules.get("threading")
+    if (not hasattr(os, "fork") or len(cpus) < 2
+            or threading and threading.active_count() > 1):
+        return {}
+    state, (read, write) = ctx.rng.getstate(), os.pipe()
+    with os.fdopen(read, "rb") as pipe, os.fdopen(write, "wb", 0) as out:
+        try:
+            pid = os.fork()
+        except OSError:
+            return {}
+        ctx.split = (0, pipe) if pid else (1, out)
+        if not pid:  # the child: its counts go down the pipe, then it exits
+            try:
+                for check in _SUITES:
+                    check.run(ctx)
+            finally:
+                os._exit(0)
+        out.close()
+        records = {check.id: _run_check(check, ctx) for check in _SUITES}
+        ctx.split = None
+        os.waitpid(pid, 0)
+    if all(record.status == "pass" for record in records.values()):
+        return records
+    ctx.rng.setstate(state)
+    return {}
+
+
 def verify_all(seed: int = DEFAULT_SEED, perturb=None,
                quick: bool = False) -> Report:
     """Run every row of `REGISTRY` and return the report.
@@ -435,14 +484,20 @@ def verify_all(seed: int = DEFAULT_SEED, perturb=None,
     ``ValueError`` is raised if none pins the symbol.  `quick` shrinks
     the property-suite sample counts (the deterministic checks are
     unaffected).  A check that raises is recorded as a failure whose
-    computed value is the error; it never aborts the report.
+    computed value is the error; it never aborts the report.  A full run
+    may judge the suites in two processes (see the module); any failure
+    there reruns them serially, as a quick run always is.
     """
     ctx = _Provider(random.Random(seed),
                     QUICK_SAMPLES if quick else FULL_SAMPLES, perturb)
-    records = tuple(_run_check(check, ctx) for check in REGISTRY)
+    records, split = [], {}
+    for check in REGISTRY:
+        if check is _SUITES[0] and not quick:
+            split = _split_suites(ctx)
+        records.append(split.get(check.id) or _run_check(check, ctx))
     if perturb and not ctx.perturbed:
         raise ValueError(f"no class the checks read pins {perturb[:2]!r}")
-    return Report(records, seed)
+    return Report(tuple(records), seed)
 
 
 def render_text(report: Report) -> str:

@@ -137,10 +137,10 @@ def _lattice_check(check: str, genus: int) -> tuple[bool, list]:
             f"gap={e.cs_gap} solutions="
             f"{'found' if e.solution_found else 'none'}"
             for e in entries]
-    r = lattices.doubly_elliptic_identities()
-    return r.holds, [f"(2E+sum G_i)^2 = {r.section_square}",
-                     f"(C1+C2)^2 = {r.pencil_sum_square}",
-                     f"C.G_i = {list(r.section_dot_exceptional)}"]
+    square, dots, pencils = lattices.doubly_elliptic_identities()
+    return (square == pencils == 14 and not any(dots)), [
+        f"(2E+sum G_i)^2 = {square}", f"(C1+C2)^2 = {pencils}",
+        f"C.G_i = {list(dots)}"]
 
 
 def _cmd_lattice(args) -> tuple[int, str]:

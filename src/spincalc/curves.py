@@ -140,6 +140,7 @@ def xi_curve(g: int) -> CurveClass:
     ramification-type points come from the eight (-2)-curves orthogonal to
     the polarization; pushing forward, delta_0 receives 6g+18.
     """
+    require_int("a genus", g)
     if g < 2:
         raise BadGenusError("genus must be at least 2")
     return curve_class(
@@ -165,6 +166,7 @@ GAMMA_SURFACE_DATA = {
 def gamma_curve(g: int) -> CurveClass:
     """Pencil of spin curves through a general point of the theta-null
     divisor, built from nodal canonical-surface invariants (genus 4..9)."""
+    require_int("a genus", g)
     if g not in GAMMA_SURFACE_DATA:
         raise BadGenusError("theta-null covering pencils exist for genus 4..9")
     chi, k2, bp, nodes = GAMMA_SURFACE_DATA[g]

@@ -125,6 +125,8 @@ def hyperbolic_u() -> IntegerLattice:
 #: Dynkin-diagram edges of E8 (Bourbaki numbering: the chain
 #: 1-3-4-5-6-7-8 with node 2 attached to node 4).
 _E8_EDGES = ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4))
+#: byte b with its eight bits in reverse order, for `bytes.translate`
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def e8(scale: int = 1) -> IntegerLattice:
@@ -156,9 +158,11 @@ def sum_square_solution_exists(slots: int, target_sum: int,
     target_norm.  The sums of j < k integers lie in [-j * bound,
     j * bound], so a shift by +-v never carries a sum into another row,
     and every row is symmetric under negation.  The right table (k
-    slots) is built via the left (floor(slots/2)); both are read back
-    once as bytes, and a solution exists when a left row m meets the
-    right row target_norm - m moved by |target_sum|.  The grid holds
+    slots) is built via the left (floor(slots/2)).  A solution exists
+    when a left row m meets the right row target_norm - m moved by
+    |target_sum|: the right grid bit-reversed puts that row, mirrored, on
+    row m, so one shift, one mask of the bits it carries across rows and
+    one AND join all rows at once.  The grid holds
     about 2k * target_norm^1.5 bits, and a step is bound shift-ORs of
     it, so memory grows as target_norm^1.5 and time as target_norm^2
     bit operations.
@@ -185,16 +189,12 @@ def sum_square_solution_exists(slots: int, target_sum: int,
         right = nxt & grid
         if j == half:
             left = right
-    left_rows = left.to_bytes(size, "little")
-    right_rows = right.to_bytes(size, "little")
-    shift = abs(target_sum)
-    for at in range(0, size, row_bytes):
-        top = size - row_bytes - at
-        if int.from_bytes(left_rows[at:at + row_bytes], "little") & (
-                int.from_bytes(right_rows[top:top + row_bytes], "little")
-                << shift):
-            return True
-    return False
+    reach = 2 * k * bound - abs(target_sum)
+    flipped = int.from_bytes(
+        right.to_bytes(size, "big").translate(_BIT_REVERSED), "little")
+    row = ((2 << reach) - 1).to_bytes(row_bytes, "little")
+    return bool(left & flipped >> width - 1 - reach
+                & int.from_bytes(row * (target_norm + 1), "little"))
 
 
 class CsEntry(Record):
@@ -262,29 +262,12 @@ def lambda_identities(g: int):
     return rows
 
 
-class DoublyEllipticReport(Record):
-    """Lattice identities behind the doubly-elliptic K3 construction.
-
-    On the resolution of a 7-nodal quadric section, the hyperplane class
-    decomposes as C = 2E + G_1 + ... + G_7 with E an elliptic pencil
-    (E^2 = 0, G_i^2 = -2, G_i.E = 1, G_i.G_j = 0); its square must be 14,
-    i.e. 2g-2 at genus 8.  The same square arises on the rank-2 lattice
-    of the two elliptic pencils C_1, C_2 with C_1.C_2 = 7.
-    """
-
-    __slots__ = ("section_square", "section_dot_exceptional",
-                 "pencil_sum_square")
-
-    @property
-    def holds(self) -> bool:
-        return (self.section_square == 14
-                and all(x == 0 for x in self.section_dot_exceptional)
-                and self.pencil_sum_square == 14)
-
-
-def doubly_elliptic_identities() -> DoublyEllipticReport:
-    """Verify the quadric-section decomposition and elliptic-pencil
-    identities at genus 8."""
+def doubly_elliptic_identities() -> tuple[int, tuple[int, ...], int]:
+    """(C^2, (C.G_1, ..., C.G_7), (C_1 + C_2)^2) at genus 8: 14, seven 0s
+    and 14.  On the resolution of a 7-nodal quadric section the hyperplane
+    class is C = 2E + G_1 + ... + G_7 with E an elliptic pencil (E^2 = 0,
+    G_i^2 = -2, G_i.E = 1, G_i.G_j = 0); the same square arises on the
+    rank-2 lattice of two elliptic pencils with C_1.C_2 = 7."""
     rows = [[0] + [1] * 7]
     for i in range(1, 8):
         rows.append([1] + [-2 * (i == j) for j in range(1, 8)])
@@ -293,8 +276,4 @@ def doubly_elliptic_identities() -> DoublyEllipticReport:
     dots = tuple(blowup.inner(section, blowup.basis_vector(f"G{i}"))
                  for i in range(1, 8))
     pencils = IntegerLattice([[0, 7], [7, 0]], ["C1", "C2"])
-    return DoublyEllipticReport(
-        section_square=blowup.norm(section),
-        section_dot_exceptional=dots,
-        pencil_sum_square=pencils.norm((1, 1)),
-    )
+    return blowup.norm(section), dots, pencils.norm((1, 1))

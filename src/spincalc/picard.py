@@ -334,6 +334,7 @@ def theta_null(g: int) -> DivisorClass:
 
     1/4*lambda - 1/16*alpha_0 - 1/2*sum_i beta_i.
     """
+    require_int("a genus", g)
     entries = [(LAMBDA, Fraction(1, 4)), (ALPHA0, Fraction(-1, 16))]
     entries += [(beta(i), Fraction(-1, 2)) for i in range(1, g // 2 + 1)]
     return divisor_class(spin_plus(g), entries)

@@ -160,6 +160,7 @@ def grassmannian_degree(n: int) -> int:
 def catalan_degree(n: int) -> int:
     """Closed form for deg G(2, n): the Catalan number
     (2m)! / (m! (m+1)!) with m = n-2.  Independent of the Pieri route."""
+    require_int("n", n)
     m = n - 2
     return comb(2 * m, m) // (m + 1)
 

@@ -154,9 +154,8 @@ def test_criterion_10_lattice_battery():
             assert len(entries) == 5
             assert all(e.cs_gap > 0 and not e.solution_found
                        for e in entries)
-        de = doubly_elliptic_identities()
-        assert de.section_square == 14
-        assert de.pencil_sum_square == 14
+        square, _, pencils = doubly_elliptic_identities()
+        assert square == pencils == 14
 
 
 def test_criterion_11_schubert_battery():

@@ -13,14 +13,16 @@ import pytest
 
 from spincalc._linalg import bilinear, scaled
 from spincalc._record import exact
-from spincalc.curves import covering_degree, pencil_curve
+from spincalc.curves import (covering_degree, gamma_curve, pencil_curve,
+                             xi_curve)
 from spincalc.lattices import (IntegerLattice, cs_obstruction, e8,
                                hyperbolic_u, sum_square_solution_exists)
 from spincalc.linecomplex import plucker_quadric_rank, symmetric_form
 from spincalc.picard import (BETA0, LAMBDA, brill_noether_g8, divisor_class,
                              mbar, prym_green, spin_plus, sym_power_c1,
-                             twisted_hodge_c1)
-from spincalc.schubert import SchubertCycle, sigma, vq_dimension
+                             theta_null, twisted_hodge_c1)
+from spincalc.schubert import (SchubertCycle, catalan_degree, sigma,
+                               vq_dimension)
 
 
 class Small(IntEnum):
@@ -39,8 +41,9 @@ BOUNDARIES = {
 }
 
 #: each int-only boundary as a function of the one value it is given;
-#: each takes the plain int 3, except vq_dimension, which takes 4 (a
-#: projective dimension below 4 raises ``ValueError``)
+#: each takes the plain int 3, except vq_dimension and gamma_genus, which
+#: take 4 (a projective dimension below 4 raises ``ValueError``, and the
+#: theta-null covering pencils start at genus 4)
 INT_BOUNDARIES = {
     "schubert_n": lambda x: SchubertCycle(x, {(1, 0): 1}),
     "partition_index": lambda x: sigma(5, x),
@@ -63,6 +66,10 @@ INT_BOUNDARIES = {
     "symmetric_power": lambda x: sym_power_c1(brill_noether_g8(), 1, x),
     "covering_genus": covering_degree,
     "vq_dimension": vq_dimension,
+    "theta_null_genus": theta_null,
+    "catalan_n": catalan_degree,
+    "xi_genus": xi_curve,
+    "gamma_genus": gamma_curve,
 }
 
 
@@ -144,7 +151,7 @@ def test_int_boundaries_raise_the_int_rule(boundary, x):
 
 def test_int_boundaries_pass_a_plain_int():
     for name, build in INT_BOUNDARIES.items():
-        build(4 if name == "vq_dimension" else 3)
+        build(4 if name in ("vq_dimension", "gamma_genus") else 3)
 
 
 @pytest.mark.parametrize("x", ["7", Decimal(7), 7.0, True, Small.TWO,

@@ -18,7 +18,6 @@ BUILDERS = {
         curves.septic_pencil_curve()),
     "IntegerLattice": lambda: lattices.lambda_lattice(7),
     "CsEntry": lambda: lattices.cs_obstruction(7, 2)[0],
-    "DoublyEllipticReport": lattices.doubly_elliptic_identities,
     "SchubertCycle": lambda: sigma(5, 2, 1, 4),
     "SymmetricForm": lambda: linecomplex.symmetric_form([[1, 2], [2, 0]]),
     "CheckRecord": lambda: checks.CheckRecord("id", "claim", "1", "1",
