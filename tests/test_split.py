@@ -115,21 +115,29 @@ def test_a_full_run_leaves_no_child(forks):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_quick_never_forks(monkeypatch):
+@pytest.fixture
+def refused(monkeypatch):
+    """Every call of an `os.fork` that raises `OSError`."""
+    calls = []
+
     def refuse():
+        calls.append(None)
         raise OSError("fork refused")
-    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(os, "fork", refuse, raising=False)
+    return calls
+
+
+def test_quick_never_forks(refused):
     assert checks.verify_all(quick=True).all_passed
+    assert refused == []
 
 
-def test_a_failing_fork_runs_the_suites_serially(monkeypatch):
-    def refuse():
-        raise OSError("fork refused")
-    monkeypatch.setattr(os, "fork", refuse)
+@needs_fork
+def test_a_failing_fork_runs_the_suites_serially(refused):
     ctx = checks._Provider(random.Random(1729), checks.FULL_SAMPLES)
     state = ctx.rng.getstate()
     assert checks._split_suites(ctx) == {}
-    assert ctx.rng.getstate() == state
+    assert len(refused) == 1 and ctx.rng.getstate() == state
 
 
 @pytest.mark.parametrize("case", ["no fork", "one cpu", "two threads"])
