@@ -283,7 +283,7 @@ def _lattice_cs(ctx):
 def _lattice_de(ctx):
     square, dots, pencils = lattices.doubly_elliptic_identities()
     return (f"section^2={square} pencils^2={pencils} "
-            f"C.G_i={'bad' if any(dots) else 0}",
+            f"C.G_i={'bad' if any(dots) else '0'}",
             "section^2=14 pencils^2=14 C.G_i=0")
 
 
