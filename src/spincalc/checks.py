@@ -9,8 +9,9 @@ than computation, have no `run` and the status ``cited-not-replayed``.
 The order is fixed, so reports are deterministic; the only randomness is
 in the property-suite samplers, driven by an explicit seed.  At the full
 counts, given `os.fork`, two usable CPUs and one thread, a forked child
-judges the odd-indexed samples of the suites; both processes draw them
-all in order, so the draws and bytes are the serial run's.
+judges the odd-indexed samples of the suites and vouches for them by its
+exit status; both processes draw them all in order, so the draws and
+bytes are the serial run's.
 Checks read their pinned divisor classes only through `_Provider.divisor`,
 by name and home space, e.g. ``ctx.divisor("bn8", mbar(8))``:
 canonical, theta_null, bn8, prym_green, nikulin_N6, hodge_c1 and
@@ -25,7 +26,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 from itertools import cycle, islice
 from math import comb
 
@@ -77,7 +77,7 @@ class _Provider:
         self.samples = samples
         self.perturb = perturb
         self.perturbed = False
-        self.split = None  # (part, pipe) while `_split_suites` runs
+        self.part = None  # 0 or 1 while `_split_suites` runs
 
     def divisor(self, name: str, space, param=None):
         """`picard.named_divisor(name, space, param)`, plus the `perturb`
@@ -168,16 +168,13 @@ def _grassmannian_check(n, degree, citation):
 
 def _tally(ctx, samples, holds) -> tuple[str, str]:
     """(computed, expected) of a property suite: for how many sampled
-    argument tuples `holds` is true, against all of them."""
-    part, pipe = ctx.split or (0, None)
+    argument tuples `holds` is true, against all of them.  While
+    `_split_suites` runs, `ctx.part` (0 or 1) is the parity of the
+    samples this process judges; the others count as held, and the other
+    process vouches for them."""
     held = total = 0
     for total, sample in enumerate(samples, 1):
-        if pipe is None or (total - 1) % 2 == part:
-            held += holds(*sample)
-    if part:
-        pipe.write(b"%d %d\n" % (held, total))
-    elif pipe is not None:  # ValueError unless the child drew `total` too
-        held += int(pipe.readline().removesuffix(b" %d\n" % total))
+        held += holds(*sample) if ctx.part in (None, (total - 1) % 2) else 1
     return f"{held}/{total}", f"{total}/{total}"
 
 
@@ -224,9 +221,8 @@ def _decomposition(ctx):
 def _r_invariants(ctx):
     r = curves.r_curve_g8()
     budget = r.pairing(picard.ALPHA0) + 2 * r.pairing(picard.BETA0)
-    halves = "+".join([str(Fraction(7, 2))] * 2)
     computed = (f"lambda={r.pairing(picard.LAMBDA)} budget={budget} "
-                f"beta_0={halves}={r.pairing(picard.BETA0)} "
+                f"beta_0=7/2+7/2={r.pairing(picard.BETA0)} "
                 f"alpha_0={r.pairing(picard.ALPHA0)}")
     return computed, "lambda=9 budget=66 beta_0=7/2+7/2=7 alpha_0=52"
 
@@ -417,7 +413,7 @@ REGISTRY = (
           "quoted, not recomputed"),
 )
 
-#: the property-suite rows, contiguous in `REGISTRY`; only they draw samples
+#: the property-suite rows; only they draw from `ctx.rng`
 _SUITES = tuple(c for c in REGISTRY if c.run in (
     _compound_law, _tangency_oracle, _singularity, _plucker))
 
@@ -442,31 +438,34 @@ def _run_check(check: Check, ctx: _Provider) -> CheckRecord:
 
 def _split_suites(ctx: _Provider) -> dict:
     """The `_SUITES` records by id, judged in two processes, or {} with
-    `ctx.rng` where it was when the rows are to run serially instead."""
+    `ctx.rng` where it was when the rows are to run serially instead.
+    The child judges the odd-indexed samples and vouches for them by its
+    exit status alone: 0 when its four records pass, 1 on any other path."""
     cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
             else range(os.cpu_count() or 1))
     threading = sys.modules.get("threading")
     if (not hasattr(os, "fork") or len(cpus) < 2
             or threading and threading.active_count() > 1):
         return {}
-    state, (read, write) = ctx.rng.getstate(), os.pipe()
-    with os.fdopen(read, "rb") as pipe, os.fdopen(write, "wb", 0) as out:
+    state = ctx.rng.getstate()
+    try:
+        pid = os.fork()
+    except OSError:
+        return {}
+    ctx.part = 0 if pid else 1
+    if not pid:
+        held = False
         try:
-            pid = os.fork()
-        except OSError:
-            return {}
-        ctx.split = (0, pipe) if pid else (1, out)
-        if not pid:  # the child: its counts go down the pipe, then it exits
-            try:
-                for check in _SUITES:
-                    check.run(ctx)
-            finally:
-                os._exit(0)
-        out.close()
+            held = all(_run_check(check, ctx).status == "pass"
+                       for check in _SUITES)
+        finally:
+            os._exit(0 if held else 1)
+    try:
         records = {check.id: _run_check(check, ctx) for check in _SUITES}
-        ctx.split = None
-        os.waitpid(pid, 0)
-    if all(record.status == "pass" for record in records.values()):
+    finally:
+        ctx.part = None
+        status = os.waitpid(pid, 0)[1]
+    if status == 0 and all(r.status == "pass" for r in records.values()):
         return records
     ctx.rng.setstate(state)
     return {}
@@ -485,16 +484,15 @@ def verify_all(seed: int = DEFAULT_SEED, perturb=None,
     the property-suite sample counts (the deterministic checks are
     unaffected).  A check that raises is recorded as a failure whose
     computed value is the error; it never aborts the report.  A full run
-    may judge the suites in two processes (see the module); any failure
-    there reruns them serially, as a quick run always is.
+    may judge the suites in two processes (see the module), the child
+    vouching for its half by its exit status; any failure there, or a
+    nonzero status, reruns them serially, as a quick run always is.
     """
     ctx = _Provider(random.Random(seed),
                     QUICK_SAMPLES if quick else FULL_SAMPLES, perturb)
-    records, split = [], {}
-    for check in REGISTRY:
-        if check is _SUITES[0] and not quick:
-            split = _split_suites(ctx)
-        records.append(split.get(check.id) or _run_check(check, ctx))
+    split = {} if quick else _split_suites(ctx)
+    records = [split.get(check.id) or _run_check(check, ctx)
+               for check in REGISTRY]
     if perturb and not ctx.perturbed:
         raise ValueError(f"no class the checks read pins {perturb[:2]!r}")
     return Report(tuple(records), seed)

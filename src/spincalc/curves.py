@@ -25,8 +25,7 @@ from ._record import Record, _set, require_int
 from .picard import (ALPHA0, BETA0, D0P, D0RAM, DELTA0, LAMBDA, MBAR, SPIN,
                      DivisorClass, ModuliSpace, SpaceMismatchError,
                      _coefficients, _entries, _require_basis, basis_symbols,
-                     covering_images, higher_boundary, mbar, rbar,
-                     spin_plus)
+                     higher_boundary, mbar, rbar, spin_plus)
 
 
 class OpaquePairingError(ValueError):
@@ -241,19 +240,6 @@ def btilde_curve(base: CurveClass) -> LiftedSpinCurve:
                 f"base pairs {base.pairing(sym)} with {sym}")
     return LiftedSpinCurve(base, label=f"spin fibre-product lift of "
                                        f"{base.label or 'a pencil'}")
-
-
-def pushforward_to_mbar(c: CurveClass) -> CurveClass:
-    """Push a curve class down to the stable-curve space: the transpose
-    of the covering pullback, so each stable-curve symbol receives the
-    pairings of its images (`picard.covering_images`) with multiplicity.
-    """
-    if c.space.kind == MBAR:
-        return c
-    entries = [(sym, sum(mult * c.pairing(img) for img, mult in images))
-               for sym, images in covering_images(c.space)]
-    return curve_class(mbar(c.space.genus), entries,
-                       label=f"pushforward of {c.label}")
 
 
 def _pair_lift(c: LiftedSpinCurve, d: DivisorClass) -> Fraction:

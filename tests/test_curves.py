@@ -12,19 +12,31 @@ from spincalc.curves import (BadGenusError, CurveClass, NegativeBudgetError,
                              UndefinedSplitError,
                              btilde_curve, covering_degree, curve_class,
                              gamma_curve, noether_c2, pair, pencil_curve,
-                             pushforward_to_mbar, r_curve_g8,
-                             septic_pencil_curve, xi_curve)
+                             r_curve_g8, septic_pencil_curve, xi_curve)
 from spincalc.picard import (ALPHA0, BETA0, D0P, D0PP, D0RAM, DELTA0, LAMBDA,
-                             DuplicateSymbolError, SpaceMismatchError, alpha,
-                             basis_symbols, beta, brill_noether_g8,
-                             canonical_class, delta, divisor_class, mbar,
-                             pi_delta, prym_green, prym_nikulin_g6,
-                             pullback, pullback_to_spin, rbar, spin_plus,
-                             theta_null)
+                             MBAR, DuplicateSymbolError, SpaceMismatchError,
+                             alpha, basis_symbols, beta, brill_noether_g8,
+                             canonical_class, covering_images, delta,
+                             divisor_class, mbar, pi_delta, prym_green,
+                             prym_nikulin_g6, pullback, pullback_to_spin,
+                             rbar, spin_plus, theta_null)
 
 
 def fr(a, b=1):
     return Fraction(a, b)
+
+
+def pushforward_to_mbar(c: CurveClass) -> CurveClass:
+    """The projection formula's reference: push a curve class down to the
+    stable-curve space as the transpose of the covering pullback, so each
+    stable-curve symbol receives the pairings of its images
+    (`picard.covering_images`) with multiplicity."""
+    if c.space.kind == MBAR:
+        return c
+    entries = [(sym, sum(mult * c.pairing(img) for img, mult in images))
+               for sym, images in covering_images(c.space)]
+    return curve_class(mbar(c.space.genus), entries,
+                       label=f"pushforward of {c.label}")
 
 
 # --- Noether bookkeeping ----------------------------------------------------

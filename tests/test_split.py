@@ -108,6 +108,68 @@ def test_a_child_that_dies_leaves_the_serial_document(monkeypatch, forks):
 
 
 @needs_fork
+def test_a_failure_only_the_child_judges_gives_the_serial_records(
+        monkeypatch, forks):
+    # the tangency suite's second sample (index 1) is the child's alone,
+    # so only the child's exit status can start the serial rerun
+    real, drawn = linecomplex.tangency, []
+
+    def logged(q, u, v):
+        drawn.append((tuple(u), tuple(v)))
+        return real(q, u, v)
+    monkeypatch.setattr(linecomplex, "tangency", logged)
+    serial_json(monkeypatch)
+    second = drawn[1]
+    monkeypatch.setattr(linecomplex, "tangency", lambda q, u, v: real(
+        q, u, v) != ((tuple(u), tuple(v)) == second))
+    split = checks.verify_all()
+    assert len(forks) == 1
+    by_id = {c.id: c for c in split.checks}
+    assert by_id["complex-tangency-oracle"].computed == "999/1000"
+    assert checks.render_json(split) == serial_json(monkeypatch)
+
+
+@needs_fork
+def test_ctrl_c_in_the_child_leaves_no_second_parent(monkeypatch, forks,
+                                                     tmp_path):
+    parent, real = os.getpid(), linecomplex.tangency
+    escaped = tmp_path / "escaped"
+
+    def interrupted_in_the_child(q, u, v):
+        if os.getpid() != parent:
+            raise KeyboardInterrupt
+        return real(q, u, v)
+    monkeypatch.setattr(linecomplex, "tangency", interrupted_in_the_child)
+    try:
+        split = checks.render_json(checks.verify_all())
+    finally:
+        if os.getpid() != parent:  # a child that got out of `verify_all`
+            escaped.write_text(str(os.getpid()))
+            os._exit(0)
+    assert not escaped.exists()
+    assert len(forks) == 1
+    assert split == serial_json(monkeypatch)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_ctrl_c_in_the_parent_still_reaps_the_child(monkeypatch, forks):
+    parent, real = os.getpid(), linecomplex.tangency
+
+    def interrupted_in_the_parent(q, u, v):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return real(q, u, v)
+    monkeypatch.setattr(linecomplex, "tangency", interrupted_in_the_parent)
+    with pytest.raises(KeyboardInterrupt):
+        checks.verify_all()
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
 def test_a_full_run_leaves_no_child(forks):
     assert checks.verify_all().all_passed
     assert len(forks) == 1
