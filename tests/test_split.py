@@ -120,8 +120,10 @@ def test_a_failure_only_the_child_judges_gives_the_serial_records(
     monkeypatch.setattr(linecomplex, "tangency", logged)
     serial_json(monkeypatch)
     second = drawn[1]
-    monkeypatch.setattr(linecomplex, "tangency", lambda q, u, v: real(
-        q, u, v) != ((tuple(u), tuple(v)) == second))
+
+    def wrong_on_the_second(q, u, v):
+        return real(q, u, v) != ((tuple(u), tuple(v)) == second)
+    monkeypatch.setattr(linecomplex, "tangency", wrong_on_the_second)
     split = checks.verify_all()
     assert len(forks) == 1
     by_id = {c.id: c for c in split.checks}
