@@ -12,7 +12,7 @@ from math import comb
 
 from spincalc import (plucker_quadric_rank, second_compound, solve_in_basis,
                       symmetric_form, tangency)
-from spincalc.linecomplex import (complex_point_samples,
+from spincalc.linecomplex import (build_sample, complex_point_samples,
                                   discriminant_tangency, is_singular_point,
                                   random_symmetric_form_of_rank,
                                   tangency_samples, transform_bivector,
@@ -31,7 +31,7 @@ print()
 print("tangency predicate vs the binary-discriminant oracle "
       "(200 random lines):")
 agree = 0
-for q, u, v in tangency_samples(rng, count=200):
+for q, u, v in map(build_sample, tangency_samples(rng, count=200)):
     agree += tangency(q, u, v) == discriminant_tangency(q, u, v)
 print(f"  agreement {agree}/200")
 
@@ -39,7 +39,8 @@ print()
 print("singular points of the complex are exactly the lines inside the "
       "quadric (200 samples):")
 agree = 0
-for q, u, v, inside in complex_point_samples(rng, count=200):
+for q, u, v, inside in map(build_sample,
+                           complex_point_samples(rng, count=200)):
     agree += is_singular_point(q, u, v) == inside == (q.quadratic(v) == 0)
 print(f"  agreement {agree}/200")
 

@@ -11,7 +11,8 @@ in the property-suite samplers, driven by an explicit seed.  At the full
 counts, given `os.fork`, two usable CPUs and one thread, a forked child
 judges the odd-indexed samples of the suites and vouches for them by its
 exit status; both processes draw them all in order, so the draws and
-bytes are the serial run's.
+bytes are the serial run's, and each builds (`linecomplex.build_sample`)
+only the samples it judges.
 Checks read their pinned divisor classes only through `_Provider.divisor`,
 by name and home space, e.g. ``ctx.divisor("bn8", mbar(8))``:
 canonical, theta_null, bn8, prym_green, nikulin_N6, hodge_c1 and
@@ -166,15 +167,20 @@ def _grassmannian_check(n, degree, citation):
     return Check(f"schubert-g2{n}-degree", citation, run)
 
 
-def _tally(ctx, samples, holds) -> tuple[str, str]:
+def _tally(ctx, samples, holds, build=None) -> tuple[str, str]:
     """(computed, expected) of a property suite: for how many sampled
-    argument tuples `holds` is true, against all of them.  While
-    `_split_suites` runs, `ctx.part` (0 or 1) is the parity of the
-    samples this process judges; the others count as held, and the other
-    process vouches for them."""
+    argument tuples `holds` is true, against all of them.  `build`, when
+    given, turns a sample as drawn into its argument tuple; it is called
+    for the judged samples only.  While `_split_suites` runs, `ctx.part`
+    (0 or 1) is the parity of the samples this process judges; the others
+    are drawn but not built, they count as held, and the other process
+    vouches for them."""
     held = total = 0
     for total, sample in enumerate(samples, 1):
-        held += holds(*sample) if ctx.part in (None, (total - 1) % 2) else 1
+        if ctx.part not in (None, (total - 1) % 2):
+            held += 1
+        else:
+            held += holds(*(build(sample) if build else sample))
     return f"{held}/{total}", f"{total}/{total}"
 
 
@@ -292,22 +298,25 @@ def _wq_degree(ctx):
 
 
 def _compound_law(ctx):
-    samples = linecomplex.compound_rank_samples(ctx.rng, ctx.samples[0])
-    return _tally(ctx, samples, lambda q, rank: comb(rank, 2)
-                  == linecomplex.second_compound(q).rank())
+    draws = linecomplex.compound_rank_samples(ctx.rng, ctx.samples[0])
+    return _tally(ctx, draws, lambda q, rank: comb(rank, 2)
+                  == linecomplex.second_compound(q).rank(),
+                  linecomplex.build_sample)
 
 
 def _tangency_oracle(ctx):
     return _tally(ctx, linecomplex.tangency_samples(ctx.rng, ctx.samples[1]),
                   lambda q, u, v: linecomplex.tangency(q, u, v)
-                  == linecomplex.discriminant_tangency(q, u, v))
+                  == linecomplex.discriminant_tangency(q, u, v),
+                  linecomplex.build_sample)
 
 
 def _singularity(ctx):
     return _tally(ctx, linecomplex.complex_point_samples(ctx.rng,
                                                          ctx.samples[2]),
                   lambda q, u, v, inside: linecomplex.is_singular_point(
-                      q, u, v) == (q.quadratic(v) == 0) == inside)
+                      q, u, v) == (q.quadratic(v) == 0) == inside,
+                  linecomplex.build_sample)
 
 
 def _plucker(ctx):

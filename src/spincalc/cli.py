@@ -47,9 +47,16 @@ _INT_FACTOR = re.compile(r"^-?\d+$", re.ASCII)
 
 def _integer(text: str) -> int:
     """The `type=` of the integer options, which int() alone would also
-    read in other scripts' digits, with underscores or with spaces."""
+    read in other scripts' digits, with underscores or with spaces.  Past
+    the interpreter's digit limit int() raises ``ValueError``, which
+    argparse would report with the whole text and this function's name."""
     if _INT_FACTOR.fullmatch(text):
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected at most {sys.get_int_max_str_digits()} digits"
+            ) from None
     raise argparse.ArgumentTypeError(f"expected ASCII digits, not {text!r}")
 
 

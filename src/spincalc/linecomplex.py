@@ -32,8 +32,11 @@ build a `Fraction`.  Integer input stays integer.  One exactness rule
 holds throughout, that of `_linalg.scaled`: a number is an int or a
 Fraction, and anything else raises ``TypeError``.  The random samplers
 draw integer entries in [-9, 9] from a caller-supplied seeded generator
-by `_below`, conjugate a form along its drawn shears and swaps and pull
-its vectors back along them, with no dense P^T G P and no images matrix.
+by `_below` and yield draws: a model Gram, its drawn shears and swaps,
+the vectors to pull back and the trailing items.  `build_sample` turns a
+draw into its sample, conjugating the Gram along the steps and pulling
+the vectors back with no dense P^T G P and no images matrix; it draws
+nothing, so a caller builds only the samples it judges.
 """
 
 from __future__ import annotations
@@ -385,25 +388,30 @@ def _pull_back(steps, x) -> list:
     return x
 
 
-def random_symmetric_form_of_rank(rng, dim: int, rank: int) -> SymmetricForm:
-    """Random symmetric form of exact rank: a nonzero diagonal of the
-    requested length conjugated by a random change of basis."""
+def _rank_model(bits, dim: int, rank: int) -> list:
+    """The Gram of a diagonal form on a dim-space whose first `rank`
+    entries are drawn nonzero and the rest are 0."""
     if not 0 <= rank <= dim:
         raise ValueError("rank out of range")
     g0 = [[0] * dim for _ in range(dim)]
     for i in range(rank):
-        g0[i][i] = _nonzero(rng.getrandbits)
-    return _conjugated(rng, g0)[0]
+        g0[i][i] = _nonzero(bits)
+    return g0
 
 
-def _conjugated(rng, g0) -> tuple:
-    """(the form P^T g0 P, the drawn steps of P) for the integer Gram g0
-    and a random unimodular P, whose steps S act on a copy of g0 as
-    S^T g S, the last drawn first: a swap exchanges two rows and the same
-    two columns; the shear I + c E_ij adds c times column i to column j,
-    then c times row i to row j.  A sampler pulls its vectors back along
-    the steps (`_pull_back`), so no images matrix is built."""
-    steps = _draw_steps(rng, len(g0))
+def random_symmetric_form_of_rank(rng, dim: int, rank: int) -> SymmetricForm:
+    """Random symmetric form of exact rank: a nonzero diagonal of the
+    requested length conjugated by a random change of basis."""
+    g0 = _rank_model(rng.getrandbits, dim, rank)
+    return _conjugate(g0, _draw_steps(rng, dim))
+
+
+def _conjugate(g0, steps) -> SymmetricForm:
+    """The form P^T g0 P for the integer Gram g0 and the unimodular P of
+    `steps`, which act on a copy of g0 as S^T g S, the last drawn first:
+    a swap exchanges two rows and the same two columns; the shear
+    I + c E_ij adds c times column i to column j, then c times row i to
+    row j.  No dense P is formed."""
     g = [list(row) for row in g0]
     for i, j, c in reversed(steps):
         if c is None:
@@ -414,7 +422,17 @@ def _conjugated(rng, g0) -> tuple:
             for row in g:
                 row[j] += c * row[i]
             g[j] = [a + c * b for a, b in zip(g[j], g[i])]
-    return SymmetricForm._from_view(g, 1), steps
+    return SymmetricForm._from_view(g, 1)
+
+
+def build_sample(draw) -> tuple:
+    """The sample of a draw (g0, steps, pulled, rest) of the samplers
+    below: the form P^T g0 P, then P^-1 x for each vector x of `pulled`,
+    then the items of `rest`.  It draws nothing, so a caller may build
+    only the draws it judges."""
+    g0, steps, pulled, rest = draw
+    return (_conjugate(g0, steps),
+            *(_pull_back(steps, x) for x in pulled), *rest)
 
 
 def _nonzero(bits):
@@ -424,68 +442,69 @@ def _nonzero(bits):
     return d
 
 
-def _conjugated_split_sample(rng, diag_tail):
-    """Split form (hyperbolic plane + diagonal tail) pushed through a
-    random change of basis; returns (form, the drawn steps)."""
+def _split_model(diag_tail) -> list:
+    """The Gram of the split form: a hyperbolic plane plus a diagonal."""
     dim = 2 + len(diag_tail)
     g0 = [[0] * dim for _ in range(dim)]
     g0[0][1] = g0[1][0] = 1
     for i, d in enumerate(diag_tail):
         g0[2 + i][2 + i] = d
-    return _conjugated(rng, g0)
+    return g0
 
 
 def tangency_samples(rng, count: int):
-    """Yield (q, u, v) with q of full rank on a 5-space, [u] on the
-    quadric, v generic."""
+    """Yield the draws of (q, u, v) with q of full rank on a 5-space, [u]
+    on the quadric, v generic.  The rejection of v needs u = P^-1 e_1, so
+    u is pulled back here and the draw carries u and v as they are."""
     bits = rng.getrandbits
     for _ in range(count):
-        q, steps = _conjugated_split_sample(
-            rng, [_nonzero(bits) for _ in range(3)])
+        g0 = _split_model([_nonzero(bits) for _ in range(3)])
+        steps = _draw_steps(rng, 5)
         u = _pull_back(steps, (1, 0, 0, 0, 0))
         while True:
             v = [_ENTRY_MIN + _below(bits, _ENTRY_WIDTH) for _ in range(5)]
             if any(wedge_coordinates(u, v)):
                 break
-        yield q, u, v
+        yield g0, steps, (), (u, v)
 
 
 def complex_point_samples(rng, count: int):
-    """Yield (q, u, v, inside) with [u ^ v] in the tangent complex of the
-    full-rank form q on a 5-space; `inside` marks the constructed lines
-    that lie in the quadric (both vectors isotropic).
+    """Yield the draws of (q, u, v, inside) with [u ^ v] in the tangent
+    complex of the full-rank form q on a 5-space; `inside` marks the
+    constructed lines that lie in the quadric (both vectors isotropic).
 
     Construction on the split model U + diag(d, -d, d'): u0 = e_1 is
     isotropic and everything orthogonal to e_2 pairs to zero with it;
     v0 = (a, 0, t, t, 0) is isotropic, v0 = (a, 0, b, c, f) generic; the
-    sample is u = P^-1 u0, v = P^-1 v0.
+    sample is u = P^-1 u0, v = P^-1 v0.  A generic v0 is redrawn when v
+    is isotropic, decided on the model, as q(v) = g0(v0) = d (b^2 - c^2)
+    + d' f^2; that also covers u ^ v = 0, which holds exactly when v0 is
+    a multiple of e_1, i.e. b = c = f = 0.
     """
     bits = rng.getrandbits
     made = 0
     while made < count:
-        d = _nonzero(bits)
-        tail = [d, -d, _nonzero(bits)]
-        q, steps = _conjugated_split_sample(rng, tail)
+        d, d1 = _nonzero(bits), _nonzero(bits)
+        g0 = _split_model([d, -d, d1])
+        steps = _draw_steps(rng, 5)
         inside = made % 2 == 0
         if inside:
             t = _nonzero(bits)
-            coeffs = (_ENTRY_MIN + _below(bits, _ENTRY_WIDTH), 0, t, t, 0)
+            v0 = (_ENTRY_MIN + _below(bits, _ENTRY_WIDTH), 0, t, t, 0)
         else:
             a, b, c, f = (_ENTRY_MIN + _below(bits, _ENTRY_WIDTH)
                           for _ in range(4))
-            coeffs = (a, 0, b, c, f)
-        v = _pull_back(steps, coeffs)
-        u = _pull_back(steps, (1, 0, 0, 0, 0))
-        if not any(wedge_coordinates(u, v)):
-            continue
-        if not inside and q.quadratic(v) == 0:
-            continue
-        yield q, u, v, inside
+            if d * (b * b - c * c) + d1 * f * f == 0:
+                continue
+            v0 = (a, 0, b, c, f)
+        yield g0, steps, ((1, 0, 0, 0, 0), v0), (inside,)
         made += 1
 
 
 def compound_rank_samples(rng, count: int):
-    """Yield (q, rank q) for forms on a 5-space, `count` of each rank."""
+    """Yield the draws of (q, rank q) for forms on a 5-space, `count` of
+    each rank."""
     for rank in range(6):
         for _ in range(count):
-            yield random_symmetric_form_of_rank(rng, 5, rank), rank
+            g0 = _rank_model(rng.getrandbits, 5, rank)
+            yield g0, _draw_steps(rng, 5), (), (rank,)

@@ -15,8 +15,10 @@ bench_pairs = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(bench_pairs)
 
 #: a stand-in run.py: wall_s is WALL plus the seed / 1000, every other
-#: metric of BENCHMARK.json is 1, each run appends "<side> <seed>" to the
-#: shared log one directory up, and the sha it reports is GIT_SHA
+#: end-to-end metric of BENCHMARK.json is 1, each run appends "<side>
+#: <seed>" to the shared log one directory up, and the sha it reports is
+#: GIT_SHA; a `--trace 1` run adds the per-layer metrics, each `.self_ms`
+#: WALL * 1000, `checks.verify_all.calls` round(WALL * 1000), the rest 1
 FAKE_RUN = '''
 import json, sys
 from pathlib import Path
@@ -24,10 +26,15 @@ args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 root = Path.cwd()
 with open(root.parent / "order.log", "a") as log:
     log.write(f"{root.name} {args['--seed']}\\n")
-names = [m["name"] for m in
-         json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]]
-metrics = {name: {"value": 1.0, "unit": "x"} for name in names}
+spec = json.loads((root / "BENCHMARK.json").read_text())
+names = [m["name"] for m in spec["end_to_end"]]
+if args["--trace"] == "1":
+    names += [m["name"] for m in spec["per_layer"]]
+metrics = {name: {"value": WALL * 1000 if name.endswith(".self_ms")
+                  else 1.0, "unit": "x"} for name in names}
 metrics["wall_s"]["value"] = WALL + int(args["--seed"]) / 1000
+if "checks.verify_all.calls" in metrics:
+    metrics["checks.verify_all.calls"]["value"] = round(WALL * 1000)
 print(json.dumps({"env": {"git_sha": GIT_SHA}}))
 print(json.dumps({"correct": CORRECT, "attempted": 3, "failed": 0,
                   "metrics": metrics}))
@@ -119,3 +126,25 @@ def test_claim_needs_a_workload_that_runs(tmp_path):
                           "--workload", "certificate", "--first-seed", "1",
                           "--out", str(tmp_path / "x.json"),
                           "--claim", "rational-complex:wall_s"])
+
+
+def test_trace_seed_reports_counts_that_differ_and_self_times(tmp_path):
+    parent = checkout(tmp_path, "parent", 0.010)
+    change = checkout(tmp_path, "change", 0.005)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([
+        "--parent", str(parent), "--change", str(change),
+        "--workload", "certificate", "--first-seed", "1", "--pairs", "1",
+        "--seconds", "0", "--trace-seed", "1729", "--out", str(out)]) == 0
+    traces = json.loads(out.read_text())["traces"]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    self_ms = {m["name"] for m in spec["per_layer"]
+               if m["name"].endswith(".self_ms")}
+    assert traces["calls_that_differ"] == {"checks.verify_all.calls": [10, 5]}
+    assert traces["counts"]["checks.verify_all.calls"] == 5
+    assert not any(name.endswith(".self_ms") for name in traces["counts"])
+    # self times are reported for each side, whatever their difference
+    assert traces["self_ms"] == {
+        "parent": dict.fromkeys(self_ms, 10.0),
+        "change": dict.fromkeys(self_ms, 5.0)}
+    assert "not judged" in traces["note"]

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 import time
 from math import comb, factorial
 
@@ -693,6 +694,23 @@ def test_integer_options_read_ascii_digits_only(capsys, argv, value):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "ASCII digits" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-all", "--seed"),
+    ("class", "--space", "rbar", "--name", "hodge_c1", "--genus"),
+], ids=["seed", "genus"])
+def test_integer_options_past_the_digit_limit_name_the_limit(capsys, argv):
+    # int() refuses more digits than sys.get_int_max_str_digits(); the
+    # error states that limit and does not echo the thousands of digits
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "7" * (limit + 1)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"expected at most {limit} digits" in captured.err
+    assert "7" * 100 not in captured.err and "_integer" not in captured.err
 
 
 @pytest.mark.parametrize("argv, value", [

@@ -15,7 +15,7 @@ from spincalc._linalg import SingularMatrixError, mat_rank, scaled
 from spincalc.linecomplex import (BasePointNotOnQuadricError,
                                   DependentVectorsError, NotInComplexError,
                                   SymmetricForm, ZeroInputError,
-                                  complex_point_samples,
+                                  build_sample, complex_point_samples,
                                   compound_rank_samples,
                                   discriminant_tangency, is_singular_point,
                                   plucker_quadric_rank,
@@ -50,7 +50,7 @@ def test_second_compound_rank_three_example():
 
 def test_compound_rank_law_sampled():
     rng = random.Random(5)
-    for q, rank in compound_rank_samples(rng, count=20):
+    for q, rank in map(build_sample, compound_rank_samples(rng, count=20)):
         assert second_compound(q).rank() == comb(rank, 2)
 
 
@@ -145,7 +145,7 @@ def test_evaluate_refuses_vectors_of_the_wrong_length(gram, u, v):
 
 def test_discriminant_oracle_forms_no_compound(monkeypatch):
     # the oracle must stay independent of the compound route it checks
-    samples = list(tangency_samples(random.Random(13), 50))
+    samples = list(map(build_sample, tangency_samples(random.Random(13), 50)))
     want = [tangency(q, u, v) for q, u, v in samples]
 
     def fail(*args):
@@ -158,7 +158,7 @@ def test_discriminant_oracle_forms_no_compound(monkeypatch):
 def test_tangency_agrees_with_discriminant_oracle():
     rng = random.Random(42)
     seen = {True: 0, False: 0}
-    for q, u, v in tangency_samples(rng, count=150):
+    for q, u, v in map(build_sample, tangency_samples(rng, count=150)):
         got = tangency(q, u, v)
         assert got == discriminant_tangency(q, u, v)
         seen[got] += 1
@@ -189,7 +189,8 @@ def test_singular_point_preconditions():
 
 def test_singularity_gradient_matches_isotropy():
     rng = random.Random(24)
-    for q, u, v, inside in complex_point_samples(rng, count=120):
+    for q, u, v, inside in map(build_sample,
+                               complex_point_samples(rng, count=120)):
         assert q.quadratic(u) == 0
         assert (q.quadratic(v) == 0) == inside
         assert is_singular_point(q, u, v) == inside
@@ -408,7 +409,7 @@ def test_integer_input_stays_integer():
         assert all(type(x) is int for row in q.gram for x in row)
         c = second_compound(q)
         assert all(type(x) is int for row in c.gram for x in row)
-    for q, u, v in tangency_samples(rng, 5):
+    for q, u, v in map(build_sample, tangency_samples(rng, 5)):
         w = wedge_coordinates(u, v)
         assert all(type(x) is int for x in w)
         assert type(second_compound(q).evaluate(w, w)) is int
@@ -560,11 +561,11 @@ def test_compounds_of_rational_forms_equal_their_public_twins(dim):
 
 def test_sampled_forms_equal_their_public_twins():
     rng = random.Random(730)
-    for q, rank in compound_rank_samples(rng, count=3):
+    for q, rank in map(build_sample, compound_rank_samples(rng, count=3)):
         twin = symmetric_form(q.gram)
         assert q == twin and hash(q) == hash(twin) and q.rank() == rank
         assert all(type(x) is int for row in q.gram for x in row)
-    for q, _, _ in tangency_samples(rng, 3):
+    for q, _, _ in map(build_sample, tangency_samples(rng, 3)):
         assert q == symmetric_form(q.gram) and q.rank() == 5
 
 
@@ -633,10 +634,12 @@ def test_samplers_keep_their_draws():
         rng = random.Random(1729)
         return sha256_of(sample(rng)), rng.random()
     assert {
-        "compound": drawn(lambda rng: islice(compound_rank_samples(rng, 10),
-                                             50)),
-        "tangency": drawn(lambda rng: tangency_samples(rng, 50)),
-        "complex": drawn(lambda rng: complex_point_samples(rng, 50)),
+        "compound": drawn(lambda rng: islice(map(
+            build_sample, compound_rank_samples(rng, 10)), 50)),
+        "tangency": drawn(lambda rng: map(build_sample,
+                                          tangency_samples(rng, 50))),
+        "complex": drawn(lambda rng: map(build_sample,
+                                         complex_point_samples(rng, 50))),
         "invertible": drawn(lambda rng: (random_invertible_matrix(rng, 6)
                                          for _ in range(50))),
         "unimodular": drawn(lambda rng: (random_unimodular_pair(rng, 5)
@@ -653,6 +656,108 @@ def test_samplers_keep_their_draws():
         "unimodular": ("a7d0b6103ca1ff18b0729b9233fb2375"
                        "28d4162f2ff711a6d7033e255222acac", 0.5584852691888934),
     }
+
+
+# the samplers as they were before the draw and the build were split,
+# copied as they stood, with the module's private names qualified: each
+# drew and built every sample, and rejected a v by its pulled-back value
+
+def ref_conjugated(rng, g0):
+    steps = linecomplex._draw_steps(rng, len(g0))
+    g = [list(row) for row in g0]
+    for i, j, c in reversed(steps):
+        if c is None:
+            g[i], g[j] = g[j], g[i]
+            for row in g:
+                row[i], row[j] = row[j], row[i]
+        elif c:
+            for row in g:
+                row[j] += c * row[i]
+            g[j] = [a + c * b for a, b in zip(g[j], g[i])]
+    return SymmetricForm._from_view(g, 1), steps
+
+
+def ref_random_symmetric_form_of_rank(rng, dim, rank):
+    if not 0 <= rank <= dim:
+        raise ValueError("rank out of range")
+    g0 = [[0] * dim for _ in range(dim)]
+    for i in range(rank):
+        g0[i][i] = linecomplex._nonzero(rng.getrandbits)
+    return ref_conjugated(rng, g0)[0]
+
+
+def ref_conjugated_split_sample(rng, diag_tail):
+    dim = 2 + len(diag_tail)
+    g0 = [[0] * dim for _ in range(dim)]
+    g0[0][1] = g0[1][0] = 1
+    for i, d in enumerate(diag_tail):
+        g0[2 + i][2 + i] = d
+    return ref_conjugated(rng, g0)
+
+
+def ref_tangency_samples(rng, count):
+    bits = rng.getrandbits
+    for _ in range(count):
+        q, steps = ref_conjugated_split_sample(
+            rng, [linecomplex._nonzero(bits) for _ in range(3)])
+        u = linecomplex._pull_back(steps, (1, 0, 0, 0, 0))
+        while True:
+            v = [linecomplex._ENTRY_MIN
+                 + linecomplex._below(bits, linecomplex._ENTRY_WIDTH)
+                 for _ in range(5)]
+            if any(wedge_coordinates(u, v)):
+                break
+        yield q, u, v
+
+
+def ref_complex_point_samples(rng, count):
+    bits = rng.getrandbits
+    made = 0
+    while made < count:
+        d = linecomplex._nonzero(bits)
+        tail = [d, -d, linecomplex._nonzero(bits)]
+        q, steps = ref_conjugated_split_sample(rng, tail)
+        inside = made % 2 == 0
+        if inside:
+            t = linecomplex._nonzero(bits)
+            coeffs = (linecomplex._ENTRY_MIN
+                      + linecomplex._below(bits, linecomplex._ENTRY_WIDTH),
+                      0, t, t, 0)
+        else:
+            a, b, c, f = (linecomplex._ENTRY_MIN
+                          + linecomplex._below(bits, linecomplex._ENTRY_WIDTH)
+                          for _ in range(4))
+            coeffs = (a, 0, b, c, f)
+        v = linecomplex._pull_back(steps, coeffs)
+        u = linecomplex._pull_back(steps, (1, 0, 0, 0, 0))
+        if not any(wedge_coordinates(u, v)):
+            continue
+        if not inside and q.quadratic(v) == 0:
+            continue
+        yield q, u, v, inside
+        made += 1
+
+
+def ref_compound_rank_samples(rng, count):
+    for rank in range(6):
+        for _ in range(count):
+            yield ref_random_symmetric_form_of_rank(rng, 5, rank), rank
+
+
+@pytest.mark.parametrize("ours, ref, count", [
+    (compound_rank_samples, ref_compound_rank_samples, 7),
+    (tangency_samples, ref_tangency_samples, 40),
+    (complex_point_samples, ref_complex_point_samples, 40),
+], ids=["compound", "tangency", "complex"])
+def test_built_draws_are_the_old_samples(ours, ref, count):
+    # over many seeds, so that the model-side rejections of the complex
+    # sampler (v isotropic, or v a multiple of u) are reached often: the
+    # same samples, the forms compared by Gram, from the same draws
+    for seed in range(300):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert [build_sample(draw) for draw in ours(rng, count)] \
+            == list(ref(ref_rng, count))
+        assert rng.getstate() == ref_rng.getstate()
 
 
 def test_bounded_draws_are_those_of_randrange_and_randint():
@@ -709,24 +814,24 @@ def sample_grams(rng, dim):
 
 
 def test_conjugated_forms_are_the_definition():
-    # the step-by-step conjugation against the double sum over the pair's
-    # own P, from the same seed: same form, the pair's P^-1 e_k pulled
-    # back along the returned steps, same draws
+    # the drawn steps built step by step against the double sum over the
+    # pair's own P, from the same seed: same form, the pair's P^-1 e_k
+    # pulled back along the drawn steps, same draws
     for seed in range(200):
         dim = 1 + seed % 7
+        basis = [[int(i == k) for i in range(dim)] for k in range(dim)]
         for g0 in sample_grams(random.Random(-seed), dim):
             before = [row[:] for row in g0]
             rng, ref = random.Random(seed), random.Random(seed)
-            form, steps = linecomplex._conjugated(rng, g0)
+            steps = linecomplex._draw_steps(rng, dim)
+            form, *pulled = build_sample((g0, steps, basis, ()))
             p, inv_t = random_unimodular_pair(ref, dim)
             assert g0 == before
             assert form.gram == tuple(
                 tuple(sum(p[k][i] * g0[k][l] * p[l][j]
                           for k in range(dim) for l in range(dim))
                       for j in range(dim)) for i in range(dim))
-            assert [linecomplex._pull_back(steps, [int(i == k)
-                                                   for i in range(dim)])
-                    for k in range(dim)] == inv_t
+            assert pulled == inv_t
             assert rng.random() == ref.random()
 
 

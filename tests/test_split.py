@@ -4,6 +4,7 @@ serial run, the same records when a suite fails, and no child left."""
 import os
 import random
 import threading
+from collections import Counter
 
 import pytest
 
@@ -65,6 +66,35 @@ def test_each_process_judges_every_other_sample(monkeypatch, forks,
     every = (tmp_path / str(os.getpid())).read_text().splitlines()
     assert len(every) == 1000
     assert (ours, theirs) == (every[0::2], every[1::2])
+
+
+@needs_fork
+def test_each_process_builds_only_the_samples_it_judges(monkeypatch, forks,
+                                                        tmp_path):
+    # every build writes the pid of its process to one log, unbuffered
+    # and appending, so the child's lines are there when it has exited:
+    # 300 compound, 500 tangency and 500 singularity builds a process,
+    # against all 600 + 1000 + 1000 in a serial run
+    path = tmp_path / "builds"
+    log = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    real = linecomplex.build_sample
+
+    def logged(draw):
+        os.write(log, b"%d\n" % os.getpid())
+        return real(draw)
+    monkeypatch.setattr(linecomplex, "build_sample", logged)
+    try:
+        split = checks.render_json(checks.verify_all())
+        assert len(forks) == 1
+        builds = Counter(path.read_text().split())
+        assert builds.pop(str(os.getpid())) == 1300
+        assert list(builds.values()) == [1300]
+        path.write_text("")
+        serial = serial_json(monkeypatch)
+        assert Counter(path.read_text().split()) == {str(os.getpid()): 2600}
+    finally:
+        os.close(log)
+    assert split == serial
 
 
 def _wrong_on_some(real):

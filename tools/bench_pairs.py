@@ -30,9 +30,11 @@ exit status 1.
 change is better in at least nine tenths of the pairs and the medians
 differ, in the better direction, by more than the distance between the
 parent's quartiles.  `--trace-seed S` adds a `traces` record: one
-`--seconds 1 --trace 1` run of `certificate` a side at seed S, and every
+`--seconds 1 --trace 1` run of `certificate` a side at seed S, every
 count metric (`.calls`, `linalg.mat_rank.cells`, the sampler's
-`det_per_accept`) that differs between the two.
+`det_per_accept`) that differs between the two, and each side's
+per-layer self times (`.self_ms`), which are reported, not judged: they
+show which layer a change moved.
 
 Standard library only.
 """
@@ -169,10 +171,14 @@ def pairs(parent: Path, change: Path, workload: str, seeds: list,
     return record, envs["parent"]
 
 
-def trace_counts(root: Path, seed: int) -> dict:
+def trace_metrics(root: Path, seed: int) -> tuple[dict, dict]:
+    """(counts, self times) of one traced certificate run."""
     _, result = run_once(root, "certificate", seed, 1, trace=1)
-    return {name: m["value"] for name, m in result["metrics"].items()
-            if name.endswith(".calls") or name in TRACE_COUNTS}
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    return ({name: v for name, v in values.items()
+             if name.endswith(".calls") or name in TRACE_COUNTS},
+            {name: v for name, v in values.items()
+             if name.endswith(".self_ms")})
 
 
 def main(argv=None) -> int:
@@ -209,8 +215,8 @@ def main(argv=None) -> int:
             workloads[workload], env = pairs(parent, change, workload, seeds,
                                              args.seconds, specs)
         if args.trace_seed is not None:
-            counts = (trace_counts(parent, args.trace_seed),
-                      trace_counts(change, args.trace_seed))
+            traced = (trace_metrics(parent, args.trace_seed),
+                      trace_metrics(change, args.trace_seed))
     except RuntimeError as error:
         log(f"error: {error}")
         return 1
@@ -240,14 +246,16 @@ def main(argv=None) -> int:
                                       workloads[workload][metric],
                                       specs[metric]["better"])
     if args.trace_seed is not None:
-        before, after = counts
+        (before, parent_ms), (after, change_ms) = traced
         bench["traces"] = {
             "note": f"certificate, seed {args.trace_seed}, --seconds 1 "
-                    "--trace 1, one run a side",
+                    "--trace 1, one run a side; self_ms is reported, not "
+                    "judged",
             "counts": after,
             "calls_that_differ": {k: [before.get(k), v]
                                   for k, v in after.items()
                                   if before.get(k) != v},
+            "self_ms": {"parent": parent_ms, "change": change_ms},
         }
     args.out.write_text(json.dumps(bench, indent=2) + "\n", encoding="utf-8")
     return 0
