@@ -31,12 +31,13 @@ scaling q, u or v by a positive number does not change, so they never
 build a `Fraction`.  Integer input stays integer.  One exactness rule
 holds throughout, that of `_linalg.scaled`: a number is an int or a
 Fraction, and anything else raises ``TypeError``.  The random samplers
-draw integer entries in [-9, 9] from a caller-supplied seeded generator
-by `_below` and yield draws: a model Gram, its drawn shears and swaps,
-the vectors to pull back and the trailing items.  `build_sample` turns a
-draw into its sample, conjugating the Gram along the steps and pulling
-the vectors back with no dense P^T G P and no images matrix; it draws
-nothing, so a caller builds only the samples it judges.
+draw integer entries in [-9, 9] from a caller-supplied seeded generator,
+running `randrange`'s loop on `getrandbits` inline, and yield draws: the
+model as its diagonal and a hyperbolic-plane flag, its drawn shears and
+swaps, the vectors to pull back and the trailing items.  `build_sample`
+turns a draw into its sample, making the model Gram, conjugating it
+along the steps and pulling the vectors back; it draws nothing, so a
+caller builds only the samples it judges.
 """
 
 from __future__ import annotations
@@ -235,17 +236,20 @@ def is_singular_point(q: SymmetricForm, u, v) -> bool:
     isotropic as well, i.e. to the line lying inside the quadric.
 
     The coordinate of x ^ e_k at the pair (i, j) is x_i [j = k] - x_j
-    [i = k], so with m the antisymmetric matrix m[j][i] = -m[i][j] = the
-    gradient at (i, j), m x lists grad . (x ^ e_k) for every k at once.
+    [i = k], so the gradient g at (i, j) adds g x_i to grad . (x ^ e_j)
+    and -g x_j to grad . (x ^ e_i), summed over the pairs for u and v.
     """
     iu, iv, w = _line(q, u, v, NotInComplexError)
     grad = mat_vec(_compound_rows(q._ints), w)
     if dot(grad, w) != 0:
         raise NotInComplexError("line is not in the tangent complex")
-    m = [[0] * q.dim for _ in range(q.dim)]
+    ru, rv = [0] * q.dim, [0] * q.dim
     for g, (i, j) in zip(grad, wedge_pairs(q.dim)):
-        m[i][j], m[j][i] = -g, g
-    return not any(mat_vec(m, iu)) and not any(mat_vec(m, iv))
+        ru[j] += g * iu[i]
+        ru[i] -= g * iu[j]
+        rv[j] += g * iv[i]
+        rv[i] -= g * iv[j]
+    return not any(ru) and not any(rv)
 
 
 def solve_in_basis(pairing_rows, targets) -> list:
@@ -343,22 +347,35 @@ def transform_bivector(matrix, psi) -> dict:
 _ENTRY_MIN, _ENTRY_WIDTH = -9, 19  #: a sampled entry is in [-9, 9]
 
 
-def _below(bits, n: int) -> int:
-    """`randrange(n)`, n > 0, drawn from the generator's `getrandbits` by
-    the loop of CPython's `Random._randbelow_with_getrandbits`."""
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
+def _entries(bits, n: int) -> list:
+    """n entries in [-9, 9], each `randrange(19) - 9` by the loop of
+    `Random._randbelow_with_getrandbits` on `getrandbits` = `bits`."""
+    out = []
+    for _ in range(n):
+        r = bits(5)
+        while r >= _ENTRY_WIDTH:
+            r = bits(5)
+        out.append(r + _ENTRY_MIN)
+    return out
+
+
+def _nonzeros(bits, n: int) -> list:
+    """n entries drawn as by `_entries`, each drawn again while it is 0."""
+    out = []
+    for _ in range(n):
+        r = bits(5)
+        while r >= _ENTRY_WIDTH or r == -_ENTRY_MIN:
+            r = bits(5)
+        out.append(r + _ENTRY_MIN)
+    return out
 
 
 def random_invertible_matrix(rng, dim: int) -> list:
     """Random integer matrix with nonzero determinant."""
-    bits = rng.getrandbits
+    if dim < 0:
+        raise ValueError("dimension must be at least 0")
     while True:
-        m = [[_ENTRY_MIN + _below(bits, _ENTRY_WIDTH) for _ in range(dim)]
-             for _ in range(dim)]
+        m = [_entries(rng.getrandbits, dim) for _ in range(dim)]
         if mat_det(m) != 0:
             return m
 
@@ -366,13 +383,27 @@ def random_invertible_matrix(rng, dim: int) -> list:
 def _draw_steps(rng, dim: int) -> list:
     """The ten steps of a random change of basis P = S_10 ... S_1 in draw
     order: (i, j, c) is the shear I + c E_ij and (i, j, None) the swap of
-    e_i and e_j; a drawn i == j is a swap that draws nothing more."""
+    e_i and e_j; a drawn i == j is a swap that draws nothing more.  Each
+    bounded draw (i, j, c + 3) runs the loop of `_entries`."""
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
     bits, random = rng.getrandbits, rng.random
+    k = dim.bit_length()
     steps = []
     for _ in range(10):
-        i, j = _below(bits, dim), _below(bits, dim)
-        steps.append((i, j, None if i == j or random() < 0.2
-                      else _below(bits, 7) - 3))
+        i = bits(k)
+        while i >= dim:
+            i = bits(k)
+        j = bits(k)
+        while j >= dim:
+            j = bits(k)
+        if i == j or random() < 0.2:
+            steps.append((i, j, None))
+        else:
+            c = bits(3)
+            while c >= 7:
+                c = bits(3)
+            steps.append((i, j, c - 3))
     return steps
 
 
@@ -388,22 +419,13 @@ def _pull_back(steps, x) -> list:
     return x
 
 
-def _rank_model(bits, dim: int, rank: int) -> list:
-    """The Gram of a diagonal form on a dim-space whose first `rank`
-    entries are drawn nonzero and the rest are 0."""
-    if not 0 <= rank <= dim:
-        raise ValueError("rank out of range")
-    g0 = [[0] * dim for _ in range(dim)]
-    for i in range(rank):
-        g0[i][i] = _nonzero(bits)
-    return g0
-
-
 def random_symmetric_form_of_rank(rng, dim: int, rank: int) -> SymmetricForm:
     """Random symmetric form of exact rank: a nonzero diagonal of the
     requested length conjugated by a random change of basis."""
-    g0 = _rank_model(rng.getrandbits, dim, rank)
-    return _conjugate(g0, _draw_steps(rng, dim))
+    if not 0 <= rank <= dim:
+        raise ValueError("rank out of range")
+    diag = _nonzeros(rng.getrandbits, rank) + [0] * (dim - rank)
+    return build_sample((diag, False, _draw_steps(rng, dim), (), ()))[0]
 
 
 def _conjugate(g0, steps) -> SymmetricForm:
@@ -426,46 +448,46 @@ def _conjugate(g0, steps) -> SymmetricForm:
 
 
 def build_sample(draw) -> tuple:
-    """The sample of a draw (g0, steps, pulled, rest) of the samplers
-    below: the form P^T g0 P, then P^-1 x for each vector x of `pulled`,
-    then the items of `rest`.  It draws nothing, so a caller may build
-    only the draws it judges."""
-    g0, steps, pulled, rest = draw
+    """The sample of a draw (diag, split, steps, pulled, rest) of the
+    samplers below: the form P^T g0 P, for g0 the diagonal `diag` plus,
+    when `split`, a hyperbolic plane on e_1, e_2, then P^-1 x for each x
+    of `pulled`, then the items of `rest`.  It draws nothing, so a caller
+    may build (and make a dense Gram for) only the draws it judges."""
+    diag, split, steps, pulled, rest = draw
+    g0 = [[0] * len(diag) for _ in diag]
+    for i, d in enumerate(diag):
+        g0[i][i] = d
+    if split:
+        g0[0][1] = g0[1][0] = 1
     return (_conjugate(g0, steps),
             *(_pull_back(steps, x) for x in pulled), *rest)
 
 
-def _nonzero(bits):
-    d = 0
-    while d == 0:
-        d = _ENTRY_MIN + _below(bits, _ENTRY_WIDTH)
-    return d
-
-
-def _split_model(diag_tail) -> list:
-    """The Gram of the split form: a hyperbolic plane plus a diagonal."""
-    dim = 2 + len(diag_tail)
-    g0 = [[0] * dim for _ in range(dim)]
-    g0[0][1] = g0[1][0] = 1
-    for i, d in enumerate(diag_tail):
-        g0[2 + i][2 + i] = d
-    return g0
+def _spans_line(u, p: int, v) -> bool:
+    """Is u ^ v nonzero, for u_p != 0?  It is 0 exactly when v = (v_p /
+    u_p) u, i.e. when each minor u_p v_i - v_p u_i through p vanishes."""
+    up, vp = u[p], v[p]
+    for x, y in zip(u, v):
+        if up * y != vp * x:
+            return True
+    return False
 
 
 def tangency_samples(rng, count: int):
     """Yield the draws of (q, u, v) with q of full rank on a 5-space, [u]
     on the quadric, v generic.  The rejection of v needs u = P^-1 e_1, so
-    u is pulled back here and the draw carries u and v as they are."""
+    u is pulled back here and the draw carries u and v as they are; v is
+    redrawn while u ^ v = 0, read off the minors through u's pivot."""
     bits = rng.getrandbits
     for _ in range(count):
-        g0 = _split_model([_nonzero(bits) for _ in range(3)])
+        diag = [0, 0, *_nonzeros(bits, 3)]
         steps = _draw_steps(rng, 5)
         u = _pull_back(steps, (1, 0, 0, 0, 0))
-        while True:
-            v = [_ENTRY_MIN + _below(bits, _ENTRY_WIDTH) for _ in range(5)]
-            if any(wedge_coordinates(u, v)):
-                break
-        yield g0, steps, (), (u, v)
+        p = u.index(next(filter(None, u)))  # its first nonzero coordinate
+        v = _entries(bits, 5)
+        while not _spans_line(u, p, v):
+            v = _entries(bits, 5)
+        yield diag, True, steps, (), (u, v)
 
 
 def complex_point_samples(rng, count: int):
@@ -484,20 +506,18 @@ def complex_point_samples(rng, count: int):
     bits = rng.getrandbits
     made = 0
     while made < count:
-        d, d1 = _nonzero(bits), _nonzero(bits)
-        g0 = _split_model([d, -d, d1])
+        d, d1 = _nonzeros(bits, 2)
         steps = _draw_steps(rng, 5)
         inside = made % 2 == 0
         if inside:
-            t = _nonzero(bits)
-            v0 = (_ENTRY_MIN + _below(bits, _ENTRY_WIDTH), 0, t, t, 0)
+            (t,), (a,) = _nonzeros(bits, 1), _entries(bits, 1)
+            v0 = (a, 0, t, t, 0)
         else:
-            a, b, c, f = (_ENTRY_MIN + _below(bits, _ENTRY_WIDTH)
-                          for _ in range(4))
+            a, b, c, f = _entries(bits, 4)
             if d * (b * b - c * c) + d1 * f * f == 0:
                 continue
             v0 = (a, 0, b, c, f)
-        yield g0, steps, ((1, 0, 0, 0, 0), v0), (inside,)
+        yield [0, 0, d, -d, d1], True, steps, ((1, 0, 0, 0, 0), v0), (inside,)
         made += 1
 
 
@@ -506,5 +526,5 @@ def compound_rank_samples(rng, count: int):
     each rank."""
     for rank in range(6):
         for _ in range(count):
-            g0 = _rank_model(rng.getrandbits, 5, rank)
-            yield g0, _draw_steps(rng, 5), (), (rank,)
+            diag = _nonzeros(rng.getrandbits, rank) + [0] * (5 - rank)
+            yield diag, False, _draw_steps(rng, 5), (), (rank,)

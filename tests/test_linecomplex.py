@@ -11,7 +11,8 @@ from math import comb
 import pytest
 
 from spincalc import linecomplex
-from spincalc._linalg import SingularMatrixError, mat_rank, scaled
+from spincalc._linalg import (SingularMatrixError, dot, mat_rank, mat_vec,
+                              scaled)
 from spincalc.linecomplex import (BasePointNotOnQuadricError,
                                   DependentVectorsError, NotInComplexError,
                                   SymmetricForm, ZeroInputError,
@@ -660,10 +661,40 @@ def test_samplers_keep_their_draws():
 
 # the samplers as they were before the draw and the build were split,
 # copied as they stood, with the module's private names qualified: each
-# drew and built every sample, and rejected a v by its pulled-back value
+# drew and built every sample, and rejected a v by its pulled-back value;
+# their bounded draws are CPython's `Random._randbelow_with_getrandbits`
+# loop, copied below, so they share no drawing code with the module
+
+def randbelow(rng, n):
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def ref_entry(rng):
+    return randbelow(rng, 19) - 9
+
+
+def ref_nonzero(rng):
+    d = 0
+    while d == 0:
+        d = ref_entry(rng)
+    return d
+
+
+def ref_draw_steps(rng, dim):
+    steps = []
+    for _ in range(10):
+        i, j = randbelow(rng, dim), randbelow(rng, dim)
+        steps.append((i, j, None if i == j or rng.random() < 0.2
+                      else randbelow(rng, 7) - 3))
+    return steps
+
 
 def ref_conjugated(rng, g0):
-    steps = linecomplex._draw_steps(rng, len(g0))
+    steps = ref_draw_steps(rng, len(g0))
     g = [list(row) for row in g0]
     for i, j, c in reversed(steps):
         if c is None:
@@ -682,7 +713,7 @@ def ref_random_symmetric_form_of_rank(rng, dim, rank):
         raise ValueError("rank out of range")
     g0 = [[0] * dim for _ in range(dim)]
     for i in range(rank):
-        g0[i][i] = linecomplex._nonzero(rng.getrandbits)
+        g0[i][i] = ref_nonzero(rng)
     return ref_conjugated(rng, g0)[0]
 
 
@@ -696,37 +727,29 @@ def ref_conjugated_split_sample(rng, diag_tail):
 
 
 def ref_tangency_samples(rng, count):
-    bits = rng.getrandbits
     for _ in range(count):
         q, steps = ref_conjugated_split_sample(
-            rng, [linecomplex._nonzero(bits) for _ in range(3)])
+            rng, [ref_nonzero(rng) for _ in range(3)])
         u = linecomplex._pull_back(steps, (1, 0, 0, 0, 0))
         while True:
-            v = [linecomplex._ENTRY_MIN
-                 + linecomplex._below(bits, linecomplex._ENTRY_WIDTH)
-                 for _ in range(5)]
+            v = [ref_entry(rng) for _ in range(5)]
             if any(wedge_coordinates(u, v)):
                 break
         yield q, u, v
 
 
 def ref_complex_point_samples(rng, count):
-    bits = rng.getrandbits
     made = 0
     while made < count:
-        d = linecomplex._nonzero(bits)
-        tail = [d, -d, linecomplex._nonzero(bits)]
+        d = ref_nonzero(rng)
+        tail = [d, -d, ref_nonzero(rng)]
         q, steps = ref_conjugated_split_sample(rng, tail)
         inside = made % 2 == 0
         if inside:
-            t = linecomplex._nonzero(bits)
-            coeffs = (linecomplex._ENTRY_MIN
-                      + linecomplex._below(bits, linecomplex._ENTRY_WIDTH),
-                      0, t, t, 0)
+            t = ref_nonzero(rng)
+            coeffs = (ref_entry(rng), 0, t, t, 0)
         else:
-            a, b, c, f = (linecomplex._ENTRY_MIN
-                          + linecomplex._below(bits, linecomplex._ENTRY_WIDTH)
-                          for _ in range(4))
+            a, b, c, f = (ref_entry(rng) for _ in range(4))
             coeffs = (a, 0, b, c, f)
         v = linecomplex._pull_back(steps, coeffs)
         u = linecomplex._pull_back(steps, (1, 0, 0, 0, 0))
@@ -761,18 +784,37 @@ def test_built_draws_are_the_old_samples(ours, ref, count):
 
 
 def test_bounded_draws_are_those_of_randrange_and_randint():
-    # the pinned draws above rest on this: `_below` is the loop of
-    # CPython's `Random._randbelow_with_getrandbits`, behind `randrange`
-    # and `randint`, and it takes as many bits from the generator
+    # the pinned draws above rest on this: `_entries` and `_nonzeros` take
+    # the same words from the generator as `randrange(19) - 9`, and
+    # `_draw_steps` as `randrange`, `random` and `randint`, draw by draw
+    def nonzeros(rng, n):
+        out = []
+        while len(out) < n:
+            x = rng.randrange(19) - 9
+            if x:
+                out.append(x)
+        return out
+
+    def steps(rng, dim):
+        out = []
+        for _ in range(10):
+            i, j = rng.randrange(dim), rng.randrange(dim)
+            out.append((i, j, None if i == j or rng.random() < 0.2
+                        else rng.randint(-3, 3)))
+        return out
+
     for seed in range(50):
         ours, ref = random.Random(seed), random.Random(seed)
-        for n in range(1, 41):
-            assert linecomplex._below(ours.getrandbits, n) == ref.randrange(n)
-        for a, b in ((-9, 9), (-3, 3)):
-            for _ in range(10):
-                assert (a + linecomplex._below(ours.getrandbits, b - a + 1)
-                        == ref.randint(a, b))
-        assert ours.random() == ref.random()
+        for n in range(8):
+            assert (linecomplex._entries(ours.getrandbits, n)
+                    == [ref.randrange(19) - 9 for _ in range(n)])
+            assert ours.getstate() == ref.getstate()
+            assert linecomplex._nonzeros(ours.getrandbits, n) \
+                == nonzeros(ref, n)
+            assert ours.getstate() == ref.getstate()
+        for dim in range(1, 8):
+            assert linecomplex._draw_steps(ours, dim) == steps(ref, dim)
+            assert ours.getstate() == ref.getstate()
 
 
 # --- wedge bookkeeping ------------------------------------------------------
@@ -824,7 +866,8 @@ def test_conjugated_forms_are_the_definition():
             before = [row[:] for row in g0]
             rng, ref = random.Random(seed), random.Random(seed)
             steps = linecomplex._draw_steps(rng, dim)
-            form, *pulled = build_sample((g0, steps, basis, ()))
+            form = linecomplex._conjugate(g0, steps)
+            pulled = [linecomplex._pull_back(steps, e) for e in basis]
             p, inv_t = random_unimodular_pair(ref, dim)
             assert g0 == before
             assert form.gram == tuple(
@@ -833,6 +876,139 @@ def test_conjugated_forms_are_the_definition():
                       for j in range(dim)) for i in range(dim))
             assert pulled == inv_t
             assert rng.random() == ref.random()
+
+
+class FewWords(random.Random):
+    """A generator that gives out 1000 words, then fails the test: a
+    sampler that draws for ever fails instead of hanging."""
+    left = 1000
+
+    def getrandbits(self, k):
+        self.left -= 1
+        assert self.left >= 0, "the sampler drew without end"
+        return super().getrandbits(k)
+
+
+def test_samplers_refuse_a_change_of_basis_of_dimension_below_one():
+    # getrandbits(0) is 0, which is never below 0: a bounded draw of a
+    # 0-dimensional index would loop for ever
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            linecomplex._draw_steps(FewWords(0), dim)
+    with pytest.raises(ValueError, match="at least 1"):
+        random_symmetric_form_of_rank(FewWords(0), 0, 0)
+
+
+def test_invertible_matrix_refuses_a_negative_dimension():
+    with pytest.raises(ValueError, match="at least 0"):
+        random_invertible_matrix(FewWords(0), -1)
+    assert random_invertible_matrix(FewWords(0), 0) == []
+
+
+def test_pivot_minors_decide_the_wedge():
+    # u ^ v = 0 read from the minors through any p with u_p != 0 agrees
+    # with all of the Pluecker coordinates, on random pairs (a fifth of
+    # them v = t u) and on crafted ones
+    rng = random.Random(5)
+    pairs = [([0, 0, 3, -1, 2], [0, 0, 6, -2, 4]),
+             ([0, 0, 3, -1, 2], [0, 1, 6, -2, 4]),
+             ([0, -4, 0, 2, 0], [0, 1, 0, -1, 0]),
+             ([0, -4, 0, 2, 0], [0, 2, 0, -1, 0])]
+    pairs += [(u, [t * x for x in u]) for u, _ in pairs for t in (-2, 3)]
+    pairs += [(u, [0] * len(u)) for u, _ in pairs]
+    while len(pairs) < 10000 + 16:
+        dim = rng.randint(1, 6)
+        u = [rng.randint(-2, 2) for _ in range(dim)]
+        if any(u):
+            t = rng.randint(-3, 3)
+            pairs.append((u, [t * x for x in u] if rng.random() < 0.2
+                          else [rng.randint(-2, 2) for _ in range(dim)]))
+    seen = {True: 0, False: 0}
+    for u, v in pairs:
+        want = any(wedge_coordinates(u, v))
+        for p in (p for p, x in enumerate(u) if x):
+            assert linecomplex._spans_line(u, p, v) == want
+        seen[want] += 1
+    assert seen[True] > 5000 and seen[False] > 1000
+
+
+def dense_is_singular_point(q, u, v):
+    """`is_singular_point` as it stood before it summed over the wedge
+    pairs: the gradient laid out as the antisymmetric matrix m, applied
+    to u and to v by the checked `mat_vec`."""
+    iu, iv, w = linecomplex._line(q, u, v, NotInComplexError)
+    grad = mat_vec(linecomplex._compound_rows(q._ints), w)
+    if dot(grad, w) != 0:
+        raise NotInComplexError("line is not in the tangent complex")
+    m = [[0] * q.dim for _ in range(q.dim)]
+    for g, (i, j) in zip(grad, wedge_pairs(q.dim)):
+        m[i][j], m[j][i] = -g, g
+    return not any(mat_vec(m, iu)) and not any(mat_vec(m, iv))
+
+
+def singular_point_outcome(fn, q, u, v):
+    try:
+        return fn(q, u, v)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_singular_point_agrees_with_the_dense_gradient_matrix():
+    samples = list(map(build_sample,
+                       complex_point_samples(random.Random(1729), 1000)))
+    got = [is_singular_point(q, u, v) for q, u, v, _ in samples]
+    assert got == [dense_is_singular_point(q, u, v)
+                   for q, u, v, _ in samples]
+    assert got == [inside for *_, inside in samples]  # both kinds of line
+    rng = random.Random(1730)
+    for dim in (5, 6, 7):
+        for _ in range(8):
+            gram, u, v, answer = rational_sample(rng, dim, True)
+            q = symmetric_form(gram)
+            u, v = [x / 3 for x in u], [x / 7 - y for x, y in zip(v, u)]
+            assert is_singular_point(q, u, v) == answer \
+                == dense_is_singular_point(q, u, v)
+
+
+def test_singular_point_answers_and_refusals_are_the_dense_ones():
+    # rational forms of every rank at dims 1-7 on lines through u = P^-1
+    # e_0, most of them tangent, and inputs each gate refuses
+    rng = random.Random(1731)
+    cases = [(diag(1, -1, 1, -1, 1), [1, 1, 0, 0, 0], v) for v in (
+        [0, 0, 1.0, 1, 0], [0, 0, 1, 1], [True, 0, 0, 0, 0],
+        [0, 0, 1, 1, 0, 0], [2, 2, 0, 0, 0], [1, 0, 0, 0, 0])]
+    cases += [(diag(1, -1, 1, -1, 1), [0, 0, 1, 0, 0], [1, 0, 0, 0, 0]),
+              (diag(0), [1], [2]), (symmetric_form([]), [], [])]
+    for dim in range(1, 8):
+        for _ in range(40):
+            g0 = [[rng.randint(-2, 2) * (i == j) for j in range(dim)]
+                  for i in range(dim)]
+            if dim > 1 and rng.random() < 0.7:
+                g0[0][0] = g0[1][1] = 0
+                g0[0][1] = g0[1][0] = 1
+            elif rng.random() < 0.8:
+                g0[0][0] = 0
+            v0 = [rng.randint(-2, 2) for _ in range(dim)]
+            if dim > 1 and rng.random() < 0.8:
+                v0[1] = 0
+            if dim > 1:
+                p, pinv = rational_change_of_basis(rng, dim)
+            else:
+                p, pinv = [[Fraction(2, 3)]], [[Fraction(3, 2)]]
+            g0p = [[sum(g0[k][l] * p[l][j] for l in range(dim))
+                    for j in range(dim)] for k in range(dim)]
+            gram = [[sum(p[k][i] * g0p[k][j] for k in range(dim))
+                     for j in range(dim)] for i in range(dim)]
+            u = [row[0] for row in pinv]
+            v = [sum(row[k] * v0[k] for k in range(dim)) for row in pinv]
+            cases.append((symmetric_form(gram), u, v))
+    seen = set()
+    for q, u, v in cases:
+        got = singular_point_outcome(is_singular_point, q, u, v)
+        assert got == singular_point_outcome(dense_is_singular_point, q, u, v)
+        seen.add(got if type(got) is bool else got[0])
+    assert seen == {True, False, NotInComplexError, DependentVectorsError,
+                    TypeError, ValueError}
 
 
 def test_unimodular_pair_inverts():
