@@ -10,7 +10,7 @@ zero.
 
 from spincalc import (brill_noether_g8, btilde_curve, canonical_class,
                       canonical_decomposition_g8, covering_degree,
-                      format_class, pair, pullback_to_spin, r_curve_g8,
+                      format_class, pair, pullback, r_curve_g8,
                       septic_pencil_curve, slope, spin_plus, theta_null)
 from spincalc.picard import alpha, beta, divisor_class, higher_boundary
 
@@ -19,7 +19,7 @@ print(f"canonical class:   {format_class(k)}")
 print(f"theta-null:        {format_class(theta_null(8))}")
 bn = brill_noether_g8()
 print(f"Brill-Noether:     {format_class(bn)}   (slope {slope(bn)})")
-print(f"its spin pullback: {format_class(pullback_to_spin(bn))}")
+print(f"its spin pullback: {format_class(pullback(bn, spin_plus(8)))}")
 
 print()
 d = canonical_decomposition_g8()
@@ -33,7 +33,7 @@ print(f"residual: {format_class(residual)} "
       "(exactly zero, coefficients all positive)")
 
 print()
-bn_pull = pullback_to_spin(bn)
+bn_pull = pullback(bn, spin_plus(8))
 r = r_curve_g8()
 lift = btilde_curve(septic_pencil_curve())
 # (component, covering curve, self-pairing, cross-pairings)

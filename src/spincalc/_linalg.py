@@ -1,32 +1,8 @@
 """Exact linear algebra over the rationals: one integer kernel.
 
-Denominators are cleared in one place, `scaled`, which multiplies a
-matrix by the lcm d of all its denominators and returns Python int rows
-together with d; any entry but an int or a Fraction raises ``TypeError``
-through `_record.exact`.  The package's two exact-number rules, `exact`
-and `require_int`, live in `_record` alone.  Every elimination in the
-package runs through `_eliminate`, a single fraction-free Bareiss
-elimination of such int rows (Bareiss, "Sylvester's identity and
-multistep integer-preserving Gaussian elimination", Math. Comp. 22,
-1968): every pivot row holds integer minors of the cleared matrix, a
-row below the pivots holds its Bareiss row times at / prev, where `at`
-is the pivot it was last updated with and `prev` the last pivot, and
-every division is exact.  A rank is taken on content-free rows and
-columns: `int_rank` divides each row, then each column, by the gcd of its
-entries (its content), drops those that vanish, and counts the pivots;
-scaling by a nonzero int keeps the rank and shrinks every minor the
-elimination builds.  The determinant is the signed last pivot divided by
-d ** n, and a square solve eliminates the augmented matrix and
-back-substitutes, so every vanishing or rank statement made elsewhere in
-the package is decided with zero tolerance by the same code.  Only the
-answers of `mat_det` and `solve` are built as ``fractions.Fraction``.
-
-The products `dot`, `mat_vec` and `bilinear` (u^T G v) are sums of
-products of the entries, so they keep the exact type of their inputs
-(ints stay ints, rationals stay rationals).  Each checks its lengths,
-and that its result holds only ints and Fractions, once for the whole
-matrix rather than row by row: a scan of the set of entry types is the
-fast path, and `exact` is called only to raise once that scan fails.
+`scaled` clears the denominators of a matrix once, and every elimination
+runs through `_eliminate`, so every vanishing or rank statement in the
+package is decided with zero tolerance by the same code.
 """
 
 from __future__ import annotations
@@ -63,8 +39,10 @@ def scaled(mat) -> tuple[list, int]:
 
 
 def _eliminate(rows):
-    """Bring the int rows to row echelon form in place, by Bareiss
-    elimination.
+    """Bring the int rows to row echelon form in place, by fraction-free
+    Bareiss elimination (Bareiss, "Sylvester's identity and multistep
+    integer-preserving Gaussian elimination", Math. Comp. 22, 1968), in
+    which every division is exact.
 
     Returns (pivots, sign): the pivot column of each leading row and
     (-1) ** (number of row swaps).  Entry (i, j) of pivot row i, once
@@ -138,7 +116,10 @@ def _primitive(vectors) -> list:
 def int_rank(rows) -> int:
     """Rank of a rectangular matrix of ints, given as rows (lists or
     tuples), which it leaves as they are: the pivot count of `_eliminate`
-    on the rows and then the columns cleared of their contents."""
+    on the rows and then the columns cleared of their contents (divided by
+    the gcd of their entries, the zero ones dropped).  Scaling by a
+    nonzero int keeps the rank and shrinks every minor the elimination
+    builds."""
     if len(set(map(len, rows))) > 1:
         raise ValueError("rank needs rows of equal length")
     cols = _primitive(zip(*_primitive(rows)))
@@ -151,7 +132,8 @@ def mat_rank(mat) -> int:
 
 
 def mat_det(mat) -> Fraction:
-    """Determinant of a square matrix of rationals."""
+    """Determinant of a square matrix of rationals: the signed last
+    pivot of its cleared rows divided by d ** n."""
     n = len(mat)
     if any(len(r) != n for r in mat):
         raise ValueError("determinant needs a square matrix")
@@ -191,14 +173,17 @@ def solve(mat, rhs) -> list[Fraction]:
 def _require_exact(values) -> None:
     """Raise ``TypeError``, through `exact`, unless each of `values` is
     an int or a Fraction; a float anywhere in a product makes its sum a
-    float."""
+    float.  The products call it once on their whole result: a scan of
+    the set of entry types is the fast path, and `exact` runs only to
+    raise."""
     if not _RATIONALS.issuperset(map(type, values)):
         for x in values:
             exact(x)
 
 
 def dot(u, v):
-    """Exact dot product of two equally long vectors."""
+    """Exact dot product of two equally long vectors; like `mat_vec` and
+    `bilinear`, it keeps the exact type of its inputs (ints stay ints)."""
     if len(u) != len(v):
         raise ValueError("dot product of vectors of unequal length")
     total = sum(map(mul, u, v))

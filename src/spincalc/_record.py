@@ -15,15 +15,11 @@ only), hashing and `repr` all read one key tuple, `_key()`: every field
 in slot order, unless the subclass narrows it.  Copying and pickling
 rebuild an instance through its `__init__` from its fields.
 
-The package's two exact-number rules live here alone, each with one
-``TypeError`` text: `exact` takes a rational (an int or a ``Fraction``,
-by exact type), and `require_int` a genus, count, index, lattice Gram
-entry or scale (a plain int).  `signed_sum` is the one renderer of sums
-such as ``2*lambda + ?*delta_1``, an unknown coefficient `None`.
-
-Building a class costs no more than any class statement, and importing
-this module loads nothing that interpreter start-up has not loaded:
-`exact` imports `fractions` the first time it meets a non-int.
+The package's two exact-number rules, `exact` and `require_int`, live
+here alone, each with one ``TypeError`` text, as does `signed_sum`, the
+one renderer of sums.  Building a class costs no more than any class
+statement, and importing this module loads nothing that interpreter
+start-up has not loaded.
 """
 
 from types import MappingProxyType
@@ -88,7 +84,9 @@ def exact(x):
 
 def require_int(what: str, *values) -> None:
     """Raise ``TypeError``, ``<what> must be int, not <type>``, unless
-    each of `values` is a plain int (a bool or a Fraction is not)."""
+    each of `values` is a plain int (a bool or a Fraction is not): the
+    rule of every genus, count, index, seed, lattice Gram entry and
+    scale."""
     for x in values:
         if type(x) is not int:
             raise TypeError(f"{what} must be int, not {type(x).__name__}")

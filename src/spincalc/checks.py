@@ -1,24 +1,9 @@
-"""Master verification harness.
-
-Every headline identity computed by the package is a row of `REGISTRY`,
-one tuple of `Check` records (id, claim, run, note) built once, in report
-order.  `run` gives the exactly computed and the expected value, rendered
-canonically (lowest-terms rationals); a check passes iff the two strings
-are identical.  The last rows, steps that rest on quoted results rather
-than computation, have no `run` and the status ``cited-not-replayed``.
-The order is fixed, so reports are deterministic; the only randomness is
-in the property-suite samplers, driven by an explicit seed.  At the full
-counts, given `os.fork`, two usable CPUs and one thread, a forked child
-judges the odd-indexed samples of the suites and vouches for them by its
-exit status; both processes draw them all in order, so the draws and
-bytes are the serial run's, and each builds (`linecomplex.build_sample`)
-only the samples it judges.
-Checks read their pinned divisor classes only through `_Provider.divisor`,
-by name and home space, e.g. ``ctx.divisor("bn8", mbar(8))``:
-canonical, theta_null, bn8, prym_green, nikulin_N6, hodge_c1 and
-d2_nonveryample (see `picard.named_divisor`).  One coefficient of any of
-them can be perturbed through ``verify_all(perturb=...)`` to confirm the
-harness actually depends on it (fault injection).
+"""Master verification harness: every headline identity the package
+computes is a row of `REGISTRY`, run in a fixed order, so reports are
+deterministic; the only randomness is in the property-suite samplers,
+driven by an explicit seed.  Checks read their pinned divisor classes
+only through `_Provider.divisor`, so that fault injection
+(``verify_all(perturb=...)``) reaches each of them.
 """
 
 from __future__ import annotations
@@ -31,7 +16,7 @@ from itertools import cycle, islice
 from math import comb
 
 from . import curves, kodaira, lattices, linecomplex, picard, schubert
-from ._record import Record
+from ._record import Record, require_int
 from .curves import pair
 from .picard import mbar, rbar, spin_plus
 
@@ -94,8 +79,9 @@ class _Provider:
 
 class Check(Record):
     """One row of the registry.  `run(ctx)` returns (computed, expected)
-    as strings; a row whose `run` is None rests on quoted results and is
-    reported as cited-not-replayed."""
+    as strings, rendered canonically (lowest-terms rationals), and the
+    row passes iff they are identical; a row whose `run` is None rests on
+    quoted results and is reported as cited-not-replayed."""
 
     __slots__ = ("id", "citation", "run", "note")
     _defaults = (None, None)
@@ -167,21 +153,22 @@ def _grassmannian_check(n, degree, citation):
     return Check(f"schubert-g2{n}-degree", citation, run)
 
 
-def _tally(ctx, samples, holds, build=None) -> tuple[str, str]:
+def _tally(ctx, wanted, samples, holds, build=None) -> tuple[str, str]:
     """(computed, expected) of a property suite: for how many sampled
-    argument tuples `holds` is true, against all of them.  `build`, when
-    given, turns a sample as drawn into its argument tuple; it is called
-    for the judged samples only.  While `_split_suites` runs, `ctx.part`
-    (0 or 1) is the parity of the samples this process judges; the others
-    are drawn but not built, they count as held, and the other process
-    vouches for them."""
+    argument tuples `holds` is true, against the `wanted` samples the
+    suite asked for, so a sampler that yields more or fewer fails.
+    `build`, when given, turns a sample as drawn into its argument tuple;
+    it is called for the judged samples only.  While `_split_suites`
+    runs, `ctx.part` (0 or 1) is the parity of the samples this process
+    judges; the others are drawn but not built, they count as held, and
+    the other process vouches for them."""
     held = total = 0
     for total, sample in enumerate(samples, 1):
         if ctx.part not in (None, (total - 1) % 2):
             held += 1
         else:
             held += holds(*(build(sample) if build else sample))
-    return f"{held}/{total}", f"{total}/{total}"
+    return f"{held}/{total}", f"{wanted}/{wanted}"
 
 
 def _nikulin_g6(ctx):
@@ -240,14 +227,16 @@ def _r_theta(ctx):
 
 def _r_disjoint(ctx):
     r = curves.r_curve_g8()
-    bn_pull = pair(r, picard.pullback_to_spin(ctx.divisor("bn8", mbar(8))))
+    bn_pull = pair(r, picard.pullback(ctx.divisor("bn8", mbar(8)),
+                                      spin_plus(8)))
     return (f"bn8-pullback={bn_pull} higher={_higher(r)}",
             "bn8-pullback=0 higher=0")
 
 
 def _btilde(ctx):
     lift = curves.btilde_curve(curves.septic_pencil_curve())
-    value = pair(lift, picard.pullback_to_spin(ctx.divisor("bn8", mbar(8))))
+    value = pair(lift, picard.pullback(ctx.divisor("bn8", mbar(8)),
+                                       spin_plus(8)))
     computed = (f"degree={curves.covering_degree(8)} pairing={value} "
                 f"negative={'yes' if value < 0 else 'no'}")
     return computed, "degree=32896 pairing=-32896 negative=yes"
@@ -298,22 +287,24 @@ def _wq_degree(ctx):
 
 
 def _compound_law(ctx):
-    draws = linecomplex.compound_rank_samples(ctx.rng, ctx.samples[0])
-    return _tally(ctx, draws, lambda q, rank: comb(rank, 2)
+    n = ctx.samples[0]  # forms of each rank 0..5
+    draws = linecomplex.compound_rank_samples(ctx.rng, n)
+    return _tally(ctx, 6 * n, draws, lambda q, rank: comb(rank, 2)
                   == linecomplex.second_compound(q).rank(),
                   linecomplex.build_sample)
 
 
 def _tangency_oracle(ctx):
-    return _tally(ctx, linecomplex.tangency_samples(ctx.rng, ctx.samples[1]),
+    n = ctx.samples[1]
+    return _tally(ctx, n, linecomplex.tangency_samples(ctx.rng, n),
                   lambda q, u, v: linecomplex.tangency(q, u, v)
                   == linecomplex.discriminant_tangency(q, u, v),
                   linecomplex.build_sample)
 
 
 def _singularity(ctx):
-    return _tally(ctx, linecomplex.complex_point_samples(ctx.rng,
-                                                         ctx.samples[2]),
+    n = ctx.samples[2]
+    return _tally(ctx, n, linecomplex.complex_point_samples(ctx.rng, n),
                   lambda q, u, v, inside: linecomplex.is_singular_point(
                       q, u, v) == (q.quadratic(v) == 0) == inside,
                   linecomplex.build_sample)
@@ -324,9 +315,10 @@ def _plucker(ctx):
                  ({(0, 1): 1, (2, 3): 1}, 10),
                  ({(0, 1): 1, (2, 3): 1, (4, 5): 1}, 15)]
     ranks = [linecomplex.plucker_quadric_rank(psi) for psi, _ in canonical]
+    n = ctx.samples[3]
     got, want = _tally(
-        ctx, ((linecomplex.random_invertible_matrix(ctx.rng, 6), psi, rank)
-              for psi, rank in islice(cycle(canonical), ctx.samples[3])),
+        ctx, n, ((linecomplex.random_invertible_matrix(ctx.rng, 6), psi, rank)
+                 for psi, rank in islice(cycle(canonical), n)),
         lambda m, psi, rank: linecomplex.plucker_quadric_rank(
             linecomplex.transform_bivector(m, psi)) == rank)
     return (f"{','.join(map(str, ranks))} conjugates={got}",
@@ -449,7 +441,9 @@ def _split_suites(ctx: _Provider) -> dict:
     """The `_SUITES` records by id, judged in two processes, or {} with
     `ctx.rng` where it was when the rows are to run serially instead.
     The child judges the odd-indexed samples and vouches for them by its
-    exit status alone: 0 when its four records pass, 1 on any other path."""
+    exit status alone: 0 when its four records pass, 1 on any other path.
+    Both processes draw every sample in order, so the draws and bytes are
+    those of the serial run."""
     cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
             else range(os.cpu_count() or 1))
     threading = sys.modules.get("threading")
@@ -485,18 +479,18 @@ def verify_all(seed: int = DEFAULT_SEED, perturb=None,
     """Run every row of `REGISTRY` and return the report.
 
     `perturb`, when given, is (target, symbol, delta), the target a name
-    of `picard.named_divisor`: "canonical", "theta_null", "bn8",
-    "prym_green", "nikulin_N6", "hodge_c1" or "d2_nonveryample".  The
-    delta, an int or Fraction (a float or bool fails the checks that read
-    it), is added to that coefficient of every such class a check reads;
-    ``ValueError`` is raised if none pins the symbol.  `quick` shrinks
-    the property-suite sample counts (the deterministic checks are
+    of `picard.named_divisor`, such as "bn8".  The delta, an int or
+    Fraction (a float or bool fails the checks that read it), is added
+    to that coefficient of every such class a check reads; ``ValueError``
+    is raised if none pins the symbol.  `quick` shrinks the
+    property-suite sample counts (the deterministic checks are
     unaffected).  A check that raises is recorded as a failure whose
     computed value is the error; it never aborts the report.  A full run
-    may judge the suites in two processes (see the module), the child
+    may judge the suites in two processes (`_split_suites`), the child
     vouching for its half by its exit status; any failure there, or a
     nonzero status, reruns them serially, as a quick run always is.
     """
+    require_int("a seed", seed)
     ctx = _Provider(random.Random(seed),
                     QUICK_SAMPLES if quick else FULL_SAMPLES, perturb)
     split = {} if quick else _split_suites(ctx)

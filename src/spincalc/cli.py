@@ -1,13 +1,4 @@
-"""Command-line front end.
-
-Subcommands:
-
-    pair        exact pairing of a named test curve with a named divisor
-    class       print a named divisor class (opaque coefficients as `?`)
-    lattice     Gram matrices and lattice check batteries
-    schubert    degrees of Schubert-class expressions in G(2, n)
-    complex     second-compound / tangency / singularity / rank queries
-    verify-all  the full check registry, as text or JSON
+"""Command-line front end; `build_parser` names each subcommand.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage
 errors.  All rationals print as lowest-terms `p/q` (the denominator is
@@ -174,8 +165,8 @@ def _cmd_lattice(args) -> tuple[int, str]:
 _FACTOR = re.compile(r"^s(?:\((\d+)(?:,(\d+))?\)|(\d+))(?:\^(\d+))?$",
                      re.ASCII)
 #: the largest `schubert --n`: a degree takes about n^2 Pieri terms, and
-#: at the cap a whole `--expr s1 --degree` query took under 0.8 s on a
-#: two-core x86-64 VM
+#: at the cap a whole `--expr s1 --degree` query took 1.0 s (best of
+#: five) on a two-core x86-64 VM
 MAX_SCHUBERT_N = 1000
 #: the digits of all numerals of a `schubert` expression together: the
 #: integer factors then multiply to below 10^2000, so with a Schubert

@@ -88,6 +88,7 @@ def curve_class(space, entries=(), label="") -> CurveClass:
 
 def noether_c2(chi: int, k_squared: int) -> int:
     """Second Chern number 12*chi - K^2 of a smooth projective surface."""
+    require_int("a surface invariant", chi, k_squared)
     return 12 * chi - k_squared
 
 

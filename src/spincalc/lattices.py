@@ -1,14 +1,6 @@
-"""Integral lattices with exact Gram-matrix arithmetic.
-
-Covers the rank-8 Nikulin lattice (eight orthogonal (-2)-classes together
-with their half-sum), its rank-9 extension by a polarization class of
-square 2g-2, the standard hyperbolic plane and E8, the Cauchy-Schwarz
-obstruction to certain isotropic classes (one `CsEntry` row per
-polarization multiple), and the doubly-elliptic K3 identities.
-
-A lattice is a symmetric integer Gram matrix with named basis vectors;
-vectors are integer coordinate sequences in that basis.  Everything is
-exact integer arithmetic.
+"""Integral lattices with exact Gram-matrix arithmetic: a lattice is a
+symmetric integer Gram matrix with named basis vectors, and vectors are
+integer coordinate sequences in that basis.
 """
 
 from __future__ import annotations

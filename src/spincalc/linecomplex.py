@@ -1,43 +1,11 @@
-"""Exact linear algebra of quadratic line complexes.
+"""Exact linear algebra of quadratic line complexes: the second compound
+form of a quadric, the tangency and singular points of its complex of
+tangent lines, and the rank trichotomy of quadrics through G(2, 6).
 
-For a quadratic form Q on V with bilinear form Qt, the second compound
-form on the wedge square is
-
-    nu2(Qt)(u^v, s^t) = Qt(u,s) Qt(v,t) - Qt(v,s) Qt(u,t),
-
-whose Gram matrix consists of the 2x2 minors of the Gram of Qt; its rank
-is C(rank Q, 2).  The tangent lines to the quadric {Q = 0} through a
-point [u] on it are cut out by the vanishing of nu2 on u^v, and the
-singular points of that complex are exactly the lines contained in the
-quadric (both vectors isotropic).
-
-The module also decides the rank trichotomy {6, 10, 15} of quadrics
-through G(2, 6): a bivector psi defines the symmetric form
-B(x, y) = vol(x ^ y ^ psi) on the wedge square of a 6-space, and the
-rank of B is 6, 10 or 15 according to the wedge-rank of psi.
-
-Everything is exact rational arithmetic, done in Python ints.  A form
-keeps only its integer view (d G, d), d the lcm of the denominators of
-its Gram G, and reads G back from it.  Compounds, evaluations, gradients
-and ranks run on that view, and a derived form (a compound, a sampled
-form) is built from its own view.  Every rank is taken on content-free
-rows and columns (`_linalg.int_rank`): row i of the view of a rational
-form carries the factor d / d_i, d_i the lcm of the denominators of its
-row, which would grow every minor of the elimination.  `Fraction`
-appears only in an answer that has a denominator: an entry of the Gram
-of a rational compound, a value of `evaluate`, or an image coefficient.
-Tangency and singularity ask only whether something vanishes, which
-scaling q, u or v by a positive number does not change, so they never
-build a `Fraction`.  Integer input stays integer.  One exactness rule
-holds throughout, that of `_linalg.scaled`: a number is an int or a
-Fraction, and anything else raises ``TypeError``.  The random samplers
-draw integer entries in [-9, 9] from a caller-supplied seeded generator,
-running `randrange`'s loop on `getrandbits` inline, and yield draws: the
-model as its diagonal and a hyperbolic-plane flag, its drawn shears and
-swaps, the vectors to pull back and the trailing items.  `build_sample`
-turns a draw into its sample, making the model Gram, conjugating it
-along the steps and pulling the vectors back; it draws nothing, so a
-caller builds only the samples it judges.
+All arithmetic is in Python ints, on the integer view of a
+`SymmetricForm`; ``Fraction`` appears only in an answer that has a
+denominator.  The seeded samplers of the property suites come last (see
+`build_sample`).
 """
 
 from __future__ import annotations
@@ -125,6 +93,9 @@ class SymmetricForm(Record):
         return self.evaluate(u, u)
 
     def rank(self) -> int:
+        """The rank of the view, content-free (`int_rank`): row i of the
+        view carries the factor d / d_i, d_i the lcm of the denominators
+        of row i of G, which would grow every minor of the elimination."""
         return int_rank(self._ints)
 
 
@@ -177,8 +148,9 @@ def _compound_rows(g) -> list:
 
 
 def second_compound(q: SymmetricForm) -> SymmetricForm:
-    """Second compound form on the wedge square: the 2x2-minor matrix of
-    the Gram of q.  Its rank is C(rank q, 2).
+    """Second compound form on the wedge square, nu2(Qt)(u^v, s^t) =
+    Qt(u,s) Qt(v,t) - Qt(v,s) Qt(u,t): the 2x2-minor matrix of the Gram
+    of q.  Its rank is C(rank q, 2).
 
     The minors of the view d G are the compound times d^2, so its own
     view is the minors and d^2, both divided by their gcd.
@@ -193,9 +165,11 @@ def second_compound(q: SymmetricForm) -> SymmetricForm:
 
 def _line(q: SymmetricForm, u, v, off_quadric) -> tuple:
     """(iu, iv, w): u and v scaled to ints together, and the wedge
-    coordinates of iu ^ iv.  Raises ``ValueError`` on a length mismatch,
-    ``TypeError`` on an inexact entry, `off_quadric` unless [u] lies on
-    the quadric, and `DependentVectorsError` unless u and v span a line."""
+    coordinates of iu ^ iv.  A positive scale of q, u or v keeps every
+    vanishing the predicates ask about, so none of them builds a
+    Fraction.  Raises ``ValueError`` on a length mismatch, ``TypeError``
+    on an inexact entry, `off_quadric` unless [u] lies on the quadric,
+    and `DependentVectorsError` unless u and v span a line."""
     if len(u) != q.dim:
         raise ValueError("vector length must match the form dimension")
     (iu, iv), _ = scaled((u, v))
@@ -372,6 +346,7 @@ def _nonzeros(bits, n: int) -> list:
 
 def random_invertible_matrix(rng, dim: int) -> list:
     """Random integer matrix with nonzero determinant."""
+    require_int("a dimension", dim)
     if dim < 0:
         raise ValueError("dimension must be at least 0")
     while True:
@@ -422,6 +397,7 @@ def _pull_back(steps, x) -> list:
 def random_symmetric_form_of_rank(rng, dim: int, rank: int) -> SymmetricForm:
     """Random symmetric form of exact rank: a nonzero diagonal of the
     requested length conjugated by a random change of basis."""
+    require_int("a dimension or rank", dim, rank)
     if not 0 <= rank <= dim:
         raise ValueError("rank out of range")
     diag = _nonzeros(rng.getrandbits, rank) + [0] * (dim - rank)
@@ -478,6 +454,7 @@ def tangency_samples(rng, count: int):
     on the quadric, v generic.  The rejection of v needs u = P^-1 e_1, so
     u is pulled back here and the draw carries u and v as they are; v is
     redrawn while u ^ v = 0, read off the minors through u's pivot."""
+    require_int("a sample count", count)
     bits = rng.getrandbits
     for _ in range(count):
         diag = [0, 0, *_nonzeros(bits, 3)]
@@ -503,6 +480,7 @@ def complex_point_samples(rng, count: int):
     + d' f^2; that also covers u ^ v = 0, which holds exactly when v0 is
     a multiple of e_1, i.e. b = c = f = 0.
     """
+    require_int("a sample count", count)
     bits = rng.getrandbits
     made = 0
     while made < count:
@@ -524,6 +502,7 @@ def complex_point_samples(rng, count: int):
 def compound_rank_samples(rng, count: int):
     """Yield the draws of (q, rank q) for forms on a 5-space, `count` of
     each rank."""
+    require_int("a sample count", count)
     for rank in range(6):
         for _ in range(count):
             diag = _nonzeros(rng.getrandbits, rank) + [0] * (5 - rank)

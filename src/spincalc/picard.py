@@ -1,20 +1,11 @@
-"""Exact divisor-class calculus on three moduli-space Picard groups.
+"""Exact divisor-class calculus on three moduli-space Picard groups: of
+stable curves of genus g, of Prym curves (etale double covers) and of
+even spin curves, each over the named basis of `basis_symbols`.
 
-Divisor classes on the moduli space of stable curves of genus g, on the
-Prym moduli space of etale double covers, and on the moduli space of even
-spin curves are sparse vectors over a named basis:
-
-    stable curves     lambda, delta_0, delta_1, ..., delta_{g//2}
-    Prym curves       lambda, delta_0', delta_0'', delta_0^ram,
-                      pi_delta_1, ..., pi_delta_{g//2}
-    even spin curves  lambda, alpha_0, beta_0, alpha_1, beta_1, ...,
-                      alpha_{g//2}, beta_{g//2}
-
-Coefficients are exact rationals.  A basis symbol may instead be declared
-*opaque*: its coefficient is unknown (divisor classes quoted in the
-literature routinely trail off into unspecified boundary terms), and any
-computation that would consume it raises instead of silently assuming
-zero.  Opacity is absorbing under sums, nonzero scalings and pullbacks.
+A basis symbol may be declared *opaque*: its coefficient is unknown
+(divisor classes quoted in the literature routinely trail off into
+unspecified boundary terms), and any computation that would consume it
+raises instead of silently assuming zero.
 
 All values are immutable and every operation is a pure function.
 """
@@ -301,12 +292,6 @@ def pullback(d: DivisorClass, target: ModuliSpace) -> DivisorClass:
     return DivisorClass(target, coeffs, frozenset(opaque))
 
 
-def pullback_to_spin(d: DivisorClass) -> DivisorClass:
-    """Pullback along the even-spin covering of the stable-curve space
-    (see `covering_images`)."""
-    return pullback(d, spin_plus(d.space.genus))
-
-
 def canonical_class(space: ModuliSpace) -> DivisorClass:
     """Canonical divisor class of the moduli space.
 
@@ -428,12 +413,10 @@ def slope(d: DivisorClass) -> Fraction:
     """
     if d.space.kind != MBAR:
         raise SpaceMismatchError("slope is defined on the stable-curve space")
-    if d.is_opaque(LAMBDA) or d.is_opaque(DELTA0):
-        raise OpaqueCoefficientError("slope needs pinned lambda and delta_0")
-    b = d.coeff(DELTA0)
+    a, b = d.coeff(LAMBDA), d.coeff(DELTA0)
     if b == 0:
         raise ZeroDenominatorError("delta_0 coefficient vanishes")
-    return d.coeff(LAMBDA) / (-b)
+    return a / (-b)
 
 
 #: the named classes with one fixed home space, by name

@@ -1,15 +1,8 @@
-"""Exact Schubert calculus on the Grassmannian of lines G(2, n).
-
-Cycles are integer combinations of the two-row Schubert classes
-sigma_{a,b}, n-2 >= a >= b >= 0.  Products are computed by the
-two-variable Schur expansion
-
-    sigma_{a,b} * sigma_{c,d} = sum_k sigma_{a+c-k, b+d+k},
-    k = 0 .. min(a-b, c-d),
-
-truncated to the box a <= n-2; multiplication by sigma_1 is the Pieri
-rule sigma_{a,b} -> sigma_{a+1,b} + sigma_{a,b+1}.  Degrees are read off
-the coefficient of the top class after repeated Pieri steps.
+"""Exact Schubert calculus on the Grassmannian of lines G(2, n): cycles
+are integer combinations of the two-row Schubert classes sigma_{a,b},
+n-2 >= a >= b >= 0, and every product goes through `multiply`.  Degrees
+are read off the top class after repeated products with sigma_1
+(`pieri`), so each degree also checks `multiply`.
 """
 
 from __future__ import annotations
@@ -103,18 +96,13 @@ def sigma(n: int, a: int, b: int = 0, coefficient: int = 1) -> SchubertCycle:
 def pieri(c: SchubertCycle) -> SchubertCycle:
     """Multiply by sigma_1: sigma_{a,b} -> sigma_{a+1,b} + sigma_{a,b+1},
     dropping terms outside the box."""
-    terms: dict = {}
-    box = c.n - 2
-    for (a, b), v in c.terms.items():
-        if a + 1 <= box:
-            terms[(a + 1, b)] = terms.get((a + 1, b), 0) + v
-        if b + 1 <= a:
-            terms[(a, b + 1)] = terms.get((a, b + 1), 0) + v
-    return SchubertCycle(c.n, terms)
+    return multiply(c, sigma(c.n, 1))
 
 
 def multiply(c1: SchubertCycle, c2: SchubertCycle) -> SchubertCycle:
-    """Product in the cohomology ring of G(2, n).
+    """Product in the cohomology ring of G(2, n), by the two-variable
+    Schur expansion sigma_{a,b} * sigma_{c,d} = sum_k sigma_{a+c-k, b+d+k},
+    k = 0 .. min(a-b, c-d), truncated to the box a <= n-2.
 
     >>> str(multiply(sigma(5, 1), sigma(5, 1)))
     's(1,1) + s(2,0)'

@@ -22,8 +22,8 @@ from spincalc.lattices import (cs_obstruction, doubly_elliptic_identities,
 from spincalc.picard import (ALPHA0, BETA0, D0P, D0PP, D0RAM, DELTA0, LAMBDA,
                              alpha, beta, brill_noether_g8, canonical_class,
                              delta, divisor_class, higher_boundary,
-                             prym_green, prym_nikulin_g6, pullback_to_spin,
-                             rbar, slope, sym_power_c1, theta_null,
+                             prym_green, prym_nikulin_g6, pullback,
+                             rbar, slope, spin_plus, sym_power_c1, theta_null,
                              twisted_hodge_c1, non_very_ample_g5)
 from spincalc.schubert import (catalan_degree, degree, grassmannian_degree,
                                sigma)
@@ -127,7 +127,7 @@ def test_criterion_08_r_curve_battery():
         assert r.pairing(BETA0) == Fraction(7, 2) + Fraction(7, 2) == 7
         assert r.pairing(ALPHA0) == 52
         assert pair(r, theta_null(8)) == -1
-        assert pair(r, pullback_to_spin(brill_noether_g8())) == 0
+        assert pair(r, pullback(brill_noether_g8(), spin_plus(8))) == 0
         for i in range(1, 5):
             assert r.pairing(alpha(i)) == 0
             assert r.pairing(beta(i)) == 0
@@ -137,7 +137,7 @@ def test_criterion_09_btilde_lift():
     with criterion(9, "spin lift of the septic pencil"):
         assert covering_degree(8) == 2 ** 7 * (2 ** 8 + 1) == 32896
         lift = btilde_curve(septic_pencil_curve())
-        value = pair(lift, pullback_to_spin(brill_noether_g8()))
+        value = pair(lift, pullback(brill_noether_g8(), spin_plus(8)))
         assert value == -32896 < 0
 
 

@@ -18,8 +18,8 @@ from spincalc.picard import (ALPHA0, BETA0, D0P, D0PP, D0RAM, DELTA0, LAMBDA,
                              alpha, basis_symbols, beta, brill_noether_g8,
                              canonical_class, covering_images, delta,
                              divisor_class, mbar, pi_delta, prym_green,
-                             prym_nikulin_g6, pullback, pullback_to_spin,
-                             rbar, spin_plus, theta_null)
+                             prym_nikulin_g6, pullback, rbar, spin_plus,
+                             theta_null)
 
 
 def fr(a, b=1):
@@ -153,7 +153,7 @@ def test_r_curve_pairings():
     r = r_curve_g8()
     assert pair(r, theta_null(8)) == fr(9, 4) - fr(52, 16) == -1
     assert r.pairing(ALPHA0) + 2 * r.pairing(BETA0) == 66
-    assert pair(r, pullback_to_spin(brill_noether_g8())) == 0
+    assert pair(r, pullback(brill_noether_g8(), spin_plus(8))) == 0
 
 
 def test_septic_pencil_pairings():
@@ -184,14 +184,14 @@ def test_covering_degree_against_arf_count():
 def test_btilde_pairing_with_pullback():
     lift = btilde_curve(septic_pencil_curve())
     assert lift.degree == 32896
-    value = pair(lift, pullback_to_spin(brill_noether_g8()))
+    value = pair(lift, pullback(brill_noether_g8(), spin_plus(8)))
     assert value == -32896
     assert value < 0
 
 
 def test_btilde_zero_base():
     lift = btilde_curve(curve_class(mbar(8)))
-    assert pair(lift, pullback_to_spin(brill_noether_g8())) == 0
+    assert pair(lift, pullback(brill_noether_g8(), spin_plus(8))) == 0
 
 
 def test_btilde_rejects_higher_boundary():
@@ -322,7 +322,8 @@ def test_projection_formula_prym(c, d):
 
 @given(curves_on(spin_plus(8)), mbar_classes())
 def test_projection_formula_spin(c, d):
-    assert pair(c, pullback_to_spin(d)) == pair(pushforward_to_mbar(c), d)
+    assert (pair(c, pullback(d, spin_plus(8)))
+            == pair(pushforward_to_mbar(c), d))
 
 
 def test_projection_formula_xi_concrete():

@@ -1,10 +1,11 @@
 """One exactness rule at every boundary that takes a rational number: an
 int or a Fraction, by exact type, passes, and anything else raises
 ``TypeError``; and one int rule at every boundary that takes a genus, a
-count, an index, a rank or power, a lattice Gram entry, a scale or an
-argument of the sum-of-squares search: a plain int passes, and anything
-else raises ``TypeError``."""
+count, an index, a rank or power, a lattice Gram entry, a scale, a seed
+or an argument of the sum-of-squares search: a plain int passes, and
+anything else raises ``TypeError``."""
 
+import random
 from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
@@ -13,11 +14,16 @@ import pytest
 
 from spincalc._linalg import bilinear, scaled
 from spincalc._record import exact
-from spincalc.curves import (covering_degree, gamma_curve, pencil_curve,
-                             xi_curve)
+from spincalc.checks import verify_all
+from spincalc.curves import (covering_degree, gamma_curve, noether_c2,
+                             pencil_curve, xi_curve)
 from spincalc.lattices import (IntegerLattice, cs_obstruction, e8,
                                hyperbolic_u, sum_square_solution_exists)
-from spincalc.linecomplex import plucker_quadric_rank, symmetric_form
+from spincalc.linecomplex import (complex_point_samples,
+                                  compound_rank_samples, plucker_quadric_rank,
+                                  random_invertible_matrix,
+                                  random_symmetric_form_of_rank,
+                                  symmetric_form, tangency_samples)
 from spincalc.picard import (BETA0, LAMBDA, brill_noether_g8, divisor_class,
                              mbar, prym_green, spin_plus, sym_power_c1,
                              theta_null, twisted_hodge_c1)
@@ -70,6 +76,20 @@ INT_BOUNDARIES = {
     "catalan_n": catalan_degree,
     "xi_genus": xi_curve,
     "gamma_genus": gamma_curve,
+    "noether_chi": lambda x: noether_c2(x, 9),
+    "noether_k_squared": lambda x: noether_c2(1, x),
+    "invertible_dim": lambda x: random_invertible_matrix(random.Random(0), x),
+    "form_dim": lambda x: random_symmetric_form_of_rank(random.Random(0), x,
+                                                        1),
+    "form_rank": lambda x: random_symmetric_form_of_rank(random.Random(0), 5,
+                                                         x),
+    # a sampler is a generator, so it may raise at its first draw
+    "tangency_count": lambda x: next(tangency_samples(random.Random(0), x)),
+    "complex_point_count": lambda x: next(
+        complex_point_samples(random.Random(0), x)),
+    "compound_count": lambda x: next(
+        compound_rank_samples(random.Random(0), x)),
+    "seed": lambda x: verify_all(x, quick=True),
 }
 
 

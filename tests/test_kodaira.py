@@ -276,6 +276,23 @@ def test_one_wrong_sample_shows_in_the_tally(monkeypatch):
                                                         "fail")
 
 
+@pytest.mark.parametrize("change, computed", [
+    (lambda draws: [*draws, draws[0]], "31/31"),
+    (lambda draws: draws[:-1], "29/29"),
+    (lambda draws: [], "0/0")], ids=["one-more", "one-fewer", "none"])
+def test_a_sampler_that_miscounts_fails_its_row(monkeypatch, change,
+                                                computed):
+    # the row is judged against the 6 * 5 draws the quick run asks for
+    from spincalc import linecomplex
+    real = linecomplex.compound_rank_samples
+    monkeypatch.setattr(linecomplex, "compound_rank_samples",
+                        lambda rng, count: change(list(real(rng, count))))
+    row = {c.id: c for c in checks.verify_all(quick=True).checks}[
+        "complex-compound-rank-law"]
+    assert (row.computed, row.expected, row.status) == (computed, "30/30",
+                                                        "fail")
+
+
 def test_check_raising_any_exception_is_recorded_as_fail(monkeypatch):
     def boom(ctx):
         raise ZeroDivisionError("division by zero")

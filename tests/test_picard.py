@@ -18,9 +18,9 @@ from spincalc.picard import (ALPHA0, BETA0, D0P, D0PP, D0RAM, DELTA0, LAMBDA,
                              divisor_class, format_class, higher_boundary,
                              mbar, named_divisor,
                              non_very_ample_g5, pi_delta, prym_green,
-                             prym_nikulin_g6, pullback, pullback_to_spin,
-                             rbar, slope, spin_plus, sym_power_c1,
-                             theta_null, twisted_hodge_c1)
+                             prym_nikulin_g6, pullback, rbar, slope,
+                             spin_plus, sym_power_c1, theta_null,
+                             twisted_hodge_c1)
 
 
 def fr(a, b=1):
@@ -193,12 +193,12 @@ def test_pullback_to_prym_lambda_and_linearity():
 
 
 def test_pullback_to_spin_delta0():
-    d = pullback_to_spin(divisor_class(mbar(8), [(DELTA0, 1)]))
+    d = pullback(divisor_class(mbar(8), [(DELTA0, 1)]), spin_plus(8))
     assert (d.coeff(ALPHA0), d.coeff(BETA0)) == (1, 2)
 
 
 def test_pullback_to_spin_half_bn8():
-    d = pullback_to_spin(fr(1, 2) * brill_noether_g8())
+    d = pullback(fr(1, 2) * brill_noether_g8(), spin_plus(8))
     assert d.coeff(LAMBDA) == 11
     assert d.coeff(ALPHA0) == fr(-3, 2)
     assert d.coeff(BETA0) == -3
@@ -209,14 +209,14 @@ def test_pullback_to_spin_half_bn8():
 
 
 def test_pullback_of_zero_is_zero():
-    assert pullback_to_spin(divisor_class(mbar(8))).is_zero()
+    assert pullback(divisor_class(mbar(8)), spin_plus(8)).is_zero()
 
 
 def test_pullback_maps_opaque_to_opaque():
     d = pullback(divisor_class(mbar(8), [], {DELTA0, delta(1)}), rbar(8))
     assert d.is_opaque(D0P) and d.is_opaque(D0PP) and d.is_opaque(D0RAM)
     assert d.is_opaque(pi_delta(1))
-    s = pullback_to_spin(divisor_class(mbar(8), [], {delta(2)}))
+    s = pullback(divisor_class(mbar(8), [], {delta(2)}), spin_plus(8))
     assert s.is_opaque(alpha(2)) and s.is_opaque(beta(2))
 
 
@@ -227,7 +227,10 @@ def test_pullback_space_mismatch():
 
 def test_pullback_to_a_target_space_matches_the_named_pullbacks():
     bn = brill_noether_g8()
-    assert pullback(bn, spin_plus(8)) == pullback_to_spin(bn)
+    assert pullback(bn, spin_plus(8)) == divisor_class(spin_plus(8), [
+        (LAMBDA, 22), (ALPHA0, -3), (BETA0, -6),
+        *((sym, c) for i, c in ((1, -14), (2, -24), (3, -30), (4, -32))
+          for sym in (alpha(i), beta(i)))])
     with pytest.raises(SpaceMismatchError):
         pullback(bn, mbar(8))
 
@@ -381,6 +384,9 @@ def test_slope_errors():
         slope(divisor_class(mbar(8), [(LAMBDA, 1)]))
     with pytest.raises(OpaqueCoefficientError):
         slope(divisor_class(mbar(8), [(LAMBDA, 1)], {DELTA0}))
+    # an opaque lambda is refused before a vanishing delta_0 is seen
+    with pytest.raises(OpaqueCoefficientError):
+        slope(divisor_class(mbar(8), [], {LAMBDA}))
     with pytest.raises(SpaceMismatchError):
         slope(prym_nikulin_g6())
 

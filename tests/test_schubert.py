@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spincalc import checks, schubert
 from spincalc.schubert import (AmbientMismatchError, MixedCodimensionError,
                                SchubertCycle, catalan_degree, degree,
                                grassmannian_degree, multiply, pieri, sigma,
@@ -201,3 +202,26 @@ def test_int_scalars_scale():
     assert 3 * sigma(5, 2, 1) == sigma(5, 2, 1, coefficient=3)
     assert sigma(5, 2, 1) * -2 == sigma(5, 2, 1, coefficient=-2)
     assert (0 * sigma(5, 2, 1)).is_zero()
+
+
+def _short_product(c1, c2):
+    """The two-row rule with its k loop one step short."""
+    terms = {}
+    for (a, b), u in c1.terms.items():
+        for (c, d), v in c2.terms.items():
+            for k in range(min(a - b, c - d)):
+                p = (a + c - k, b + d + k)
+                if p[0] <= c1.n - 2:
+                    terms[p] = terms.get(p, 0) + u * v
+    return SchubertCycle(c1.n, terms)
+
+
+@pytest.mark.parametrize("wrong", [lambda c1, c2: 2 * multiply(c1, c2),
+                                   _short_product], ids=["doubled", "short"])
+def test_the_certificate_catches_a_wrong_multiply(monkeypatch, wrong):
+    # every degree row multiplies by sigma_1 through `multiply`
+    monkeypatch.setattr(schubert, "multiply", wrong)
+    failing = {c.id for c in checks.verify_all(quick=True).checks
+               if c.status == "fail"}
+    assert failing == {"schubert-vq-degree", "schubert-g25-degree",
+                       "schubert-g26-degree", "complex-wq-degree"}
