@@ -18,7 +18,7 @@ from math import comb
 from . import curves, kodaira, lattices, linecomplex, picard, schubert
 from ._record import Record, require_int
 from .curves import pair
-from .picard import mbar, rbar, spin_plus
+from .picard import mbar, pullback, rbar, spin_plus
 
 DEFAULT_SEED = 1729
 
@@ -227,16 +227,14 @@ def _r_theta(ctx):
 
 def _r_disjoint(ctx):
     r = curves.r_curve_g8()
-    bn_pull = pair(r, picard.pullback(ctx.divisor("bn8", mbar(8)),
-                                      spin_plus(8)))
+    bn_pull = pair(r, pullback(ctx.divisor("bn8", mbar(8)), spin_plus(8)))
     return (f"bn8-pullback={bn_pull} higher={_higher(r)}",
             "bn8-pullback=0 higher=0")
 
 
 def _btilde(ctx):
     lift = curves.btilde_curve(curves.septic_pencil_curve())
-    value = pair(lift, picard.pullback(ctx.divisor("bn8", mbar(8)),
-                                       spin_plus(8)))
+    value = pair(lift, pullback(ctx.divisor("bn8", mbar(8)), spin_plus(8)))
     computed = (f"degree={curves.covering_degree(8)} pairing={value} "
                 f"negative={'yes' if value < 0 else 'no'}")
     return computed, "degree=32896 pairing=-32896 negative=yes"
