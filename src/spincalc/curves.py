@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._record import Record, _set, require_int
+from ._record import Record, require_int
 from .picard import (ALPHA0, BETA0, D0P, D0RAM, DELTA0, LAMBDA, MBAR, SPIN,
                      DivisorClass, ModuliSpace, SpaceMismatchError,
                      _coefficients, _entries, _require_basis, basis_symbols,
@@ -62,12 +62,10 @@ class CurveClass(Record):
     __slots__ = ("space", "pairings", "label")
 
     def __init__(self, space: ModuliSpace, pairings, label: str = ""):
-        _set(self, "space", space)
-        _set(self, "pairings", _coefficients(space, pairings))
-        _set(self, "label", label)
+        Record.__init__(self, space, _coefficients(space, pairings), label)
 
     def _key(self) -> tuple:
-        return (self.space, frozenset(self.pairings.items()))
+        return Record._key(self)[:-1]  # the label left out
 
     def pairing(self, sym: str) -> Fraction:
         _require_basis(self.space, (sym,))

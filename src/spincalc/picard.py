@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import comb
 from types import MappingProxyType
 
-from ._record import Record, _set, exact, require_int, signed_sum
+from ._record import Record, exact, require_int, signed_sum
 
 MBAR = "mbar"
 RBAR = "rbar"
@@ -33,18 +33,22 @@ BETA0 = "beta_0"
 
 
 def delta(i: int) -> str:
+    require_int("a boundary index", i)
     return f"delta_{i}"
 
 
 def pi_delta(i: int) -> str:
+    require_int("a boundary index", i)
     return f"pi_delta_{i}"
 
 
 def alpha(i: int) -> str:
+    require_int("a boundary index", i)
     return f"alpha_{i}"
 
 
 def beta(i: int) -> str:
+    require_int("a boundary index", i)
     return f"beta_{i}"
 
 
@@ -83,11 +87,7 @@ class ModuliSpace(Record):
         require_int("a genus", genus)
         if genus < 2:
             raise ValueError("genus must be at least 2")
-        _set(self, "kind", kind)
-        _set(self, "genus", genus)
-
-    def _key(self) -> tuple:
-        return (self.kind, self.genus)
+        Record.__init__(self, kind, genus)
 
     def __str__(self):
         base = {MBAR: "Mbar", RBAR: "Rbar", SPIN: "Sbar+"}[self.kind]
@@ -161,12 +161,7 @@ class DivisorClass(Record):
         clash = opaque.intersection(coeffs)
         if clash:
             raise DuplicateSymbolError(f"pinned and opaque: {sorted(clash)}")
-        _set(self, "space", space)
-        _set(self, "coeffs", pinned)
-        _set(self, "opaque", opaque)
-
-    def _key(self) -> tuple:
-        return (self.space, frozenset(self.coeffs.items()), self.opaque)
+        Record.__init__(self, space, pinned, opaque)
 
     def coeff(self, sym: str) -> Fraction:
         """Pinned coefficient of `sym` (exact zero when absent)."""
@@ -174,9 +169,6 @@ class DivisorClass(Record):
         if sym in self.opaque:
             raise OpaqueCoefficientError(f"coefficient of {sym!r} is opaque")
         return self.coeffs.get(sym, Fraction(0))
-
-    def is_opaque(self, sym: str) -> bool:
-        return sym in self.opaque
 
     def is_zero(self) -> bool:
         return not self.coeffs and not self.opaque

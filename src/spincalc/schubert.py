@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import comb
 from types import MappingProxyType
 
-from ._record import Record, _set, require_int, signed_sum
+from ._record import Record, require_int, signed_sum
 
 
 class AmbientMismatchError(ValueError):
@@ -46,11 +46,7 @@ class SchubertCycle(Record):
             require_int("a coefficient", c)
             if c:
                 kept[(a, b)] = c
-        _set(self, "n", n)
-        _set(self, "terms", MappingProxyType(kept))
-
-    def _key(self) -> tuple:
-        return (self.n, frozenset(self.terms.items()))
+        Record.__init__(self, n, MappingProxyType(kept))
 
     def coefficient(self, a: int, b: int = 0) -> int:
         return self.terms.get((a, b), 0)

@@ -24,9 +24,10 @@ from spincalc.linecomplex import (complex_point_samples,
                                   random_invertible_matrix,
                                   random_symmetric_form_of_rank,
                                   symmetric_form, tangency_samples)
-from spincalc.picard import (BETA0, LAMBDA, brill_noether_g8, divisor_class,
-                             mbar, prym_green, spin_plus, sym_power_c1,
-                             theta_null, twisted_hodge_c1)
+from spincalc.picard import (BETA0, LAMBDA, alpha, beta, brill_noether_g8,
+                             delta, divisor_class, mbar, pi_delta, prym_green,
+                             spin_plus, sym_power_c1, theta_null,
+                             twisted_hodge_c1)
 from spincalc.schubert import (SchubertCycle, catalan_degree, sigma,
                                vq_dimension)
 
@@ -61,6 +62,10 @@ INT_BOUNDARIES = {
     "coordinate": lambda x: hyperbolic_u().norm((1, x)),
     "scale": e8,
     "genus": mbar,
+    "delta_index": delta,
+    "pi_delta_index": pi_delta,
+    "alpha_index": alpha,
+    "beta_index": beta,
     "index_pair": lambda x: plucker_quadric_rank({(0, x): 1}),
     "slot_count": lambda x: sum_square_solution_exists(x, 3, 3),
     "search_sum": lambda x: sum_square_solution_exists(3, x, 3),
