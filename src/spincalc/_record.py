@@ -7,15 +7,16 @@ last ``len(_defaults)`` slots default to the values in the class
 attribute `_defaults`.  A missing, unknown or repeated argument raises
 ``TypeError``.  Every value type builds through `Record.__init__`,
 called last by a class that checks its arguments; only
-`linecomplex.SymmetricForm` binds its view with `_set`, as a seed-1729
-certificate builds 3200 forms against about 250 other values.  From
-then on the instance is read-only: assigning or deleting an attribute
-raises ``AttributeError``.  Equality (with instances of the same class
-only), hashing and `repr` all read one key tuple, `_key()`: the fields
-in slot order, a read-only mapping folded into the frozenset of its
-items.  A subclass narrows it only to leave a field out or to key by a
-derived value.  Copying and pickling rebuild an instance through its
-`__init__` from its fields, a mapping unfolded into a dict.
+`linecomplex.SymmetricForm` binds its view with `_set`: a seed-1729
+certificate builds 3200 forms but only about 250 spaces, divisor
+classes, curve classes and cycles.  From then on the instance is
+read-only: assigning or deleting an attribute raises ``AttributeError``.
+Equality (with instances of the same class only), hashing and `repr` all
+read one key tuple, `_key()`: the fields in slot order, a read-only
+mapping folded into the frozenset of its items.  A subclass narrows it
+only to leave a field out or to key by a derived value.  Copying and
+pickling rebuild an instance through its `__init__` from its fields, a
+mapping unfolded into a dict.
 
 The package's two exact-number rules, `exact` and `require_int`, live
 here alone, each with one ``TypeError`` text, as does `signed_sum`, the
