@@ -88,9 +88,11 @@ def _eliminate(rows):
 
 
 def require_symmetric(gram) -> None:
-    """Raise ``ValueError`` unless `gram` is square and symmetric.  The
-    loops stay plain: a certificate builds thousands of forms, and plain
-    loops beat a generator expression there."""
+    """Raise ``ValueError`` unless `gram` is square and symmetric.  Its
+    callers are `IntegerLattice` and `SymmetricForm.__init__`, once per
+    form a caller builds from a Gram (a `rational-complex` op, a CLI
+    `complex` query); the certificate builds its forms by `_from_view`,
+    which never calls it."""
     n = len(gram)
     for row in gram:
         if len(row) != n:

@@ -1,22 +1,19 @@
 """The one base of the package's immutable value types.
 
-A `Record` subclass names its fields in `__slots__`, in the order of
-the constructor's parameters.  `Record.__init__` binds positional
-arguments to the slots in that order and keyword arguments by name; the
-last ``len(_defaults)`` slots default to the values in the class
-attribute `_defaults`.  A missing, unknown or repeated argument raises
-``TypeError``.  Every value type builds through `Record.__init__`,
-called last by a class that checks its arguments; only
-`linecomplex.SymmetricForm` binds its view with `_set`: a seed-1729
-certificate builds 3200 forms but only about 250 spaces, divisor
-classes, curve classes and cycles.  From then on the instance is
-read-only: assigning or deleting an attribute raises ``AttributeError``.
-Equality (with instances of the same class only), hashing and `repr` all
-read one key tuple, `_key()`: the fields in slot order, a read-only
-mapping folded into the frozenset of its items.  A subclass narrows it
-only to leave a field out or to key by a derived value.  Copying and
-pickling rebuild an instance through its `__init__` from its fields, a
-mapping unfolded into a dict.
+A `Record` subclass names its fields in `__slots__`, in the order of the
+constructor's parameters.  `Record.__init__` binds its positional
+arguments to the slots in that order, the last ``len(_defaults)`` slots
+defaulting to the values in the class attribute `_defaults`; a missing
+or extra argument raises ``TypeError``, as does a keyword.  Every value
+type builds through `Record.__init__`, called last by a class that
+checks its arguments.  From then on the instance is read-only: assigning
+or deleting an attribute raises ``AttributeError``.  Equality (with
+instances of the same class only), hashing and `repr` all read one key
+tuple, `_key()`: the fields in slot order, a read-only mapping folded
+into the frozenset of its items.  A subclass narrows it only to leave a
+field out or to key by a derived value.  Copying and pickling rebuild an
+instance through its `__init__` from its fields, a mapping unfolded into
+a dict.
 
 The package's two exact-number rules, `exact` and `require_int`, live
 here alone, each with one ``TypeError`` text, as does `signed_sum`, the
@@ -35,17 +32,14 @@ class Record:
     #: values of the last len(_defaults) slots when the caller omits them
     _defaults = ()
 
-    def __init__(self, *args, **kwargs):
-        names = self.__slots__
-        values = dict(zip(names[len(names) - len(self._defaults):],
-                          self._defaults))
-        values.update(zip(names, args), **kwargs)
-        if (len(args) > len(names) or len(values) < len(names)
-                or not kwargs.keys() <= set(names[len(args):])):
+    def __init__(self, *args):
+        names, defaults = self.__slots__, self._defaults
+        skip = len(args) + len(defaults) - len(names)  # defaults replaced
+        if not 0 <= skip <= len(defaults):
             raise TypeError(f"{type(self).__name__}({', '.join(names)}): "
-                            f"missing, unknown or repeated arguments")
-        for name in names:
-            _set(self, name, values[name])
+                            f"{len(args)} arguments")
+        for name, value in zip(names, args + defaults[skip:]):
+            _set(self, name, value)
 
     def _key(self) -> tuple:
         return tuple([frozenset(v.items())

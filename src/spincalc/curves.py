@@ -237,8 +237,8 @@ def btilde_curve(base: CurveClass) -> LiftedSpinCurve:
         if base.pairing(sym):
             raise NonzeroHigherBoundaryError(
                 f"base pairs {base.pairing(sym)} with {sym}")
-    return LiftedSpinCurve(base, label=f"spin fibre-product lift of "
-                                       f"{base.label or 'a pencil'}")
+    return LiftedSpinCurve(base, f"spin fibre-product lift of "
+                                 f"{base.label or 'a pencil'}")
 
 
 def _pair_lift(c: LiftedSpinCurve, d: DivisorClass) -> Fraction:
@@ -250,16 +250,17 @@ def _pair_lift(c: LiftedSpinCurve, d: DivisorClass) -> Fraction:
         raise UndefinedSplitError(
             "the alpha_0/beta_0 split of the lift is undefined; "
             "pair it with pullback-shaped classes only")
-    lam = c.base.pairing(LAMBDA)
-    d0 = c.base.pairing(DELTA0)
-    return c.degree * (d.coeff(LAMBDA) * lam + d.coeff(ALPHA0) * d0)
+    return c.degree * (d.coeff(LAMBDA) * c.base.pairing(LAMBDA)
+                       + d.coeff(ALPHA0) * c.base.pairing(DELTA0))
 
 
 def pair(c, d: DivisorClass) -> Fraction:
     """Exact intersection pairing of a curve class with a divisor class.
 
     Opaque divisor coefficients are legal only where the curve pairs zero;
-    otherwise ``OpaquePairingError`` is raised (never a silent zero).
+    otherwise ``OpaquePairingError`` is raised (never a silent zero).  Once
+    the spaces agree the pairings are read directly: the symbols of `d`
+    were checked against that basis when `d` was built.
 
     >>> from spincalc.picard import prym_nikulin_g6
     >>> pair(xi_curve(6), prym_nikulin_g6())
@@ -270,8 +271,9 @@ def pair(c, d: DivisorClass) -> Fraction:
     if d.space != c.space:
         raise SpaceMismatchError(f"{c.space} vs {d.space}")
     for sym in d.opaque:
-        if c.pairing(sym):
+        if sym in c.pairings:
             raise OpaquePairingError(
                 f"divisor is opaque at {sym!r} where the curve pairs "
-                f"{c.pairing(sym)}")
-    return sum((v * c.pairing(s) for s, v in d.coeffs.items()), Fraction(0))
+                f"{c.pairings[sym]}")
+    return sum((v * c.pairings.get(s, 0) for s, v in d.coeffs.items()),
+               Fraction(0))

@@ -55,8 +55,7 @@ class IntegerLattice(Record):
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def determinant(self) -> int:
-        d = mat_det(self.gram)
-        return int(d)
+        return int(mat_det(self.gram))
 
     def basis_vector(self, name: str) -> tuple:
         """Coordinate vector of a named basis element; any other key, an
@@ -103,6 +102,7 @@ def nikulin_derived_root() -> tuple:
 def lambda_lattice(g: int) -> IntegerLattice:
     """Rank-9 polarized Nikulin lattice: Z*c (+) nikulin_lattice(), with
     c.c = 2g - 2 and c orthogonal to the Nikulin block."""
+    require_int("a genus", g)
     if g < 2:
         raise ValueError("genus must be at least 2")
     pol = IntegerLattice([[2 * g - 2]], ["c"])

@@ -18,7 +18,7 @@ from operator import itemgetter
 
 from ._linalg import (bilinear, dot, int_rank, mat_det, mat_rank, mat_vec,
                       require_symmetric, scaled, solve)
-from ._record import Record, _set, require_int
+from ._record import Record, exact, require_int
 
 
 class BasePointNotOnQuadricError(ValueError):
@@ -56,16 +56,14 @@ class SymmetricForm(Record):
         # rows read once, as `scaled` (the one type check) walks them twice
         ints, den = scaled([tuple(row) for row in gram])
         require_symmetric(ints)
-        _set(self, "_ints", ints)
-        _set(self, "_den", den)
+        Record.__init__(self, ints, den)
 
     @classmethod
     def _from_view(cls, ints: list, den: int) -> SymmetricForm:
         """The form with Gram ints / den, for symmetric int rows `ints`
         and den > 0 that have no common factor."""
         form = object.__new__(cls)
-        _set(form, "_ints", ints)
-        _set(form, "_den", den)
+        Record.__init__(form, ints, den)
         return form
 
     @property
@@ -115,7 +113,13 @@ def wedge_pairs(n: int) -> tuple:
 
 
 def wedge_coordinates(u, v) -> list:
-    """Pluecker coordinates of u ^ v in the lexicographic pair basis."""
+    """Pluecker coordinates of u ^ v in the lexicographic pair basis; an
+    entry that is not an int or a Fraction raises ``TypeError``."""
+    return _wedge([*map(exact, u)], [*map(exact, v)])
+
+
+def _wedge(u, v) -> list:
+    """`wedge_coordinates` of vectors of ints or Fractions."""
     if len(u) != len(v):
         raise ValueError("the two vectors must have the same length")
     return [u[i] * v[j] - u[j] * v[i] for i, j in wedge_pairs(len(u))]
@@ -175,7 +179,7 @@ def _line(q: SymmetricForm, u, v, off_quadric) -> tuple:
     (iu, iv), _ = scaled((u, v))
     if bilinear(q._ints, iu, iu) != 0:
         raise off_quadric("base point is not on the quadric")
-    w = wedge_coordinates(iu, iv)
+    w = _wedge(iu, iv)
     if not any(w):
         raise DependentVectorsError("vectors do not span a line")
     return iu, iv, w

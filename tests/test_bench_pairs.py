@@ -137,6 +137,11 @@ def test_trace_seed_reports_counts_that_differ_and_self_times(tmp_path):
         "--workload", "certificate", "--first-seed", "1", "--pairs", "1",
         "--seconds", "0", "--trace-seed", "1729", "--out", str(out)]) == 0
     traces = json.loads(out.read_text())["traces"]
+    # after the one pair, five traced runs a side alternate as pairs do
+    order = (tmp_path / "order.log").read_text().split("\n")[2:-1]
+    assert order == [f"{side} 1729" for side in
+                     ("parent", "change", "change", "parent") * 2
+                     + ("parent", "change")]
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     self_ms = {m["name"] for m in spec["per_layer"]
                if m["name"].endswith(".self_ms")}
@@ -148,3 +153,24 @@ def test_trace_seed_reports_counts_that_differ_and_self_times(tmp_path):
         "parent": dict.fromkeys(self_ms, 10.0),
         "change": dict.fromkeys(self_ms, 5.0)}
     assert "not judged" in traces["note"]
+
+
+
+def test_traced_runs_give_median_self_times_and_need_equal_counts(
+        monkeypatch):
+    def traced(change_calls):
+        runs = {"parent": iter(zip([3] * 5, [9, 1, 5, 7, 2])),
+                "change": iter(zip(change_calls, [4] * 5))}
+
+        def fake(root, seed):
+            calls, ms = next(runs[root.name])
+            return {"a.calls": calls}, {"a.self_ms": ms}
+        monkeypatch.setattr(bench_pairs, "trace_metrics", fake)
+        return bench_pairs.traces(Path("parent"), Path("change"), 1729)
+
+    # the median, not the mean (4.8) or the first run (9)
+    assert traced([3] * 5) == {
+        "parent": ({"a.calls": 3}, {"a.self_ms": 5}),
+        "change": ({"a.calls": 3}, {"a.self_ms": 4})}
+    with pytest.raises(RuntimeError, match="change traced counts differ"):
+        traced([3, 3, 3, 3, 4])

@@ -670,7 +670,7 @@ def test_verify_all_seed_defaults_to_checks_default(monkeypatch, capsys):
 
 def test_verify_all_exit_one_on_failure(monkeypatch, capsys):
     failing = checks.Report((checks.CheckRecord(
-        "x", "c", "1", "2", "fail"),), seed=0)
+        "x", "c", "1", "2", "fail"),), 0)
     monkeypatch.setattr(checks, "verify_all",
                         lambda seed=0, perturb=None, quick=False: failing)
     code, out, _ = run(capsys, "verify-all")

@@ -18,12 +18,14 @@ from spincalc.checks import verify_all
 from spincalc.curves import (covering_degree, gamma_curve, noether_c2,
                              pencil_curve, xi_curve)
 from spincalc.lattices import (IntegerLattice, cs_obstruction, e8,
-                               hyperbolic_u, sum_square_solution_exists)
+                               hyperbolic_u, lambda_lattice,
+                               sum_square_solution_exists)
 from spincalc.linecomplex import (complex_point_samples,
                                   compound_rank_samples, plucker_quadric_rank,
                                   random_invertible_matrix,
                                   random_symmetric_form_of_rank,
-                                  symmetric_form, tangency_samples)
+                                  symmetric_form, tangency_samples,
+                                  wedge_coordinates)
 from spincalc.picard import (BETA0, LAMBDA, alpha, beta, brill_noether_g8,
                              delta, divisor_class, mbar, pi_delta, prym_green,
                              spin_plus, sym_power_c1, theta_null,
@@ -45,6 +47,7 @@ BOUNDARIES = {
     "class_times": lambda x: brill_noether_g8() * x,
     "plucker_quadric_rank": lambda x: plucker_quadric_rank({(0, 1): x}),
     "cycle_times": lambda x: sigma(5, 1) * x,
+    "wedge_coordinates": lambda x: wedge_coordinates([x, 0], [0, 1]),
 }
 
 #: each int-only boundary as a function of the one value it is given;
@@ -62,6 +65,7 @@ INT_BOUNDARIES = {
     "coordinate": lambda x: hyperbolic_u().norm((1, x)),
     "scale": e8,
     "genus": mbar,
+    "lattice_genus": lambda_lattice,
     "delta_index": delta,
     "pi_delta_index": pi_delta,
     "alpha_index": alpha,
@@ -115,6 +119,7 @@ def test_ints_and_fractions_pass_every_boundary(x):
     assert divisor_class(mbar(2), [(LAMBDA, x)]).coeff(LAMBDA) == x
     assert (brill_noether_g8() * x).coeff(LAMBDA) == 22 * x
     assert plucker_quadric_rank({(0, 1): x}) == 6
+    assert wedge_coordinates([x, 0], [0, 1]) == [x]
 
 
 def test_cycles_take_plain_ints_only():

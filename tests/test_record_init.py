@@ -5,15 +5,18 @@ import pytest
 from spincalc import checks, curves, lattices, picard
 
 
-def test_positional_keyword_and_default_arguments_bind_in_slot_order():
+def test_positional_and_default_arguments_bind_in_slot_order():
     a = checks.CheckRecord("i", "c", "1", "1", "pass")
-    b = checks.CheckRecord(status="pass", expected="1", computed="1",
-                           citation="c", id="i")
-    assert a == b and a.note is None
+    assert (a.id, a.citation, a.computed, a.expected, a.status, a.note) == (
+        "i", "c", "1", "1", "pass", None)
     assert checks.CheckRecord("i", "c", "1", "1", "pass", "n").note == "n"
-    check = checks.Check("i", "c", note="n")
+    check = checks.Check("i", "c", None, "n")
     assert (check.id, check.citation, check.run, check.note) == (
         "i", "c", None, "n")
+    # a record binds by position only, so a keyword is Python's TypeError
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        checks.CheckRecord(status="pass", expected="1", computed="1",
+                           citation="c", id="i")
     entry = lattices.CsEntry(1, 9, 6, 33, False)
     assert (entry.a, entry.target_sum, entry.target_norm, entry.cs_gap,
             entry.solution_found) == (1, 9, 6, 33, False)

@@ -29,12 +29,14 @@ exit status 1.
 `--claim WORKLOAD:METRIC` adds a `claim` record.  It is met when the
 change is better in at least nine tenths of the pairs and the medians
 differ, in the better direction, by more than the distance between the
-parent's quartiles.  `--trace-seed S` adds a `traces` record: one
-`--seconds 1 --trace 1` run of `certificate` a side at seed S, every
-count metric (`.calls`, `linalg.mat_rank.cells`, the sampler's
-`det_per_accept`) that differs between the two, and each side's
-per-layer self times (`.self_ms`), which are reported, not judged: they
-show which layer a change moved.
+parent's quartiles.  `--trace-seed S` adds a `traces` record from
+`TRACE_RUNS` `--seconds 1 --trace 1` runs of `certificate` a side at
+seed S, alternating as the pairs do: every count metric (`.calls`,
+`linalg.mat_rank.cells`, the sampler's `det_per_accept`) that differs
+between the two sides, which must be the same in every run of a side,
+and each side's median per-layer self time (`.self_ms`), reported, not
+judged: it shows which layer a change moved, where one run a side is
+too noisy to.
 
 Standard library only.
 """
@@ -53,6 +55,8 @@ from pathlib import Path
 #: count metrics compared by `--trace-seed`, besides every ".calls" one
 TRACE_COUNTS = ("linalg.mat_rank.cells",
                 "linecomplex.random_invertible_matrix.det_per_accept")
+#: traced certificate runs a side for `--trace-seed`
+TRACE_RUNS = 5
 
 
 def log(text: str) -> None:
@@ -181,6 +185,28 @@ def trace_metrics(root: Path, seed: int) -> tuple[dict, dict]:
              if name.endswith(".self_ms")})
 
 
+def traces(parent: Path, change: Path, seed: int) -> dict:
+    """{side: (counts, median self times)} over `TRACE_RUNS` traced
+    certificate runs a side, the parent first in every other run from
+    the first; counts that differ between two runs of a side raise
+    ``RuntimeError``."""
+    runs = {"parent": [], "change": []}
+    order = (("parent", parent), ("change", change))
+    for i in range(TRACE_RUNS):
+        for side, root in order if i % 2 == 0 else order[::-1]:
+            runs[side].append(trace_metrics(root, seed))
+    out = {}
+    for side, done in runs.items():
+        counts = done[0][0]
+        if any(c != counts for c, _ in done):
+            raise RuntimeError(f"{side} traced counts differ between runs "
+                               f"at seed {seed}")
+        self_ms = {name: statistics.median(ms[name] for _, ms in done)
+                   for name in done[0][1]}
+        out[side] = counts, self_ms
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True,
@@ -196,8 +222,9 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims "
                         "a gain on")
     parser.add_argument("--trace-seed", type=int,
-                        help="compare the counts of one traced certificate "
-                        "run a side at this seed")
+                        help="compare the counts and median self times of "
+                        f"{TRACE_RUNS} traced certificate runs a side at "
+                        "this seed")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -215,8 +242,7 @@ def main(argv=None) -> int:
             workloads[workload], env = pairs(parent, change, workload, seeds,
                                              args.seconds, specs)
         if args.trace_seed is not None:
-            traced = (trace_metrics(parent, args.trace_seed),
-                      trace_metrics(change, args.trace_seed))
+            traced = traces(parent, change, args.trace_seed)
     except RuntimeError as error:
         log(f"error: {error}")
         return 1
@@ -246,11 +272,13 @@ def main(argv=None) -> int:
                                       workloads[workload][metric],
                                       specs[metric]["better"])
     if args.trace_seed is not None:
-        (before, parent_ms), (after, change_ms) = traced
+        (before, parent_ms), (after, change_ms) = (traced["parent"],
+                                                   traced["change"])
         bench["traces"] = {
             "note": f"certificate, seed {args.trace_seed}, --seconds 1 "
-                    "--trace 1, one run a side; self_ms is reported, not "
-                    "judged",
+                    f"--trace 1, {TRACE_RUNS} alternating runs a side with "
+                    "the same counts in each; self_ms is each side's "
+                    "median per layer, reported, not judged",
             "counts": after,
             "calls_that_differ": {k: [before.get(k), v]
                                   for k, v in after.items()
