@@ -169,8 +169,7 @@ def test_traced_runs_give_median_self_times_and_need_equal_counts(
         return bench_pairs.traces(Path("parent"), Path("change"), 1729)
 
     # the median, not the mean (4.8) or the first run (9)
-    assert traced([3] * 5) == {
-        "parent": ({"a.calls": 3}, {"a.self_ms": 5}),
-        "change": ({"a.calls": 3}, {"a.self_ms": 4})}
+    assert traced([3] * 5) == (({"a.calls": 3}, {"a.self_ms": 5}),
+                               ({"a.calls": 3}, {"a.self_ms": 4}))
     with pytest.raises(RuntimeError, match="change traced counts differ"):
         traced([3, 3, 3, 3, 4])

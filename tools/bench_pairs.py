@@ -185,17 +185,17 @@ def trace_metrics(root: Path, seed: int) -> tuple[dict, dict]:
              if name.endswith(".self_ms")})
 
 
-def traces(parent: Path, change: Path, seed: int) -> dict:
-    """{side: (counts, median self times)} over `TRACE_RUNS` traced
-    certificate runs a side, the parent first in every other run from
-    the first; counts that differ between two runs of a side raise
-    ``RuntimeError``."""
+def traces(parent: Path, change: Path, seed: int) -> tuple:
+    """(counts, median self times) of the parent and of the change over
+    `TRACE_RUNS` traced certificate runs a side, the parent first in
+    every other run from the first; counts that differ between two runs
+    of a side raise ``RuntimeError``."""
     runs = {"parent": [], "change": []}
     order = (("parent", parent), ("change", change))
     for i in range(TRACE_RUNS):
         for side, root in order if i % 2 == 0 else order[::-1]:
             runs[side].append(trace_metrics(root, seed))
-    out = {}
+    out = []
     for side, done in runs.items():
         counts = done[0][0]
         if any(c != counts for c, _ in done):
@@ -203,8 +203,8 @@ def traces(parent: Path, change: Path, seed: int) -> dict:
                                f"at seed {seed}")
         self_ms = {name: statistics.median(ms[name] for _, ms in done)
                    for name in done[0][1]}
-        out[side] = counts, self_ms
-    return out
+        out.append((counts, self_ms))
+    return tuple(out)
 
 
 def main(argv=None) -> int:
@@ -272,8 +272,7 @@ def main(argv=None) -> int:
                                       workloads[workload][metric],
                                       specs[metric]["better"])
     if args.trace_seed is not None:
-        (before, parent_ms), (after, change_ms) = (traced["parent"],
-                                                   traced["change"])
+        (before, parent_ms), (after, change_ms) = traced
         bench["traces"] = {
             "note": f"certificate, seed {args.trace_seed}, --seconds 1 "
                     f"--trace 1, {TRACE_RUNS} alternating runs a side with "
