@@ -37,10 +37,13 @@ bn_pull = pullback(bn, spin_plus(8))
 r = r_curve_g8()
 lift = btilde_curve(septic_pencil_curve())
 # (component, covering curve, self-pairing, cross-pairings)
-rows = [("theta_null", r.label, pair(r, theta_null(8)),
+rows = [("theta_null",
+         "pencil through two elliptic rulings on a doubly-elliptic K3 surface",
+         pair(r, theta_null(8)),
          [("pullback of bn8", pair(r, bn_pull)),
           *((sym, r.pairing(sym)) for sym in higher_boundary(r.space))]),
-        ("pullback of bn8", lift.label, pair(lift, bn_pull), [])]
+        ("pullback of bn8", "spin fibre-product lift of Lefschetz pencil "
+         "of 7-nodal plane septics", pair(lift, bn_pull), [])]
 print("rigidity certificates:")
 for component, curve, self_pairing, cross_pairings in rows:
     crosses = ", ".join(f"{name}={value}" for name, value

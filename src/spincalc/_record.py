@@ -10,8 +10,8 @@ checks its arguments.  From then on the instance is read-only: assigning
 or deleting an attribute raises ``AttributeError``.  Equality (with
 instances of the same class only), hashing and `repr` all read one key
 tuple, `_key()`: the fields in slot order, a read-only mapping folded
-into the frozenset of its items.  A subclass narrows it only to leave a
-field out or to key by a derived value.  Copying and pickling rebuild an
+into the frozenset of its items.  Only `SymmetricForm` narrows it, to
+key by its Gram, a derived value.  Copying and pickling rebuild an
 instance through its `__init__` from its fields, a mapping unfolded into
 a dict.
 

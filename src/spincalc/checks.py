@@ -88,10 +88,10 @@ class Check(Record):
 
 
 def _higher(c) -> str:
-    """The `higher=` field of a row: "0" when the curve `c` pairs 0 with
-    every higher boundary class alpha_1, beta_1, ..., else "nonzero"."""
-    return "0" if all(c.pairing(sym) == 0 for sym in
-                      picard.higher_boundary(c.space)) else "nonzero"
+    """The `higher=` field of a row: "0" when the curve `c` stores no
+    pairing with alpha_1, beta_1, ... (zeros are dropped), else "nonzero"."""
+    return "nonzero" if any(sym in c.pairings for sym in
+                            picard.higher_boundary(c.space)) else "0"
 
 
 def _xi_check(g):

@@ -55,17 +55,14 @@ class CurveClass(Record):
     half-integral (reducible admissible-covering fibres contribute nodes/2
     to beta_0).  Given pairings are stored as Fractions in a read-only
     mapping with the zeros dropped, so `==` and `hash` compare values;
-    floats and bools raise ``TypeError``.  The label records provenance
-    only and is ignored by equality.
+    floats and bools raise ``TypeError``.  The generic `Record._key` keys
+    it by space and pairings (only `SymmetricForm` narrows its key).
     """
 
-    __slots__ = ("space", "pairings", "label")
+    __slots__ = ("space", "pairings")
 
-    def __init__(self, space: ModuliSpace, pairings, label: str = ""):
-        Record.__init__(self, space, _coefficients(space, pairings), label)
-
-    def _key(self) -> tuple:
-        return Record._key(self)[:-1]  # the label left out
+    def __init__(self, space: ModuliSpace, pairings):
+        Record.__init__(self, space, _coefficients(space, pairings))
 
     def pairing(self, sym: str) -> Fraction:
         _require_basis(self.space, (sym,))
@@ -78,10 +75,10 @@ class CurveClass(Record):
         return f"<curve on {self.space}: {body or '0'}>"
 
 
-def curve_class(space, entries=(), label="") -> CurveClass:
+def curve_class(space, entries=()) -> CurveClass:
     """Build a curve class from (symbol, pairing) pairs; a symbol listed
     twice raises, as in `picard.divisor_class`."""
-    return CurveClass(space, _entries(entries), label)
+    return CurveClass(space, _entries(entries))
 
 
 def noether_c2(chi: int, k_squared: int) -> int:
@@ -92,7 +89,7 @@ def noether_c2(chi: int, k_squared: int) -> int:
 
 def pencil_curve(target: ModuliSpace, chi: int, k_squared: int,
                  nodes_resolved: int = 0, base_points: int = 0,
-                 reducible_fibres=(), label: str = "") -> CurveClass:
+                 reducible_fibres=()) -> CurveClass:
     """Curve class of the moduli image of a pencil of genus-g curves on a
     surface, g the genus of `target`.
 
@@ -105,7 +102,7 @@ def pencil_curve(target: ModuliSpace, chi: int, k_squared: int,
     a float, a Fraction) raises ``TypeError``, and a negative count or
     c_2 raises ``ValueError``.  The boundary budget lands on delta_0 for
     a stable-curve target and splits as alpha_0 + 2*beta_0 on an even-spin
-    one (see the module docstring).  The curve carries `label`.
+    one (see the module docstring).  The curve is its pairings alone.
     """
     reducible_fibres = tuple(reducible_fibres)
     require_int("a surface pencil count", chi, k_squared, nodes_resolved,
@@ -118,7 +115,7 @@ def pencil_curve(target: ModuliSpace, chi: int, k_squared: int,
     lam = chi + g - 1
     total = noether_c2(chi, k_squared) + base_points + 4 * (g - 1)
     if target.kind == MBAR:
-        return curve_class(target, [(LAMBDA, lam), (DELTA0, total)], label)
+        return curve_class(target, [(LAMBDA, lam), (DELTA0, total)])
     if target.kind != SPIN:
         raise SpaceMismatchError("pencil targets are the stable-curve and "
                                  "even-spin spaces")
@@ -126,8 +123,7 @@ def pencil_curve(target: ModuliSpace, chi: int, k_squared: int,
     a0 = total - 2 * b0
     if a0 < 0:
         raise NegativeBudgetError(f"budget {total} cannot carry beta_0={b0}")
-    return curve_class(target, [(LAMBDA, lam), (ALPHA0, a0), (BETA0, b0)],
-                       label)
+    return curve_class(target, [(LAMBDA, lam), (ALPHA0, a0), (BETA0, b0)])
 
 
 def xi_curve(g: int) -> CurveClass:
@@ -141,9 +137,8 @@ def xi_curve(g: int) -> CurveClass:
     require_int("a genus", g)
     if g < 2:
         raise BadGenusError("genus must be at least 2")
-    return curve_class(
-        rbar(g), [(LAMBDA, g + 1), (D0P, 6 * g + 2), (D0RAM, 8)],
-        label=f"Lefschetz pencil on a genus-{g} polarized Nikulin surface")
+    return curve_class(rbar(g),
+                       [(LAMBDA, g + 1), (D0P, 6 * g + 2), (D0RAM, 8)])
 
 
 #: Resolved-surface invariants (chi, K^2, base points, unit-multiplicity
@@ -168,9 +163,8 @@ def gamma_curve(g: int) -> CurveClass:
     if g not in GAMMA_SURFACE_DATA:
         raise BadGenusError("theta-null covering pencils exist for genus 4..9")
     chi, k2, bp, nodes = GAMMA_SURFACE_DATA[g]
-    return pencil_curve(
-        spin_plus(g), chi, k2, nodes_resolved=nodes, base_points=bp,
-        label=f"pencil on a nodal canonical surface, genus {g}")
+    return pencil_curve(spin_plus(g), chi, k2, nodes_resolved=nodes,
+                        base_points=bp)
 
 
 def r_curve_g8() -> CurveClass:
@@ -181,24 +175,23 @@ def r_curve_g8() -> CurveClass:
     members each contribute 7/2 to beta_0.  Pairings: lambda = 9,
     alpha_0 = 52, beta_0 = 7.
     """
-    return pencil_curve(spin_plus(8), 2, -14, reducible_fibres=(7, 7),
-                        label="pencil through two elliptic rulings on a "
-                              "doubly-elliptic K3 surface")
+    return pencil_curve(spin_plus(8), 2, -14, reducible_fibres=(7, 7))
 
 
 def septic_pencil_curve() -> CurveClass:
     """Lefschetz pencil of 7-nodal plane septics: the plane blown up at the
     7 assigned nodes and 21 base points gives chi = 1, K^2 = -19, hence
     lambda = 8 and delta_0 = 59."""
-    return pencil_curve(mbar(8), 1, -19,
-                        label="Lefschetz pencil of 7-nodal plane septics")
+    return pencil_curve(mbar(8), 1, -19)
 
 
 def covering_degree(g: int) -> int:
     """Number of even theta-characteristics on a genus-g curve,
-    2^(g-1) * (2^g + 1): the degree of the even-spin covering."""
+    2^(g-1) * (2^g + 1), g >= 0: the degree of the even-spin covering."""
     require_int("a genus", g)
-    return 2 ** (g - 1) * (2 ** g + 1)
+    if g < 0:
+        raise BadGenusError("genus must be nonnegative")
+    return 2 ** g * (2 ** g + 1) // 2
 
 
 class LiftedSpinCurve(Record):
@@ -210,11 +203,7 @@ class LiftedSpinCurve(Record):
     is only legal against classes with coeff(beta_0) = 2*coeff(alpha_0).
     """
 
-    __slots__ = ("base", "label")
-    _defaults = ("",)
-
-    def _key(self) -> tuple:
-        return (self.base,)
+    __slots__ = ("base",)
 
     @property
     def space(self) -> ModuliSpace:
@@ -234,11 +223,10 @@ def btilde_curve(base: CurveClass) -> LiftedSpinCurve:
     if base.space.kind != MBAR:
         raise SpaceMismatchError("lift starts from the stable-curve space")
     for sym in higher_boundary(base.space):
-        if base.pairing(sym):
+        if sym in base.pairings:  # zeros are never stored
             raise NonzeroHigherBoundaryError(
-                f"base pairs {base.pairing(sym)} with {sym}")
-    return LiftedSpinCurve(base, f"spin fibre-product lift of "
-                                 f"{base.label or 'a pencil'}")
+                f"base pairs {base.pairings[sym]} with {sym}")
+    return LiftedSpinCurve(base)
 
 
 def _pair_lift(c: LiftedSpinCurve, d: DivisorClass) -> Fraction:

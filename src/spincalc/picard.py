@@ -269,10 +269,12 @@ def covering_images(target: ModuliSpace) -> tuple:
 
 def pullback(d: DivisorClass, target: ModuliSpace) -> DivisorClass:
     """Pullback along the covering of the stable-curve space by `target`
-    (see `covering_images`)."""
+    (see `covering_images`), of the same genus as `d`."""
     if d.space.kind != MBAR:
         raise SpaceMismatchError("pullbacks start from the stable-curve space")
     images = dict(covering_images(target))
+    if target.genus != d.space.genus:
+        raise SpaceMismatchError(f"{d.space} vs {target}")
     coeffs: dict = {}
     opaque: set = set()
     for sym, value in d.coeffs.items():

@@ -35,8 +35,7 @@ def pushforward_to_mbar(c: CurveClass) -> CurveClass:
         return c
     entries = [(sym, sum(mult * c.pairing(img) for img, mult in images))
                for sym, images in covering_images(c.space)]
-    return curve_class(mbar(c.space.genus), entries,
-                       label=f"pushforward of {c.label}")
+    return curve_class(mbar(c.space.genus), entries)
 
 
 # --- Noether bookkeeping ----------------------------------------------------
@@ -178,7 +177,11 @@ def _count_even_quadratic_zeros(g):
 def test_covering_degree_against_arf_count():
     assert covering_degree(8) == 32896
     assert _count_even_quadratic_zeros(8) == 32896
-    assert _count_even_quadratic_zeros(3) == covering_degree(3) == 36
+    for g, count in enumerate((1, 3, 10, 36)):
+        assert _count_even_quadratic_zeros(g) == covering_degree(g) == count
+        assert type(covering_degree(g)) is int
+    with pytest.raises(BadGenusError, match="nonnegative"):
+        covering_degree(-1)
 
 
 def test_btilde_pairing_with_pullback():
@@ -258,7 +261,7 @@ def test_opaque_pairing_raises_never_zero():
 # --- normalization ----------------------------------------------------------
 
 def test_curve_class_drops_explicit_zeros():
-    c = CurveClass(mbar(4), {LAMBDA: 0}, "")
+    c = CurveClass(mbar(4), {LAMBDA: 0})
     assert c.pairings == {}
     assert c == curve_class(mbar(4))
     assert CurveClass(mbar(4), {LAMBDA: 2, DELTA0: fr(0, 3)}) == \
@@ -338,10 +341,3 @@ def test_pair_is_linear_in_the_genus():
     value = pair(xi_curve(100000), canonical_class(rbar(100000)))
     assert time.perf_counter() - start < 1
     assert value == 100000 - 15
-
-
-def test_pencil_curve_attaches_the_label():
-    c = pencil_curve(mbar(8), 1, -19, label="septics")
-    assert c.label == "septics" and c == pencil_curve(mbar(8), 1, -19)
-    assert septic_pencil_curve().label == (
-        "Lefschetz pencil of 7-nodal plane septics")

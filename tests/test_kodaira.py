@@ -100,8 +100,7 @@ def _with_pairing(build, sym, value):
     """`build`, with the curve it returns also pairing `value` with `sym`."""
     def bent(*args):
         c = build(*args)
-        return curves.CurveClass(c.space, {**c.pairings, sym: value},
-                                 c.label)
+        return curves.CurveClass(c.space, {**c.pairings, sym: value})
     return bent
 
 

@@ -1,5 +1,6 @@
 """Divisor-class arithmetic, pullbacks, named classes and slope."""
 
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
@@ -223,6 +224,13 @@ def test_pullback_maps_opaque_to_opaque():
 def test_pullback_space_mismatch():
     with pytest.raises(SpaceMismatchError):
         pullback(theta_null(8), rbar(8))
+
+
+@pytest.mark.parametrize("target", [spin_plus(9), spin_plus(7), rbar(7)])
+def test_pullback_refuses_a_target_of_another_genus(target):
+    with pytest.raises(SpaceMismatchError,
+                       match=re.escape(f"Mbar_8 vs {target}")):
+        pullback(brill_noether_g8(), target)
 
 
 def test_pullback_to_a_target_space_matches_the_named_pullbacks():

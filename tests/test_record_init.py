@@ -21,7 +21,7 @@ def test_positional_and_default_arguments_bind_in_slot_order():
     assert (entry.a, entry.target_sum, entry.target_norm, entry.cs_gap,
             entry.solution_found) == (1, 9, 6, 33, False)
     lift = curves.LiftedSpinCurve(curves.septic_pencil_curve())
-    assert lift.label == ""
+    assert lift.base == curves.septic_pencil_curve()
 
 
 @pytest.mark.parametrize("build", [

@@ -106,10 +106,8 @@ def test_equal_classes_built_differently_hash_equal():
                                          picard.spin_plus(8))] == "K"
 
 
-def test_curve_equality_and_hash_ignore_the_label():
-    a = curves.curve_class(picard.mbar(4), [("lambda", 1)], label="a")
-    b = curves.curve_class(picard.mbar(4), [("lambda", 1)], label="b")
-    assert a == b and hash(a) == hash(b)
-    lift_a, lift_b = (curves.LiftedSpinCurve(curves.septic_pencil_curve(), x)
-                      for x in "ab")
-    assert lift_a == lift_b and hash(lift_a) == hash(lift_b)
+def test_curves_are_their_pairings_and_take_no_label():
+    with pytest.raises(TypeError, match="positional arguments"):
+        curves.CurveClass(picard.mbar(4), {"lambda": 1}, "a")
+    with pytest.raises(TypeError, match=r"\(base\): 2 arguments"):
+        curves.LiftedSpinCurve(curves.septic_pencil_curve(), "a")
