@@ -165,8 +165,8 @@ def _cmd_lattice(args) -> tuple[int, str]:
 _FACTOR = re.compile(r"^s(?:\((\d+)(?:,(\d+))?\)|(\d+))(?:\^(\d+))?$",
                      re.ASCII)
 #: the largest `schubert --n`: a degree takes about n^2 Pieri terms, and
-#: at the cap a whole `--expr s1 --degree` query took 1.0 s (best of
-#: five) on a two-core x86-64 VM
+#: at the cap a whole `--expr s1 --degree` query took 1.0 s (median of
+#: seven runs, 0.95-1.26 s) on a two-core x86-64 VM
 MAX_SCHUBERT_N = 1000
 #: the digits of all numerals of a `schubert` expression together: the
 #: integer factors then multiply to below 10^2000, so with a Schubert

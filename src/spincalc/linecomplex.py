@@ -18,7 +18,7 @@ from operator import itemgetter
 
 from ._linalg import (bilinear, dot, int_rank, mat_det, mat_rank, mat_vec,
                       require_symmetric, scaled, solve)
-from ._record import Record, exact, require_int
+from ._record import Record, require_int
 
 
 class BasePointNotOnQuadricError(ValueError):
@@ -112,14 +112,9 @@ def wedge_pairs(n: int) -> tuple:
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
-def wedge_coordinates(u, v) -> list:
-    """Pluecker coordinates of u ^ v in the lexicographic pair basis; an
-    entry that is not an int or a Fraction raises ``TypeError``."""
-    return _wedge([*map(exact, u)], [*map(exact, v)])
-
-
 def _wedge(u, v) -> list:
-    """`wedge_coordinates` of vectors of ints or Fractions."""
+    """Pluecker coordinates of u ^ v in the lexicographic pair basis, for
+    vectors of ints or Fractions."""
     if len(u) != len(v):
         raise ValueError("the two vectors must have the same length")
     return [u[i] * v[j] - u[j] * v[i] for i, j in wedge_pairs(len(u))]

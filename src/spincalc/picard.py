@@ -109,7 +109,10 @@ def spin_plus(g: int) -> ModuliSpace:
 def boundary(space: ModuliSpace, i: int) -> tuple[str, ...]:
     """The basis symbols of the i-th boundary of `space`, 0 <= i <= g//2:
     delta_i; delta_0', delta_0'', delta_0^ram or pi_delta_i; alpha_i,
-    beta_i."""
+    beta_i; any other i raises ``UnknownSymbolError``."""
+    require_int("a boundary index", i)
+    if not 0 <= i <= space.genus // 2:
+        raise UnknownSymbolError(f"no boundary {i} on {space}")
     if space.kind == MBAR:
         return (delta(i),)
     if space.kind == RBAR:
@@ -186,9 +189,6 @@ class DivisorClass(Record):
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         return self + (-1) * other
-
-    def __neg__(self) -> "DivisorClass":
-        return (-1) * self
 
     def __mul__(self, c) -> "DivisorClass":
         c = exact(c)
@@ -422,12 +422,12 @@ def named_divisor(name: str, space: ModuliSpace, param: int | None = None
                   ) -> DivisorClass:
     """Resolve one of the named divisor classes on `space`.
 
-    `param` is the twist index of hodge_c1, which needs one; prym_green
-    takes an optional index i, which must then be (g-6)/2.  Raises
+    `param` is the twist index of hodge_c1, the one name that takes one;
+    prym_green reads its index i off the genus 2i+6.  Raises
     ``BadParamError`` when the name is unknown, `space` is not its home,
-    or `param` is missing, not taken or inconsistent with the genus.
+    or `param` is missing or not taken.
     """
-    if param is not None and name not in ("prym_green", "hodge_c1"):
+    if param is not None and name != "hodge_c1":
         raise BadParamError(f"{name!r} takes no index parameter")
     if name == "canonical":
         return canonical_class(space)
@@ -436,12 +436,9 @@ def named_divisor(name: str, space: ModuliSpace, param: int | None = None
     elif name == "theta_null":
         d = theta_null(space.genus)
     elif name == "prym_green":
-        if param is not None and space.genus != 2 * param + 6:
-            raise BadParamError("prym_green needs genus = 2i+6")
         if space.genus < 6 or space.genus % 2:
             raise BadParamError("prym_green needs genus 2i+6")
-        # a given param is passed on itself, so its int rule applies
-        d = prym_green((space.genus - 6) // 2 if param is None else param)
+        d = prym_green((space.genus - 6) // 2)
     elif name == "hodge_c1":
         if param is None:
             raise BadParamError("hodge_c1 needs an index parameter")

@@ -49,6 +49,7 @@ class SchubertCycle(Record):
         Record.__init__(self, n, MappingProxyType(kept))
 
     def coefficient(self, a: int, b: int = 0) -> int:
+        require_int("a partition index", a, b)
         return self.terms.get((a, b), 0)
 
     def is_zero(self) -> bool:

@@ -138,8 +138,10 @@ def test_class_hodge_needs_param(capsys):
     ("class", "--space", "rbar", "--genus", "7", "--name", "canonical"),
     ("pair", "--curve", "xi", "--genus", "6", "--divisor", "nikulin_N6"),
     ("pair", "--curve", "r", "--divisor", "bn8"),
+    # 3 is the index prym_green reads off genus 12 itself
+    ("pair", "--curve", "xi", "--genus", "12", "--divisor", "prym_green"),
 ], ids=["class-bn8", "class-theta", "class-canonical", "pair-nikulin",
-        "pair-pulled-back"])
+        "pair-pulled-back", "pair-prym-green"])
 def test_param_the_name_does_not_take_exits_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0

@@ -5,7 +5,10 @@ count, an index, a rank or power, a lattice Gram entry, a scale, a seed
 or an argument of the sum-of-squares search: a plain int passes, and
 anything else raises ``TypeError``."""
 
+import importlib
+import inspect
 import random
+import re
 from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
@@ -24,11 +27,10 @@ from spincalc.linecomplex import (complex_point_samples,
                                   compound_rank_samples, plucker_quadric_rank,
                                   random_invertible_matrix,
                                   random_symmetric_form_of_rank,
-                                  symmetric_form, tangency_samples,
-                                  wedge_coordinates)
+                                  symmetric_form, tangency_samples)
 from spincalc.picard import (BETA0, LAMBDA, alpha, beta, brill_noether_g8,
                              delta, divisor_class, mbar, pi_delta, prym_green,
-                             spin_plus, sym_power_c1, theta_null,
+                             rbar, spin_plus, sym_power_c1, theta_null,
                              twisted_hodge_c1)
 from spincalc.schubert import (SchubertCycle, catalan_degree, sigma,
                                vq_dimension)
@@ -47,7 +49,6 @@ BOUNDARIES = {
     "class_times": lambda x: brill_noether_g8() * x,
     "plucker_quadric_rank": lambda x: plucker_quadric_rank({(0, 1): x}),
     "cycle_times": lambda x: sigma(5, 1) * x,
-    "wedge_coordinates": lambda x: wedge_coordinates([x, 0], [0, 1]),
 }
 
 #: each int-only boundary as a function of the one value it is given;
@@ -119,7 +120,6 @@ def test_ints_and_fractions_pass_every_boundary(x):
     assert divisor_class(mbar(2), [(LAMBDA, x)]).coeff(LAMBDA) == x
     assert (brill_noether_g8() * x).coeff(LAMBDA) == 22 * x
     assert plucker_quadric_rank({(0, 1): x}) == 6
-    assert wedge_coordinates([x, 0], [0, 1]) == [x]
 
 
 def test_cycles_take_plain_ints_only():
@@ -209,3 +209,134 @@ def test_bilinear_raises_the_text_of_exact(x):
     with pytest.raises(TypeError, match=f"^{type(x).__name__} is inexact; "
                                         f"use int or Fraction$"):
         bilinear([[1, 0], [0, 1]], [x, 1], [1, 1])
+
+
+# --- every int parameter, found by signature ---------------------------------
+
+#: the modules whose public callables the int rule covers
+RULED = ("_linalg", "checks", "curves", "kodaira", "lattices", "linecomplex",
+         "picard", "schubert")
+
+#: valid arguments of each public callable with an int parameter, in
+#: signature order (a method's first is its instance)
+VALID = {
+    "curves.noether_c2": (1, 9),
+    "curves.pencil_curve": (spin_plus(8), 2, -14, 0, 0),
+    "curves.xi_curve": (6,),
+    "curves.gamma_curve": (4,),
+    "curves.covering_degree": (3,),
+    "lattices.IntegerLattice.scaled": (hyperbolic_u(), 2),
+    "lattices.lambda_lattice": (3,),
+    "lattices.e8": (2,),
+    "lattices.sum_square_solution_exists": (3, 3, 3),
+    "lattices.cs_obstruction": (7, 1),
+    "lattices.lambda_identities": (3,),
+    "linecomplex.random_invertible_matrix": (random.Random(0), 3),
+    "linecomplex.random_symmetric_form_of_rank": (random.Random(0), 5, 2),
+    "linecomplex.tangency_samples": (random.Random(0), 1),
+    "linecomplex.complex_point_samples": (random.Random(0), 1),
+    "linecomplex.compound_rank_samples": (random.Random(0), 1),
+    "picard.delta": (3,),
+    "picard.pi_delta": (3,),
+    "picard.alpha": (3,),
+    "picard.beta": (3,),
+    "picard.ModuliSpace": ("mbar", 3),
+    "picard.mbar": (3,),
+    "picard.rbar": (3,),
+    "picard.spin_plus": (3,),
+    "picard.boundary": (mbar(8), 3),
+    "picard.theta_null": (3,),
+    "picard.prym_green": (1,),
+    "picard.twisted_hodge_c1": (3, 5),
+    "picard.sym_power_c1": (brill_noether_g8(), 1, 1),
+    "picard.named_divisor": ("hodge_c1", rbar(5), 3),
+    "schubert.SchubertCycle": (5, {(1, 0): 1}),
+    "schubert.SchubertCycle.coefficient": (sigma(5, 1), 1, 0),
+    "schubert.sigma": (5, 1, 0, 1),
+    "schubert.grassmannian_degree": (3,),
+    "schubert.catalan_degree": (3,),
+    "schubert.vq_dimension": (4,),
+    "checks.verify_all": (3, None, True),
+}
+
+#: int parameters the rule does not reach, each with its reason
+EXEMPT = {
+    "linecomplex.wedge_pairs": "cached: functools.cache keys True as 1, so "
+                               "a gate inside it would be skipped on a hit",
+}
+
+
+def _int_parameters(f):
+    """The names of the parameters of `f` annotated with int."""
+    return [p.name for p in inspect.signature(f).parameters.values()
+            if "int" in re.findall(r"\w+", str(p.annotation))]
+
+
+def _public_callables():
+    """(module.name, callable) of every public function, class and public
+    method defined in the RULED modules, each object once; exceptions
+    are left out."""
+    seen, out = set(), []
+    for mod in map(importlib.import_module,
+                   (f"spincalc.{m}" for m in RULED)):
+        for name, obj in sorted(vars(mod).items()):
+            if (name.startswith("_") or not callable(obj) or id(obj) in seen
+                    or getattr(obj, "__module__", None) != mod.__name__
+                    or isinstance(obj, type) and issubclass(obj, Exception)):
+                continue
+            seen.add(id(obj))
+            short = mod.__name__.split(".")[-1]
+            out.append((f"{short}.{name}", obj))
+            if inspect.isclass(obj):
+                out += [(f"{short}.{name}.{m}", f)
+                        for m, f in sorted(vars(obj).items())
+                        if not m.startswith("_") and inspect.isfunction(f)]
+    return out
+
+
+def _call(f, args):
+    out = f(*args)
+    return next(out) if inspect.isgenerator(out) else out
+
+
+def _ungated(callables, valid):
+    """(name, parameter, value) for each int parameter of `callables` that
+    does not raise the int rule's ``TypeError`` for True and for 2.0; a
+    callable with no row in `valid` is reported as (name, None, None)."""
+    out = []
+    for name, f in callables:
+        params = _int_parameters(f)
+        if not params or name in EXEMPT:
+            continue
+        if name not in valid:
+            out.append((name, None, None))
+            continue
+        args = valid[name]
+        _call(f, args)
+        names = list(inspect.signature(f).parameters)
+        for p in params:
+            for bad in (True, 2.0):
+                bent = list(args)
+                bent[names.index(p)] = bad
+                try:
+                    _call(f, bent)
+                except TypeError as e:
+                    if f"must be int, not {type(bad).__name__}" in str(e):
+                        continue
+                out.append((name, p, bad))
+    return out
+
+
+def test_every_int_parameter_takes_plain_ints_only():
+    assert _ungated(_public_callables(), VALID) == []
+    assert set(VALID) | set(EXEMPT) <= {n for n, _ in _public_callables()}
+
+
+def test_an_ungated_int_parameter_is_reported():
+    def scratch(n: int):
+        return [0] * n
+
+    walk = [*_public_callables(), ("scratch", scratch)]
+    assert _ungated(walk, {**VALID, "scratch": (3,)}) == [
+        ("scratch", "n", True), ("scratch", "n", 2.0)]
+    assert _ungated([("scratch", scratch)], VALID) == [("scratch", None, None)]
