@@ -118,14 +118,14 @@ def _primitive(vectors) -> list:
 def int_rank(rows) -> int:
     """Rank of a rectangular matrix of ints, given as rows (lists or
     tuples), which it leaves as they are: the pivot count of `_eliminate`
-    on the rows and then the columns cleared of their contents (divided by
-    the gcd of their entries, the zero ones dropped).  Scaling by a
-    nonzero int keeps the rank and shrinks every minor the elimination
-    builds."""
+    on its columns, as they stand (rank A^T = rank A), once its rows and
+    then its columns are cleared of their contents (divided by the gcd of
+    their entries, the zero ones dropped).  Scaling by a nonzero int keeps
+    the rank and shrinks every minor; no caller need clear its own rows."""
     if len(set(map(len, rows))) > 1:
         raise ValueError("rank needs rows of equal length")
-    cols = _primitive(zip(*_primitive(rows)))
-    return len(_eliminate([list(row) for row in zip(*cols)])[0])
+    cols = _primitive(map(list, zip(*_primitive(rows))))
+    return len(_eliminate(cols)[0])
 
 
 def mat_rank(mat) -> int:

@@ -11,9 +11,7 @@ denominator.  The seeded samplers of the property suites come last (see
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
-from itertools import chain
-from math import gcd
+from functools import cache, lru_cache
 from operator import itemgetter
 
 from ._linalg import (bilinear, dot, int_rank, mat_det, mat_rank, mat_vec,
@@ -42,12 +40,13 @@ class SymmetricForm(Record):
     symmetric array of ints and Fractions.
 
     Its one stored state is the integer view: `_ints` = d G, as int rows,
-    and `_den` = d, the lcm of the denominators of the Gram G.  `gram`
-    reads G back from the view, an entry as an int where it is integral,
-    so equality, hashing and `repr` compare Grams, and copying and
-    pickling rebuild the form from its Gram.  A form derived inside this
-    module (a compound, a sampled form) is built from its view by
-    `_from_view`; `dim`, `evaluate` and `rank` read the view alone.
+    and `_den` = d, the lcm of the denominators of the Gram G (a multiple
+    of it for a compound).  `gram` reads G back from the view, an entry as
+    an int where it is integral, so equality, hashing and `repr` compare
+    Grams, and copying and pickling rebuild the form from its Gram.  A
+    form derived inside this module (a compound, a sampled form) is built
+    from its view by `_from_view`; `dim`, `evaluate` and `rank` read the
+    view alone.
     """
 
     __slots__ = ("_ints", "_den")
@@ -61,7 +60,7 @@ class SymmetricForm(Record):
     @classmethod
     def _from_view(cls, ints: list, den: int) -> SymmetricForm:
         """The form with Gram ints / den, for symmetric int rows `ints`
-        and den > 0 that have no common factor."""
+        and an int den > 0."""
         form = object.__new__(cls)
         Record.__init__(form, ints, den)
         return form
@@ -91,9 +90,9 @@ class SymmetricForm(Record):
         return self.evaluate(u, u)
 
     def rank(self) -> int:
-        """The rank of the view, content-free (`int_rank`): row i of the
-        view carries the factor d / d_i, d_i the lcm of the denominators
-        of row i of G, which would grow every minor of the elimination."""
+        """The rank of the view, content-free (`int_rank`): a row of the
+        view carries a factor, such as d / d_i for d_i the lcm of the
+        denominators of its row of G, that would grow every minor."""
         return int_rank(self._ints)
 
 
@@ -106,9 +105,11 @@ def _ratio(n: int, d: int):
 symmetric_form = SymmetricForm
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def wedge_pairs(n: int) -> tuple:
-    """Lexicographic index pairs (i, j), i < j, of the wedge-square basis."""
+    """Lexicographic index pairs (i, j), i < j, of the wedge-square basis;
+    the cache is typed, so True and 2.0 meet the int rule on every call."""
+    require_int("a dimension", n)
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
@@ -152,14 +153,9 @@ def second_compound(q: SymmetricForm) -> SymmetricForm:
     of q.  Its rank is C(rank q, 2).
 
     The minors of the view d G are the compound times d^2, so its own
-    view is the minors and d^2, both divided by their gcd.
+    view is the minors and d^2, not reduced: no reader needs it reduced.
     """
-    rows = _compound_rows(q._ints)
-    d2 = q._den ** 2
-    g = gcd(d2, *chain.from_iterable(rows))
-    if g > 1:
-        rows = [[c // g for c in row] for row in rows]
-    return SymmetricForm._from_view(rows, d2 // g)
+    return SymmetricForm._from_view(_compound_rows(q._ints), q._den ** 2)
 
 
 def _line(q: SymmetricForm, u, v, off_quadric) -> tuple:

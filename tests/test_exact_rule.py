@@ -27,7 +27,8 @@ from spincalc.linecomplex import (complex_point_samples,
                                   compound_rank_samples, plucker_quadric_rank,
                                   random_invertible_matrix,
                                   random_symmetric_form_of_rank,
-                                  symmetric_form, tangency_samples)
+                                  symmetric_form, tangency_samples,
+                                  wedge_pairs)
 from spincalc.picard import (BETA0, LAMBDA, alpha, beta, brill_noether_g8,
                              delta, divisor_class, mbar, pi_delta, prym_green,
                              rbar, spin_plus, sym_power_c1, theta_null,
@@ -236,6 +237,7 @@ VALID = {
     "linecomplex.tangency_samples": (random.Random(0), 1),
     "linecomplex.complex_point_samples": (random.Random(0), 1),
     "linecomplex.compound_rank_samples": (random.Random(0), 1),
+    "linecomplex.wedge_pairs": (2,),
     "picard.delta": (3,),
     "picard.pi_delta": (3,),
     "picard.alpha": (3,),
@@ -257,12 +259,6 @@ VALID = {
     "schubert.catalan_degree": (3,),
     "schubert.vq_dimension": (4,),
     "checks.verify_all": (3, None, True),
-}
-
-#: int parameters the rule does not reach, each with its reason
-EXEMPT = {
-    "linecomplex.wedge_pairs": "cached: functools.cache keys True as 1, so "
-                               "a gate inside it would be skipped on a hit",
 }
 
 
@@ -306,7 +302,7 @@ def _ungated(callables, valid):
     out = []
     for name, f in callables:
         params = _int_parameters(f)
-        if not params or name in EXEMPT:
+        if not params:
             continue
         if name not in valid:
             out.append((name, None, None))
@@ -329,7 +325,7 @@ def _ungated(callables, valid):
 
 def test_every_int_parameter_takes_plain_ints_only():
     assert _ungated(_public_callables(), VALID) == []
-    assert set(VALID) | set(EXEMPT) <= {n for n, _ in _public_callables()}
+    assert set(VALID) <= {n for n, _ in _public_callables()}
 
 
 def test_an_ungated_int_parameter_is_reported():
@@ -340,3 +336,12 @@ def test_an_ungated_int_parameter_is_reported():
     assert _ungated(walk, {**VALID, "scratch": (3,)}) == [
         ("scratch", "n", True), ("scratch", "n", 2.0)]
     assert _ungated([("scratch", scratch)], VALID) == [("scratch", None, None)]
+
+
+@pytest.mark.parametrize("x", [True, 2.0], ids=["bool", "float"])
+def test_a_cached_dimension_still_takes_plain_ints_only(x):
+    # a cache that keyed True as 1 would answer from the int entry
+    assert wedge_pairs(1) == () and wedge_pairs(2) == ((0, 1),)
+    with pytest.raises(TypeError, match=f"^a dimension must be int, not "
+                                        f"{type(x).__name__}$"):
+        wedge_pairs(x)
