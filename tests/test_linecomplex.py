@@ -545,7 +545,7 @@ def test_the_integer_view_is_not_part_of_the_value():
 
 
 # --- derived forms ----------------------------------------------------------
-# A compound is built from its integer view; its Gram is built on first read.
+# A compound is built from its integer view; its Gram is read back from it.
 
 @pytest.mark.parametrize("dim", [5, 6, 7])
 def test_compounds_of_rational_forms_equal_their_public_twins(dim):
