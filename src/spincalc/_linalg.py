@@ -2,7 +2,8 @@
 
 `scaled` clears the denominators of a matrix once, and every elimination
 runs through `_eliminate`, so every vanishing or rank statement in the
-package is decided with zero tolerance by the same code.
+package is decided with zero tolerance by the same code.  Each input is
+checked once, where it enters; the products only multiply.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ def scaled(mat) -> tuple[list, int]:
         return [list(row) for row in mat], 1
     if not kinds <= _RATIONALS:
         for row in mat:
-            _require_exact(row)
+            for x in row:
+                exact(x)
     d = lcm(*{x.denominator for row in mat for x in row})
     return [[x.numerator * (d // x.denominator) for x in row]
             for row in mat], d
@@ -172,43 +174,17 @@ def solve(mat, rhs) -> list[Fraction]:
     return [Fraction(yi, d) for yi in y]
 
 
-def _require_exact(values) -> None:
-    """Raise ``TypeError``, through `exact`, unless each of `values` is
-    an int or a Fraction; a float anywhere in a product makes its sum a
-    float.  The products call it once on their whole result: a scan of
-    the set of entry types is the fast path, and `exact` runs only to
-    raise."""
-    if not _RATIONALS.issuperset(map(type, values)):
-        for x in values:
-            exact(x)
-
-
 def dot(u, v):
     """Exact dot product of two equally long vectors; like `mat_vec` and
-    `bilinear`, it keeps the exact type of its inputs (ints stay ints)."""
-    if len(u) != len(v):
-        raise ValueError("dot product of vectors of unequal length")
-    total = sum(map(mul, u, v))
-    _require_exact((total,))
-    return total
+    `bilinear`, it keeps the type of its inputs and checks nothing."""
+    return sum(map(mul, u, v))
 
 
 def mat_vec(mat, vec) -> list:
-    """The column vector mat * vec."""
-    if set(map(len, mat)) - {len(vec)}:
-        raise ValueError("matrix rows and vector differ in length")
-    out = [sum(map(mul, row, vec)) for row in mat]
-    _require_exact(out)
-    return out
+    """The column vector mat * vec, for rows as long as vec."""
+    return [sum(map(mul, row, vec)) for row in mat]
 
 
 def bilinear(gram, u, v):
-    """The bilinear value u^T G v of the square Gram matrix G; a float
-    anywhere in G, u or v makes the total a float."""
-    n = len(gram)
-    if len(u) != n or len(v) != n or set(map(len, gram)) - {n}:
-        raise ValueError("u, the rows of G and v differ in length")
-    total = sum(map(mul, u, [sum(map(mul, row, v)) for row in gram]))
-    _require_exact((total,))
-    return total
-
+    """u^T G v, for the square Gram G and u and v as long as its rows."""
+    return sum(map(mul, u, [sum(map(mul, row, v)) for row in gram]))

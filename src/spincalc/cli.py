@@ -291,7 +291,7 @@ def _cmd_complex(args) -> tuple[int, str]:
     if len(rows) < dim:
         raise UsageError(f"expected {dim} matrix rows")
     q = linecomplex.symmetric_form(rows[:dim])
-    _require_bounds(dim, *scaled(rows[:dim]))
+    _require_bounds(dim, q._ints, q._den)
     vectors = rows[dim:]
     if args.op == "compound":
         c = linecomplex.second_compound(q)

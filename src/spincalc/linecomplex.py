@@ -82,8 +82,11 @@ class SymmetricForm(Record):
         return len(self._ints)
 
     def evaluate(self, u, v):
-        """Bilinear value u^T G v; `bilinear` checks the lengths."""
+        """Bilinear value u^T G v, for u and v of length `dim`: checked
+        here, as `bilinear` only multiplies."""
         (iu, iv), d = scaled((u, v))
+        if len(iu) != self.dim or len(iv) != self.dim:
+            raise ValueError("u, the rows of G and v differ in length")
         return _ratio(bilinear(self._ints, iu, iv), self._den * d * d)
 
     def quadratic(self, u):
@@ -115,9 +118,7 @@ def wedge_pairs(n: int) -> tuple:
 
 def _wedge(u, v) -> list:
     """Pluecker coordinates of u ^ v in the lexicographic pair basis, for
-    vectors of ints or Fractions."""
-    if len(u) != len(v):
-        raise ValueError("the two vectors must have the same length")
+    equally long vectors of ints or Fractions (`_line` checks them)."""
     return [u[i] * v[j] - u[j] * v[i] for i, j in wedge_pairs(len(u))]
 
 
@@ -164,9 +165,12 @@ def _line(q: SymmetricForm, u, v, off_quadric) -> tuple:
     vanishing the predicates ask about, so none of them builds a
     Fraction.  Raises ``ValueError`` on a length mismatch, ``TypeError``
     on an inexact entry, `off_quadric` unless [u] lies on the quadric,
-    and `DependentVectorsError` unless u and v span a line."""
+    and `DependentVectorsError` unless u and v span a line; the products
+    after it only multiply."""
     if len(u) != q.dim:
         raise ValueError("vector length must match the form dimension")
+    if len(v) != len(u):
+        raise ValueError("the two vectors must have the same length")
     (iu, iv), _ = scaled((u, v))
     if bilinear(q._ints, iu, iu) != 0:
         raise off_quadric("base point is not on the quadric")

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from spincalc._linalg import bilinear, scaled
+from spincalc._linalg import scaled
 from spincalc._record import exact
 from spincalc.checks import verify_all
 from spincalc.curves import (covering_degree, gamma_curve, noether_c2,
@@ -24,10 +24,12 @@ from spincalc.lattices import (IntegerLattice, cs_obstruction, e8,
                                hyperbolic_u, lambda_lattice,
                                sum_square_solution_exists)
 from spincalc.linecomplex import (complex_point_samples,
-                                  compound_rank_samples, plucker_quadric_rank,
+                                  compound_rank_samples,
+                                  discriminant_tangency, is_singular_point,
+                                  plucker_quadric_rank,
                                   random_invertible_matrix,
                                   random_symmetric_form_of_rank,
-                                  symmetric_form, tangency_samples,
+                                  symmetric_form, tangency, tangency_samples,
                                   wedge_pairs)
 from spincalc.picard import (BETA0, LAMBDA, alpha, beta, brill_noether_g8,
                              delta, divisor_class, mbar, pi_delta, prym_green,
@@ -204,12 +206,64 @@ def test_the_kernel_raises_the_text_of_exact(x):
         scaled([[1, Fraction(1, 2)], [x, 2]])
 
 
-@pytest.mark.parametrize("x", [Decimal("0.5"), 0.5])
-def test_bilinear_raises_the_text_of_exact(x):
-    # only a total that is not exact is seen: a bool times an int is an int
-    with pytest.raises(TypeError, match=f"^{type(x).__name__} is inexact; "
-                                        f"use int or Fraction$"):
-        bilinear([[1, 0], [0, 1]], [x, 1], [1, 1])
+# --- the entry points of the products ----------------------------------------
+
+GRAM = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+FORM, LATTICE = symmetric_form(GRAM), IntegerLattice(GRAM, "abc")
+U, V = (1, 0, 0), (0, 0, 1)  # [U] is on the quadric, and U ^ V is tangent
+
+FORM_LENGTH = "u, the rows of G and v differ in length"
+EXACT = "{kind} is inexact; use int or Fraction"
+
+#: every public entry point that reaches `dot`, `mat_vec`, `bilinear` or
+#: `_wedge`: the call on (U, V), the operand it is given a fault in, the
+#: text of a wrong length (n) and the text of an inexact entry (kind)
+ENTRY_POINTS = {
+    "evaluate-u": (FORM.evaluate, 0, FORM_LENGTH, EXACT),
+    "evaluate-v": (FORM.evaluate, 1, FORM_LENGTH, EXACT),
+    "quadratic": (lambda u, v: FORM.quadratic(u), 0, FORM_LENGTH, EXACT),
+    **{f"{p.__name__}-{name}": (
+        lambda u, v, p=p: p(FORM, u, v), slot,
+        ("vector length must match the form dimension",
+         "the two vectors must have the same length")[slot], EXACT)
+       for p in (tangency, discriminant_tangency, is_singular_point)
+       for slot, name in enumerate("uv")},
+    **{name: (call, slot, "vector of length {n} in a rank-3 lattice",
+              "a lattice coordinate must be int, not {kind}")
+       for name, call, slot in (("inner-v", LATTICE.inner, 0),
+                                ("inner-w", LATTICE.inner, 1),
+                                ("norm", lambda v, w: LATTICE.norm(v), 0))},
+}
+
+
+@pytest.mark.parametrize("fault", ["short", "long", 0.5, Decimal("0.5")],
+                         ids=["short", "long", "float", "Decimal"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_of_a_product_checks_its_operands(entry, fault):
+    call, slot, wrong_length, inexact = ENTRY_POINTS[entry]
+    call(U, V)  # the fault below is all that is wrong
+    args = [U, V]
+    x = args[slot]
+    if fault == "short":
+        args[slot] = x[:-1]
+    elif fault == "long":
+        args[slot] = x + (0,)
+    else:
+        args[slot] = x[:-1] + (fault,)
+    if isinstance(fault, str):
+        error, text = ValueError, wrong_length.format(n=len(args[slot]))
+    else:
+        error, text = TypeError, inexact.format(kind=type(fault).__name__)
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        call(*args)
+
+
+@pytest.mark.parametrize("build", [symmetric_form,
+                                   lambda g: IntegerLattice(g, "abc")],
+                         ids=["SymmetricForm", "IntegerLattice"])
+def test_a_ragged_gram_is_refused_where_it_enters(build):
+    with pytest.raises(ValueError, match="^Gram matrix must be square$"):
+        build(((0, 1, 0), (1, 0), (0, 0, 1)))
 
 
 # --- every int parameter, found by signature ---------------------------------

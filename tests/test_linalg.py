@@ -8,7 +8,7 @@ from math import prod
 
 import pytest
 
-from spincalc._linalg import (SingularMatrixError, _eliminate, bilinear, dot,
+from spincalc._linalg import (SingularMatrixError, _eliminate, bilinear,
                               mat_det, mat_rank, mat_vec, scaled, solve)
 from spincalc.linecomplex import second_compound, symmetric_form
 
@@ -251,52 +251,6 @@ def test_bilinear_and_mat_vec_match_double_sums(rational):
 
 def test_integer_inputs_stay_integers():
     assert type(bilinear([[1, 2], [2, 3]], [1, 1], [1, -1])) is int
-
-
-def test_dot_rejects_floats_and_ragged_vectors():
-    with pytest.raises(TypeError):
-        dot([0.5, 1], [1, 1])
-    with pytest.raises(TypeError):
-        bilinear([[1, 0], [0, 1]], [1, 0], [0.0, 1])
-    with pytest.raises(ValueError):
-        dot([1, 2, 3], [1, 2])
-
-
-@pytest.mark.parametrize("bad", [0.5, 0.0])
-def test_products_refuse_a_float_in_either_argument(bad):
-    def with_bad(rows, i, j):
-        rows = [list(row) for row in rows]
-        rows[i][j] = bad
-        return rows
-    g = [[2, 0, 0], [0, 0, 1], [0, 1, 0]]
-    u, v = [1, 2, 3], [0, 1, 0]
-    for i in range(3):
-        for j in range(3):
-            with pytest.raises(TypeError):
-                mat_vec(with_bad(g, i, j), v)
-            with pytest.raises(TypeError):
-                bilinear(with_bad(g, i, j), u, v)
-        with pytest.raises(TypeError):
-            mat_vec(g, with_bad([v], 0, i)[0])
-        with pytest.raises(TypeError):
-            bilinear(g, with_bad([u], 0, i)[0], v)
-        with pytest.raises(TypeError):
-            bilinear(g, u, with_bad([v], 0, i)[0])
-
-
-def test_products_refuse_ragged_rows():
-    g = [[1, 0, 0], [0, 1], [0, 0, 1]]
-    square = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    with pytest.raises(ValueError):
-        mat_vec(g, [1, 1, 1])
-    with pytest.raises(ValueError):
-        mat_vec(square, [1, 1])
-    with pytest.raises(ValueError):
-        bilinear(g, [1, 1, 1], [1, 1, 1])
-    with pytest.raises(ValueError):
-        bilinear(square, [1, 1], [1, 1, 1])
-    with pytest.raises(ValueError):
-        bilinear(square, [1, 1, 1], [1, 1])
 
 
 def test_kernel_rejects_floats():

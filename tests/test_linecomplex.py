@@ -838,13 +838,6 @@ def test_wedge_coordinates_antisymmetric():
     assert all(x == 0 for x in _wedge(u, u))
 
 
-def test_wedge_coordinates_refuse_vectors_of_unequal_length():
-    with pytest.raises(ValueError, match="same length"):
-        _wedge([1, 2, 3], [1, 2, 3, 4])
-    with pytest.raises(ValueError, match="same length"):
-        _wedge([1, 2, 3, 4], [1, 2, 3])
-
-
 def sample_grams(rng, dim):
     """A diagonal, a split (hyperbolic plane plus diagonal, from dim 2)
     and a dense symmetric integer Gram of the given size."""
@@ -943,7 +936,7 @@ def test_pivot_minors_decide_the_wedge():
 def dense_is_singular_point(q, u, v):
     """`is_singular_point` as it stood before it summed over the wedge
     pairs: the gradient laid out as the antisymmetric matrix m, applied
-    to u and to v by the checked `mat_vec`."""
+    to u and to v by `mat_vec`."""
     iu, iv, w = linecomplex._line(q, u, v, NotInComplexError)
     grad = mat_vec(linecomplex._compound_rows(q._ints), w)
     if dot(grad, w) != 0:
