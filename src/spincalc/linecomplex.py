@@ -4,8 +4,9 @@ tangent lines, and the rank trichotomy of quadrics through G(2, 6).
 
 All arithmetic is in Python ints, on the integer view of a
 `SymmetricForm`; ``Fraction`` appears only in an answer that has a
-denominator.  The seeded samplers of the property suites come last (see
-`build_sample`).
+denominator.  Only `second_compound` builds the minor matrix: on a line
+u ^ v the predicates read the compound as G u ^ G v.  The seeded
+samplers of the property suites come last (see `build_sample`).
 """
 
 from __future__ import annotations
@@ -139,55 +140,52 @@ def _compound_layout(n: int) -> tuple:
     return tuple(pairs[a] + pairs[b] for a, b in upper), tuple(getters)
 
 
-def _compound_rows(g) -> list:
-    """The 2x2 minors of the symmetric int matrix g, as row tuples in the
-    wedge-pair basis: the compound of the form with Gram g / d is this
-    over d^2.  Each minor off the diagonal is computed once."""
-    quads, getters = _compound_layout(len(g))
-    minors = [g[i][k] * g[j][l] - g[j][k] * g[i][l] for i, j, k, l in quads]
-    return [get(minors) for get in getters]
-
-
 def second_compound(q: SymmetricForm) -> SymmetricForm:
     """Second compound form on the wedge square, nu2(Qt)(u^v, s^t) =
     Qt(u,s) Qt(v,t) - Qt(v,s) Qt(u,t): the 2x2-minor matrix of the Gram
-    of q.  Its rank is C(rank q, 2).
+    of q, each minor off the diagonal computed once.  Its rank is
+    C(rank q, 2).  On u ^ v it is G u ^ G v, as the line predicates read it.
 
     The minors of the view d G are the compound times d^2, so its own
     view is the minors and d^2, not reduced: no reader needs it reduced.
     """
-    return SymmetricForm._from_view(_compound_rows(q._ints), q._den ** 2)
+    g = q._ints
+    quads, getters = _compound_layout(len(g))
+    minors = [g[i][k] * g[j][l] - g[j][k] * g[i][l] for i, j, k, l in quads]
+    return SymmetricForm._from_view([get(minors) for get in getters],
+                                    q._den ** 2)
 
 
 def _line(q: SymmetricForm, u, v, off_quadric) -> tuple:
-    """(iu, iv, w): u and v scaled to ints together, and the wedge
-    coordinates of iu ^ iv.  A positive scale of q, u or v keeps every
-    vanishing the predicates ask about, so none of them builds a
-    Fraction.  Raises ``ValueError`` on a length mismatch, ``TypeError``
-    on an inexact entry, `off_quadric` unless [u] lies on the quadric,
-    and `DependentVectorsError` unless u and v span a line; the products
-    after it only multiply."""
+    """(iu, iv, w, gu): u and v scaled to ints together, the wedge
+    coordinates of iu ^ iv and gu = G iu on the integer view.  A positive
+    scale of q, u or v keeps every vanishing the predicates ask about, so
+    none of them builds a Fraction.  Raises ``ValueError`` on a length
+    mismatch, ``TypeError`` on an inexact entry, `off_quadric` unless [u]
+    lies on the quadric, and `DependentVectorsError` unless u and v span
+    a line; the products after it only multiply."""
     if len(u) != q.dim:
         raise ValueError("vector length must match the form dimension")
     if len(v) != len(u):
         raise ValueError("the two vectors must have the same length")
     (iu, iv), _ = scaled((u, v))
-    if bilinear(q._ints, iu, iu) != 0:
+    gu = mat_vec(q._ints, iu)
+    if dot(iu, gu) != 0:
         raise off_quadric("base point is not on the quadric")
     w = _wedge(iu, iv)
     if not any(w):
         raise DependentVectorsError("vectors do not span a line")
-    return iu, iv, w
+    return iu, iv, w, gu
 
 
 def tangency(q: SymmetricForm, u, v) -> bool:
     """Is the line through [u] (on the quadric) and [v] tangent to it?
 
-    Decided by the vanishing of the second compound form on u ^ v.  The
-    independent route is `discriminant_tangency`.
+    Decided by the vanishing of the second compound form on w = u ^ v,
+    read as w . (G u ^ G v); the independent route is `discriminant_tangency`.
     """
-    _, _, w = _line(q, u, v, BasePointNotOnQuadricError)
-    return bilinear(_compound_rows(q._ints), w, w) == 0
+    _, iv, w, gu = _line(q, u, v, BasePointNotOnQuadricError)
+    return dot(w, _wedge(gu, mat_vec(q._ints, iv))) == 0
 
 
 def discriminant_tangency(q: SymmetricForm, u, v) -> bool:
@@ -195,25 +193,25 @@ def discriminant_tangency(q: SymmetricForm, u, v) -> bool:
     su + tv is a binary quadratic of discriminant Qt(u,v)^2 - Q(u) Q(v),
     which vanishes exactly on a tangent line.  As Q(u) = 0 on the
     quadric, that is Qt(u, v) = 0, read on the integer view."""
-    iu, iv, _ = _line(q, u, v, BasePointNotOnQuadricError)
+    iu, iv, _, _ = _line(q, u, v, BasePointNotOnQuadricError)
     return bilinear(q._ints, iu, iv) == 0
 
 
 def is_singular_point(q: SymmetricForm, u, v) -> bool:
     """Is [u ^ v] a singular point of the tangent-line complex of q?
 
-    The gradient of the complex at u ^ v is the linear form
-    nu2(Qt)(u ^ v, -), computed once as the vector G2 w; it is tested
-    against every tangent direction u ^ e_k and v ^ e_k.  For a line in
-    the complex this vanishing is equivalent to the second vector being
-    isotropic as well, i.e. to the line lying inside the quadric.
+    The gradient of the complex at u ^ v is nu2(Qt)(u ^ v, -), the vector
+    G u ^ G v; it is tested against every tangent direction u ^ e_k and
+    v ^ e_k.  For a line in the complex this vanishing is equivalent to
+    the second vector being isotropic as well, i.e. to the line lying
+    inside the quadric.
 
     The coordinate of x ^ e_k at the pair (i, j) is x_i [j = k] - x_j
     [i = k], so the gradient g at (i, j) adds g x_i to grad . (x ^ e_j)
     and -g x_j to grad . (x ^ e_i), summed over the pairs for u and v.
     """
-    iu, iv, w = _line(q, u, v, NotInComplexError)
-    grad = mat_vec(_compound_rows(q._ints), w)
+    iu, iv, w, gu = _line(q, u, v, NotInComplexError)
+    grad = _wedge(gu, mat_vec(q._ints, iv))
     if dot(grad, w) != 0:
         raise NotInComplexError("line is not in the tangent complex")
     ru, rv = [0] * q.dim, [0] * q.dim

@@ -152,6 +152,7 @@ def test_trace_seed_reports_counts_that_differ_and_self_times(tmp_path):
     assert traces["self_ms"] == {
         "parent": dict.fromkeys(self_ms, 10.0),
         "change": dict.fromkeys(self_ms, 5.0)}
+    assert traces["change_lower_pairs"] == dict.fromkeys(self_ms, 5)
     assert "not judged" in traces["note"]
 
 
@@ -168,8 +169,30 @@ def test_traced_runs_give_median_self_times_and_need_equal_counts(
         monkeypatch.setattr(bench_pairs, "trace_metrics", fake)
         return bench_pairs.traces(Path("parent"), Path("change"), 1729)
 
-    # the median, not the mean (4.8) or the first run (9)
+    # the median, not the mean (4.8) or the first run (9); the change is
+    # lower than the parent in the runs where the parent read 9, 5 and 7
     assert traced([3] * 5) == (({"a.calls": 3}, {"a.self_ms": 5}),
-                               ({"a.calls": 3}, {"a.self_ms": 4}))
+                               ({"a.calls": 3}, {"a.self_ms": 4}),
+                               {"a.self_ms": 3})
     with pytest.raises(RuntimeError, match="change traced counts differ"):
         traced([3, 3, 3, 3, 4])
+
+
+def test_paired_counts_show_the_layer_a_slow_phase_hides(monkeypatch):
+    # a slow phase lifts both layers of the last three change runs and of
+    # the last two parent runs: each side's median reads both layers
+    # higher on the change side, but only the layer the change moved is
+    # lower in most of the runs made back to back
+    moved = {"parent": [10, 10, 10, 20, 20], "change": [9, 9, 18, 18, 18]}
+    kept = {"parent": [5, 5, 5, 10, 10], "change": [5, 5, 10, 10, 10]}
+    runs = {side: iter(zip(moved[side], kept[side])) for side in moved}
+
+    def fake(root, seed):
+        a, b = next(runs[root.name])
+        return {"a.calls": 1}, {"a.self_ms": a, "b.self_ms": b}
+    monkeypatch.setattr(bench_pairs, "trace_metrics", fake)
+    (_, parent_ms), (_, change_ms), lower = bench_pairs.traces(
+        Path("parent"), Path("change"), 1729)
+    assert parent_ms == {"a.self_ms": 10, "b.self_ms": 5}
+    assert change_ms == {"a.self_ms": 18, "b.self_ms": 10}
+    assert lower == {"a.self_ms": 4, "b.self_ms": 0}

@@ -11,8 +11,8 @@ from math import comb
 import pytest
 
 from spincalc import linecomplex
-from spincalc._linalg import (SingularMatrixError, dot, mat_rank, mat_vec,
-                              scaled)
+from spincalc._linalg import (SingularMatrixError, bilinear, dot, mat_rank,
+                              mat_vec, scaled)
 from spincalc.linecomplex import (BasePointNotOnQuadricError,
                                   DependentVectorsError, NotInComplexError,
                                   SymmetricForm, ZeroInputError,
@@ -150,9 +150,74 @@ def test_discriminant_oracle_forms_no_compound(monkeypatch):
 
     def fail(*args):
         pytest.fail("the oracle formed a compound")
-    monkeypatch.setattr(linecomplex, "_compound_rows", fail)
+    monkeypatch.setattr(linecomplex, "_compound_layout", fail)
     monkeypatch.setattr(linecomplex, "second_compound", fail)
     assert [discriminant_tangency(q, u, v) for q, u, v in samples] == want
+
+
+def test_line_predicates_form_no_compound(monkeypatch):
+    # tangency and the singular-point test read the compound on u ^ v as
+    # G u ^ G v: a return to the C(n, 2)^2 minor matrix fails here
+    rng = random.Random(14)
+    tangent = list(map(build_sample, tangency_samples(rng, 50)))
+    inside = [(q, u, v) for q, u, v, _ in
+              map(build_sample, complex_point_samples(rng, 50))]
+    for dim in (5, 6, 7):
+        for singular in (False, True) * 3:
+            gram, u, v, _ = rational_sample(rng, dim, singular)
+            (inside if singular else tangent).append(
+                (symmetric_form(gram), u, v))
+
+    def answers():
+        return ([tangency(q, u, v) for q, u, v in tangent],
+                [is_singular_point(q, u, v) for q, u, v in inside])
+    want = answers()
+
+    def fail(*args):
+        pytest.fail("a line predicate formed a compound")
+    monkeypatch.setattr(linecomplex, "_compound_layout", fail)
+    monkeypatch.setattr(linecomplex, "second_compound", fail)
+    assert answers() == want
+    assert set(want[0]) == set(want[1]) == {True, False}
+
+
+@pytest.mark.parametrize("rational", [False, True])
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_compound_on_a_line_is_the_wedge_of_the_images(dim, rational):
+    # nu2(G)(u ^ v) = G u ^ G v on the integer view, for forms of every
+    # rank and for dependent vectors too
+    rng = random.Random(3900 + 2 * dim + rational)
+    for _ in range(20):
+        rank = rng.randint(0, dim)
+        gram = [[0] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i, dim):
+                if i < rank and j < rank:
+                    x = rng.randint(-9, 9)
+                    if rational:
+                        x = Fraction(x, rng.randint(1, 12))
+                    gram[i][j] = gram[j][i] = x
+        q = symmetric_form(gram)
+        iu = [rng.randint(-5, 5) for _ in range(dim)]
+        iv = (list(map((2).__mul__, iu)) if rng.random() < 0.2
+              else [rng.randint(-5, 5) for _ in range(dim)])
+        assert _wedge(mat_vec(q._ints, iu), mat_vec(q._ints, iv)) == \
+            mat_vec(second_compound(q)._ints, _wedge(iu, iv))
+
+
+def dense_tangency(q, u, v):
+    """`tangency` as it stood before it read the compound on a line as
+    G u ^ G v: the full compound matrix, evaluated on w = u ^ v."""
+    _, _, w, _ = linecomplex._line(q, u, v, BasePointNotOnQuadricError)
+    return bilinear(second_compound(q)._ints, w, w) == 0
+
+
+def test_tangency_agrees_with_the_dense_compound():
+    samples = list(map(build_sample,
+                       tangency_samples(random.Random(1729), 1000)))
+    got = [tangency(q, u, v) for q, u, v in samples]
+    assert got == [dense_tangency(q, u, v) for q, u, v in samples]
+    assert set(got) == {True, False}
 
 
 def test_tangency_agrees_with_discriminant_oracle():
@@ -937,8 +1002,8 @@ def dense_is_singular_point(q, u, v):
     """`is_singular_point` as it stood before it summed over the wedge
     pairs: the gradient laid out as the antisymmetric matrix m, applied
     to u and to v by `mat_vec`."""
-    iu, iv, w = linecomplex._line(q, u, v, NotInComplexError)
-    grad = mat_vec(linecomplex._compound_rows(q._ints), w)
+    iu, iv, w, _ = linecomplex._line(q, u, v, NotInComplexError)
+    grad = mat_vec(second_compound(q)._ints, w)
     if dot(grad, w) != 0:
         raise NotInComplexError("line is not in the tangent complex")
     m = [[0] * q.dim for _ in range(q.dim)]
@@ -947,7 +1012,7 @@ def dense_is_singular_point(q, u, v):
     return not any(mat_vec(m, iu)) and not any(mat_vec(m, iv))
 
 
-def singular_point_outcome(fn, q, u, v):
+def line_outcome(fn, q, u, v):
     try:
         return fn(q, u, v)
     except (TypeError, ValueError) as exc:
@@ -971,10 +1036,10 @@ def test_singular_point_agrees_with_the_dense_gradient_matrix():
                 == dense_is_singular_point(q, u, v)
 
 
-def test_singular_point_answers_and_refusals_are_the_dense_ones():
-    # rational forms of every rank at dims 1-7 on lines through u = P^-1
-    # e_0, most of them tangent, and inputs each gate refuses
-    rng = random.Random(1731)
+def line_cases(rng):
+    """(q, u, v): rational forms of every rank at dims 1-7 on lines
+    through u = P^-1 e_0, most of them tangent, and inputs each gate of
+    the line predicates refuses."""
     cases = [(diag(1, -1, 1, -1, 1), [1, 1, 0, 0, 0], v) for v in (
         [0, 0, 1.0, 1, 0], [0, 0, 1, 1], [True, 0, 0, 0, 0],
         [0, 0, 1, 1, 0, 0], [2, 2, 0, 0, 0], [1, 0, 0, 0, 0])]
@@ -1003,13 +1068,27 @@ def test_singular_point_answers_and_refusals_are_the_dense_ones():
             u = [row[0] for row in pinv]
             v = [sum(row[k] * v0[k] for k in range(dim)) for row in pinv]
             cases.append((symmetric_form(gram), u, v))
+    return cases
+
+
+def test_singular_point_answers_and_refusals_are_the_dense_ones():
     seen = set()
-    for q, u, v in cases:
-        got = singular_point_outcome(is_singular_point, q, u, v)
-        assert got == singular_point_outcome(dense_is_singular_point, q, u, v)
+    for q, u, v in line_cases(random.Random(1731)):
+        got = line_outcome(is_singular_point, q, u, v)
+        assert got == line_outcome(dense_is_singular_point, q, u, v)
         seen.add(got if type(got) is bool else got[0])
     assert seen == {True, False, NotInComplexError, DependentVectorsError,
                     TypeError, ValueError}
+
+
+def test_tangency_answers_and_refusals_are_the_dense_ones():
+    seen = set()
+    for q, u, v in line_cases(random.Random(1732)):
+        got = line_outcome(tangency, q, u, v)
+        assert got == line_outcome(dense_tangency, q, u, v)
+        seen.add(got if type(got) is bool else got[0])
+    assert seen == {True, False, BasePointNotOnQuadricError,
+                    DependentVectorsError, TypeError, ValueError}
 
 
 def test_unimodular_pair_inverts():

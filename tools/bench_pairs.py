@@ -34,9 +34,12 @@ parent's quartiles.  `--trace-seed S` adds a `traces` record from
 seed S, alternating as the pairs do: every count metric (`.calls`,
 `linalg.mat_rank.cells`, the sampler's `det_per_accept`) that differs
 between the two sides, which must be the same in every run of a side,
-and each side's median per-layer self time (`.self_ms`), reported, not
-judged: it shows which layer a change moved, where one run a side is
-too noisy to.
+each side's median per-layer self time (`.self_ms`) and, per layer, the
+number of paired runs (the i-th of each side, run back to back) in
+which the change is lower, all reported, not judged: they show which
+layer a change moved, where one run a side is too noisy to, and the
+paired count still shows it when a slow machine phase lifts every layer
+of one side's median.
 
 Standard library only.
 """
@@ -188,8 +191,9 @@ def trace_metrics(root: Path, seed: int) -> tuple[dict, dict]:
 def traces(parent: Path, change: Path, seed: int) -> tuple:
     """(counts, median self times) of the parent and of the change over
     `TRACE_RUNS` traced certificate runs a side, the parent first in
-    every other run from the first; counts that differ between two runs
-    of a side raise ``RuntimeError``."""
+    every other run from the first, then {layer: the number of runs i in
+    which the change's self time is lower than the parent's}; counts that
+    differ between two runs of a side raise ``RuntimeError``."""
     runs = {"parent": [], "change": []}
     order = (("parent", parent), ("change", change))
     for i in range(TRACE_RUNS):
@@ -204,7 +208,10 @@ def traces(parent: Path, change: Path, seed: int) -> tuple:
         self_ms = {name: statistics.median(ms[name] for _, ms in done)
                    for name in done[0][1]}
         out.append((counts, self_ms))
-    return tuple(out)
+    paired = list(zip(runs["parent"], runs["change"]))
+    lower = {name: sum(c[name] < p[name] for (_, p), (_, c) in paired)
+             for name in out[1][1] if name in out[0][1]}
+    return (*out, lower)
 
 
 def main(argv=None) -> int:
@@ -272,17 +279,21 @@ def main(argv=None) -> int:
                                       workloads[workload][metric],
                                       specs[metric]["better"])
     if args.trace_seed is not None:
-        (before, parent_ms), (after, change_ms) = traced
+        (before, parent_ms), (after, change_ms), lower = traced
         bench["traces"] = {
             "note": f"certificate, seed {args.trace_seed}, --seconds 1 "
                     f"--trace 1, {TRACE_RUNS} alternating runs a side with "
                     "the same counts in each; self_ms is each side's "
-                    "median per layer, reported, not judged",
+                    "median per layer and change_lower_pairs, per layer, "
+                    "the number of runs i in which the change's i-th run "
+                    "is lower than the parent's i-th, run back to back; "
+                    "reported, not judged",
             "counts": after,
             "calls_that_differ": {k: [before.get(k), v]
                                   for k, v in after.items()
                                   if before.get(k) != v},
             "self_ms": {"parent": parent_ms, "change": change_ms},
+            "change_lower_pairs": lower,
         }
     args.out.write_text(json.dumps(bench, indent=2) + "\n", encoding="utf-8")
     return 0
