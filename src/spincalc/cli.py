@@ -253,8 +253,8 @@ def _read_complex_file(path: str):
 
 def _require_size(ints, den: int) -> int:
     """The size rule of `complex` on the integer view (`ints`, `den`) of
-    input rows, alone for the vectors of the predicates: the work rule
-    prices an elimination, and they enter none.  Returns max |entry|."""
+    input rows, alone for the line predicates: the work rule prices an
+    elimination, and they run none.  Returns max |entry|."""
     top = max(abs(x) for row in ints for x in row)
     if den >= 10 ** 2000 or top >= 10 ** 2000:
         raise UsageError("the entries times the lcm d of their denominators, "
@@ -264,8 +264,8 @@ def _require_size(ints, den: int) -> int:
 
 
 def _require_bounds(dim: int, ints, den: int) -> None:
-    """The size rule and the work rule of `complex`, checked before any
-    work on the integer view (`ints`, `den`) of the input."""
+    """The size rule and the work rule of `compound` and `plucker-rank`,
+    checked before any work on the integer view (`ints`, `den`)."""
     n, digits = dim * (dim - 1) // 2, len(str(_require_size(ints, den)))
     if n ** 5 * digits ** 2 > MAX_COMPLEX_WORK:
         raise UsageError(f"too much work: C(dim,2)^5 * D^2 = {n}^5 * "
@@ -291,11 +291,12 @@ def _cmd_complex(args) -> tuple[int, str]:
     if len(rows) < dim:
         raise UsageError(f"expected {dim} matrix rows")
     q = linecomplex.symmetric_form(rows[:dim])
-    _require_bounds(dim, q._ints, q._den)
-    vectors = rows[dim:]
     if args.op == "compound":
+        _require_bounds(dim, q._ints, q._den)
         c = linecomplex.second_compound(q)
         return 0, "\n".join([*_matrix_lines(c.gram), f"rank: {c.rank()}"])
+    _require_size(q._ints, q._den)
+    vectors = rows[dim:]
     if len(vectors) < 2:
         raise UsageError("tangency/singular input needs two "
                          "vector lines after the matrix")

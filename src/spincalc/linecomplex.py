@@ -4,7 +4,10 @@ tangent lines, and the rank trichotomy of quadrics through G(2, 6).
 
 All arithmetic is in Python ints, on the integer view of a
 `SymmetricForm`; ``Fraction`` appears only in an answer that has a
-denominator.  Only `second_compound` builds the minor matrix: on a line
+denominator.  Every 2x2 minor is a wedge, formed by `_wedge` alone: row
+(i, j) of the compound of G is g_i ^ g_j, the wedge square of a map M
+sends e_i ^ e_j to col_i ^ col_j, and v spans a line with u when u ^ v
+is not 0.  Only `second_compound` builds the minor matrix: on a line
 u ^ v the predicates read the compound as G u ^ G v.  The seeded
 samplers of the property suites come last (see `build_sample`).
 """
@@ -13,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, lru_cache
-from operator import itemgetter
 
 from ._linalg import (bilinear, dot, int_rank, mat_det, mat_rank, mat_vec,
                       require_symmetric, scaled, solve)
@@ -119,41 +121,24 @@ def wedge_pairs(n: int) -> tuple:
 
 def _wedge(u, v) -> list:
     """Pluecker coordinates of u ^ v in the lexicographic pair basis, for
-    equally long vectors of ints or Fractions (`_line` checks them)."""
+    equally long vectors of ints or Fractions (the callers check them):
+    the one place a 2x2 minor is formed."""
     return [u[i] * v[j] - u[j] * v[i] for i, j in wedge_pairs(len(u))]
-
-
-@cache
-def _compound_layout(n: int) -> tuple:
-    """The index quadruples (i, j, k, l) of the minors on and right of the
-    diagonal of the compound of an n x n matrix, row by row, and one
-    getter per row that picks the row out of the list of those minors.
-    For a symmetric matrix the compound is symmetric, so entry (b, a) is
-    read where entry (a, b) was put."""
-    pairs = wedge_pairs(n)
-    upper = [(a, b) for a in range(len(pairs)) for b in range(a, len(pairs))]
-    at = {ab: t for t, ab in enumerate(upper)}
-    rows = [[at[min(a, b), max(a, b)] for b in range(len(pairs))]
-            for a in range(len(pairs))]
-    # a one-index itemgetter returns the item, not a 1-tuple
-    getters = [itemgetter(*row) if len(row) > 1 else tuple for row in rows]
-    return tuple(pairs[a] + pairs[b] for a, b in upper), tuple(getters)
 
 
 def second_compound(q: SymmetricForm) -> SymmetricForm:
     """Second compound form on the wedge square, nu2(Qt)(u^v, s^t) =
     Qt(u,s) Qt(v,t) - Qt(v,s) Qt(u,t): the 2x2-minor matrix of the Gram
-    of q, each minor off the diagonal computed once.  Its rank is
-    C(rank q, 2).  On u ^ v it is G u ^ G v, as the line predicates read it.
+    of q, whose row (i, j) is g_i ^ g_j for the rows g_i and g_j.  Its
+    rank is C(rank q, 2).  On u ^ v it is G u ^ G v, as the line
+    predicates read it.
 
     The minors of the view d G are the compound times d^2, so its own
     view is the minors and d^2, not reduced: no reader needs it reduced.
     """
     g = q._ints
-    quads, getters = _compound_layout(len(g))
-    minors = [g[i][k] * g[j][l] - g[j][k] * g[i][l] for i, j, k, l in quads]
-    return SymmetricForm._from_view([get(minors) for get in getters],
-                                    q._den ** 2)
+    return SymmetricForm._from_view(
+        [_wedge(g[i], g[j]) for i, j in wedge_pairs(len(g))], q._den ** 2)
 
 
 def _line(q: SymmetricForm, u, v, off_quadric) -> tuple:
@@ -293,23 +278,21 @@ def plucker_quadric_rank(psi) -> int:
 
 def transform_bivector(matrix, psi) -> dict:
     """Image of a bivector under the wedge square of a linear map
-    (e_i -> sum_k matrix[k][i] e_k), accumulated in ints from the matrix
-    m / d and the coefficients p / e, then divided by d^2 e once.  The
-    keys of `psi` are index pairs (i, j), i < j < the number of columns."""
+    (e_i -> sum_k matrix[k][i] e_k), the sum of p col_i ^ col_j over the
+    terms p e_i ^ e_j of `psi`, accumulated in ints from the matrix m / d
+    and the coefficients p / e, then divided by d^2 e once.  The keys of
+    `psi` are index pairs (i, j), i < j < the number of columns."""
     m, d = scaled(matrix)
     (coefs,), e = scaled((psi.values(),))
     if len(set(map(len, m))) > 1:
         raise ValueError("matrix rows must have equal length")
     _require_pairs(psi, len(m[0]) if m else 0)
-    n = len(m)
-    out: dict = {}
+    cols, pairs = list(zip(*m)), wedge_pairs(len(m))
+    out = [0] * len(pairs)
     for (i, j), p in zip(psi, coefs):
-        for k, l in wedge_pairs(n):
-            c = m[k][i] * m[l][j] - m[k][j] * m[l][i]
-            if c:
-                out[(k, l)] = out.get((k, l), 0) + p * c
+        out = [s + p * c for s, c in zip(out, _wedge(cols[i], cols[j]))]
     den = d * d * e
-    return {p: _ratio(c, den) for p, c in out.items() if c}
+    return {pair: _ratio(c, den) for pair, c in zip(pairs, out) if c}
 
 
 # ---------------------------------------------------------------------------
@@ -436,30 +419,19 @@ def build_sample(draw) -> tuple:
             *(_pull_back(steps, x) for x in pulled), *rest)
 
 
-def _spans_line(u, p: int, v) -> bool:
-    """Is u ^ v nonzero, for u_p != 0?  It is 0 exactly when v = (v_p /
-    u_p) u, i.e. when each minor u_p v_i - v_p u_i through p vanishes."""
-    up, vp = u[p], v[p]
-    for x, y in zip(u, v):
-        if up * y != vp * x:
-            return True
-    return False
-
-
 def tangency_samples(rng, count: int):
     """Yield the draws of (q, u, v) with q of full rank on a 5-space, [u]
     on the quadric, v generic.  The rejection of v needs u = P^-1 e_1, so
     u is pulled back here and the draw carries u and v as they are; v is
-    redrawn while u ^ v = 0, read off the minors through u's pivot."""
+    redrawn while u ^ v = 0, the test of the `_line` gate."""
     require_int("a sample count", count)
     bits = rng.getrandbits
     for _ in range(count):
         diag = [0, 0, *_nonzeros(bits, 3)]
         steps = _draw_steps(rng, 5)
         u = _pull_back(steps, (1, 0, 0, 0, 0))
-        p = u.index(next(filter(None, u)))  # its first nonzero coordinate
         v = _entries(bits, 5)
-        while not _spans_line(u, p, v):
+        while not any(_wedge(u, v)):
             v = _entries(bits, 5)
         yield diag, True, steps, (), (u, v)
 

@@ -8,7 +8,7 @@ from math import comb, factorial
 
 import pytest
 
-from spincalc import checks, cli, picard
+from spincalc import checks, cli, linecomplex, picard
 from spincalc.cli import main, parse_schubert_expr
 from spincalc.schubert import degree, sigma
 
@@ -566,8 +566,7 @@ def dense_form_file(path, dim, digits, seed=1):
 
 @pytest.mark.parametrize("op,dim,digits", [
     ("compound", 7, 2000), ("compound", 7, 200), ("compound", 6, 400),
-    ("compound", 60, 0), ("tangency", 60, 0), ("singular", 60, 0),
-    ("compound", 16, 1),
+    ("compound", 60, 0), ("compound", 16, 1),
 ])
 def test_complex_work_rule_exits_two_at_once(tmp_path, capsys, op, dim,
                                              digits):
@@ -578,6 +577,34 @@ def test_complex_work_rule_exits_two_at_once(tmp_path, capsys, op, dim,
     assert time.perf_counter() - start < 1
     assert code == 2
     assert out == ""
+    assert err.startswith("error: too much work: C(dim,2)^5 * D^2")
+
+
+@pytest.mark.parametrize("op,dim", [("tangency", 16), ("singular", 16),
+                                    ("tangency", 60), ("singular", 60)])
+def test_complex_work_rule_prices_the_compound_alone(tmp_path, capsys, op,
+                                                     dim):
+    # the line predicates run no elimination: past the work rule they give
+    # the library's answer on the split form U + diag(1, -1, ...), u = e_0,
+    # v = e_2 + e_3 (a line inside the quadric), and `compound` exits 2
+    gram = [[int(i + j == 1) if i < 2 or j < 2 else (-1) ** i * (i == j)
+             for j in range(dim)] for i in range(dim)]
+    u = [int(k == 0) for k in range(dim)]
+    v = [int(k in (2, 3)) for k in range(dim)]
+    path = tmp_path / "form.txt"
+    path.write_text("\n".join([str(dim), *(" ".join(map(str, row))
+                                           for row in [*gram, u, v])]) + "\n")
+    predicate = {"tangency": linecomplex.tangency,
+                 "singular": linecomplex.is_singular_point}[op]
+    assert predicate(linecomplex.symmetric_form(gram), u, v) is True
+    assert comb(dim, 2) ** 5 > cli.MAX_COMPLEX_WORK
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "complex", "--op", op, "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out.strip()) == (0, "true")
+    code, out, err = run(capsys, "complex", "--op", "compound",
+                         "--input", str(path))
+    assert (code, out) == (2, "")
     assert err.startswith("error: too much work: C(dim,2)^5 * D^2")
 
 

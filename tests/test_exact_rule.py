@@ -215,9 +215,12 @@ U, V = (1, 0, 0), (0, 0, 1)  # [U] is on the quadric, and U ^ V is tangent
 FORM_LENGTH = "u, the rows of G and v differ in length"
 EXACT = "{kind} is inexact; use int or Fraction"
 
-#: every public entry point that reaches `dot`, `mat_vec`, `bilinear` or
-#: `_wedge`: the call on (U, V), the operand it is given a fault in, the
-#: text of a wrong length (n) and the text of an inexact entry (kind)
+#: every public entry point whose vectors reach `dot`, `mat_vec`,
+#: `bilinear` or `_wedge`: the call on (U, V), the operand it is given a
+#: fault in, the text of a wrong length (n) and the text of an inexact
+#: entry (kind).  `second_compound` wedges the rows of a built form, and
+#: `transform_bivector` the columns of a matrix it checks itself (see
+#: tests/test_linecomplex.py)
 ENTRY_POINTS = {
     "evaluate-u": (FORM.evaluate, 0, FORM_LENGTH, EXACT),
     "evaluate-v": (FORM.evaluate, 1, FORM_LENGTH, EXACT),

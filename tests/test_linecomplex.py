@@ -150,7 +150,6 @@ def test_discriminant_oracle_forms_no_compound(monkeypatch):
 
     def fail(*args):
         pytest.fail("the oracle formed a compound")
-    monkeypatch.setattr(linecomplex, "_compound_layout", fail)
     monkeypatch.setattr(linecomplex, "second_compound", fail)
     assert [discriminant_tangency(q, u, v) for q, u, v in samples] == want
 
@@ -175,34 +174,55 @@ def test_line_predicates_form_no_compound(monkeypatch):
 
     def fail(*args):
         pytest.fail("a line predicate formed a compound")
-    monkeypatch.setattr(linecomplex, "_compound_layout", fail)
     monkeypatch.setattr(linecomplex, "second_compound", fail)
     assert answers() == want
     assert set(want[0]) == set(want[1]) == {True, False}
+
+
+def random_gram(rng, dim, rational):
+    """A symmetric Gram of random rank: entries in [-9, 9], over 1 to 12
+    when `rational`, on a leading square block, and 0 elsewhere."""
+    rank = rng.randint(0, dim)
+    gram = [[0] * dim for _ in range(dim)]
+    for i in range(rank):
+        for j in range(i, rank):
+            x = rng.randint(-9, 9)
+            if rational:
+                x = Fraction(x, rng.randint(1, 12))
+            gram[i][j] = gram[j][i] = x
+    return gram
+
+
+@pytest.mark.parametrize("rational", [False, True])
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_second_compound_is_the_plain_minor_matrix(dim, rational):
+    # at every dimension, on integral and rational forms of every rank;
+    # the reference forms each minor in Fractions, with no wedge
+    rng = random.Random(4000 + 2 * dim + rational)
+    for _ in range(10):
+        gram = random_gram(rng, dim, rational)
+        c = second_compound(symmetric_form(gram))
+        reference = plain_minors(gram)
+        assert [list(row) for row in c.gram] == reference
+        assert [[type(x) for x in row] for row in c.gram] == \
+            [[int if x.denominator == 1 else Fraction for x in row]
+             for row in reference]
 
 
 @pytest.mark.parametrize("rational", [False, True])
 @pytest.mark.parametrize("dim", range(1, 8))
 def test_compound_on_a_line_is_the_wedge_of_the_images(dim, rational):
     # nu2(G)(u ^ v) = G u ^ G v on the integer view, for forms of every
-    # rank and for dependent vectors too
+    # rank and for dependent vectors too; the right side is plain minors:
+    # row (0, 1) of those of the rows iu, iv is iu ^ iv
     rng = random.Random(3900 + 2 * dim + rational)
     for _ in range(20):
-        rank = rng.randint(0, dim)
-        gram = [[0] * dim for _ in range(dim)]
-        for i in range(dim):
-            for j in range(i, dim):
-                if i < rank and j < rank:
-                    x = rng.randint(-9, 9)
-                    if rational:
-                        x = Fraction(x, rng.randint(1, 12))
-                    gram[i][j] = gram[j][i] = x
-        q = symmetric_form(gram)
+        q = symmetric_form(random_gram(rng, dim, rational))
         iu = [rng.randint(-5, 5) for _ in range(dim)]
         iv = (list(map((2).__mul__, iu)) if rng.random() < 0.2
               else [rng.randint(-5, 5) for _ in range(dim)])
         assert _wedge(mat_vec(q._ints, iu), mat_vec(q._ints, iv)) == \
-            mat_vec(second_compound(q)._ints, _wedge(iu, iv))
+            mat_vec(plain_minors(q._ints), plain_minors([iu, iv])[0])
 
 
 def dense_tangency(q, u, v):
@@ -405,6 +425,39 @@ def test_transform_bivector_reads_source_pairs_in_the_columns():
         transform_bivector([[1, 0], [0]], {(0, 1): 1})
 
 
+def plain_image(m, psi):
+    """The image of psi under the wedge square of m, entry by entry in
+    Fractions: sum p (m_ki m_lj - m_kj m_li) at the pair (k, l)."""
+    image = {}
+    for k in range(len(m)):
+        for l in range(k + 1, len(m)):
+            c = sum((Fraction(p) * (m[k][i] * m[l][j] - m[k][j] * m[l][i])
+                     for (i, j), p in psi.items()), Fraction(0))
+            if c:
+                image[(k, l)] = c
+    return image
+
+
+@pytest.mark.parametrize("rational", [False, True])
+@pytest.mark.parametrize("rows,cols", [(2, 2), (4, 4), (6, 6), (2, 3),
+                                       (3, 2)])
+def test_transform_bivector_matches_the_plain_sums(rows, cols, rational):
+    rng = random.Random(4100 + 100 * rows + 10 * cols + rational)
+
+    def entry():
+        x = rng.choice([0, rng.randint(-9, 9)])
+        return Fraction(x, rng.randint(1, 12)) if rational else x
+    pairs = [(i, j) for i in range(cols) for j in range(i + 1, cols)]
+    for _ in range(20):
+        m = [[entry() for _ in range(cols)] for _ in range(rows)]
+        psi = {pair: entry()
+               for pair in rng.sample(pairs, rng.randint(1, len(pairs)))}
+        image = transform_bivector(m, psi)
+        assert image == plain_image(m, psi)
+        assert all(type(c) is (int if c.denominator == 1 else Fraction)
+                   for c in image.values())
+
+
 # --- exact types ------------------------------------------------------------
 
 def test_symmetric_form_stores_integral_entries_as_ints():
@@ -526,10 +579,13 @@ def assert_scaled_view(q, view):
 
 
 def plain_minors(g):
-    n = len(g)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    """The 2x2 minors of the matrix g in Fractions: entry ((i, j), (k, l))
+    is the minor on rows i, j and columns k, l."""
+    rows = [(i, j) for i in range(len(g)) for j in range(i + 1, len(g))]
+    n = len(g[0]) if g else 0
+    cols = [(k, l) for k in range(n) for l in range(k + 1, n)]
     return [[Fraction(g[i][k]) * g[j][l] - Fraction(g[j][k]) * g[i][l]
-             for k, l in pairs] for i, j in pairs]
+             for k, l in cols] for i, j in rows]
 
 
 def rational_sample(rng, dim, singular):
@@ -969,33 +1025,6 @@ def test_invertible_matrix_refuses_a_negative_dimension():
     with pytest.raises(ValueError, match="at least 0"):
         random_invertible_matrix(FewWords(0), -1)
     assert random_invertible_matrix(FewWords(0), 0) == []
-
-
-def test_pivot_minors_decide_the_wedge():
-    # u ^ v = 0 read from the minors through any p with u_p != 0 agrees
-    # with all of the Pluecker coordinates, on random pairs (a fifth of
-    # them v = t u) and on crafted ones
-    rng = random.Random(5)
-    pairs = [([0, 0, 3, -1, 2], [0, 0, 6, -2, 4]),
-             ([0, 0, 3, -1, 2], [0, 1, 6, -2, 4]),
-             ([0, -4, 0, 2, 0], [0, 1, 0, -1, 0]),
-             ([0, -4, 0, 2, 0], [0, 2, 0, -1, 0])]
-    pairs += [(u, [t * x for x in u]) for u, _ in pairs for t in (-2, 3)]
-    pairs += [(u, [0] * len(u)) for u, _ in pairs]
-    while len(pairs) < 10000 + 16:
-        dim = rng.randint(1, 6)
-        u = [rng.randint(-2, 2) for _ in range(dim)]
-        if any(u):
-            t = rng.randint(-3, 3)
-            pairs.append((u, [t * x for x in u] if rng.random() < 0.2
-                          else [rng.randint(-2, 2) for _ in range(dim)]))
-    seen = {True: 0, False: 0}
-    for u, v in pairs:
-        want = any(_wedge(u, v))
-        for p in (p for p, x in enumerate(u) if x):
-            assert linecomplex._spans_line(u, p, v) == want
-        seen[want] += 1
-    assert seen[True] > 5000 and seen[False] > 1000
 
 
 def dense_is_singular_point(q, u, v):
